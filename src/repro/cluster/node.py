@@ -14,8 +14,9 @@ machinery of :mod:`repro.coherence.distributed`:
   owners in a bounded :class:`ReplicaStore`, serving them over ``RGET``
   and dropping them on ``INVAL``.
 
-Wire verbs added on top of the :mod:`repro.service` protocol (all
-line-framed, same framing rules):
+Wire verbs added on top of the :mod:`repro.service` protocol — handlers
+registered on :class:`ClusterServer`, served by both codecs under the same
+framing rules (v1 spellings below):
 
 =========================================  =================================
 request                                    response
@@ -69,18 +70,14 @@ from ..obs.prof import clock
 from ..coherence.distributed import ReplicaDirectory
 from ..coherence.states import State
 from ..service.client import CacheClient
-from ..service.protocol import STATUS_IDS
-from ..service.server import (
-    MAX_VALUE_BYTES,
-    CacheServer,
-    ProtocolError,
-)
+from ..service.protocol import Reply
+from ..service.server import CacheServer, ProtocolError, wire_verb
 from ..service.sharding import ShardedStore
 
 log = get_logger(__name__)
 
-#: wire verbs handled by the cluster layer (the rest fall through to the
-#: base service protocol)
+#: wire verbs whose requests the node records as cluster requests (the
+#: rest are recorded as plain service requests)
 CLUSTER_VERBS = ("SET", "DEL", "REPL", "INVAL", "PUTS", "RGET", "CSTATUS",
                  "DRAIN")
 
@@ -200,8 +197,6 @@ class PeerClient(CacheClient):
     call-site signature.  Pass ``trace`` explicitly to override.
     """
 
-    _BODY_TOKENS = CacheClient._BODY_TOKENS + ("CSTATUS",)
-
     async def repl(self, key: str, version: int, value: bytes,
                    trace=None) -> bool:
         """Push a replica; True iff the peer accepted (not STALE)."""
@@ -254,185 +249,72 @@ class PeerClient(CacheClient):
 
 
 class ClusterServer(CacheServer):
-    """The service protocol plus the cluster verbs, bound to one node."""
+    """The service verb table plus the cluster's peer verbs, bound to one node.
+
+    SET and DEL (singles and batches) keep the base handlers: they route
+    through the :meth:`_apply_set` / :meth:`_apply_delete` hooks below,
+    so every write on a cluster node runs the full INVAL-before-ack
+    owner path, whichever framing carried it.
+    """
 
     def __init__(self, node: "ClusterNode", store, **kwargs):
         super().__init__(store, **kwargs)
         self.node = node
 
-    async def _serve_request(self, cmd: str, parts: list, reader, writer,
-                             conn_id: int = 0):
-        """Cluster-verb dispatch; non-cluster verbs fall through to the base.
+    @wire_verb("REPL")
+    async def _verb_repl(self, key: str, version: int, value: bytes) -> Reply:
+        if await self.node.handle_repl(key, version, value):
+            return Reply("REPLICATED", outcome="replicated")
+        return Reply("STALE", outcome="stale")
 
-        Same contract as the base method: ``cmd``/``parts`` are the decoded
-        request line with any trace field already stripped (the shared
-        ``_handle_request`` wrapper popped it and opened the request span),
-        and the returned outcome label feeds ``_record_request``.
-        """
-        if cmd not in CLUSTER_VERBS:
-            return await super()._serve_request(cmd, parts, reader, writer,
-                                                conn_id)
-        node = self.node
+    @wire_verb("INVAL")
+    async def _verb_inval(self, key: str, version: int) -> Reply:
+        dropped = self.node.handle_inval(key, version)
+        return Reply("INVALED", outcome="dropped" if dropped else "clean")
 
-        if cmd == "SET":
-            if len(parts) != 3:
-                raise ProtocolError("usage: SET <key> <len>")
-            key, value = parts[1], await self._read_body(reader, parts[2])
-            stored = await node.handle_set(key, value)
-            writer.write(b"STORED\n" if stored else b"TAGGED\n")
-            return "stored" if stored else "tagged"
-        elif cmd == "DEL":
-            if len(parts) != 2:
-                raise ProtocolError("usage: DEL <key>")
-            key = parts[1]
-            removed = await node.handle_delete(key)
-            writer.write(b"DELETED\n" if removed else b"NOTFOUND\n")
-            return "deleted" if removed else "notfound"
-        elif cmd == "REPL":
-            if len(parts) != 4:
-                raise ProtocolError("usage: REPL <key> <version> <len>")
-            key, version = parts[1], self._int(parts[2], "version")
-            value = await self._read_body(reader, parts[3])
-            accepted = await node.handle_repl(key, version, value)
-            writer.write(b"REPLICATED\n" if accepted else b"STALE\n")
-            return "replicated" if accepted else "stale"
-        elif cmd == "INVAL":
-            if len(parts) != 3:
-                raise ProtocolError("usage: INVAL <key> <version>")
-            dropped = node.handle_inval(parts[1], self._int(parts[2], "version"))
-            writer.write(b"INVALED\n")
-            return "dropped" if dropped else "clean"
-        elif cmd == "PUTS":
-            if len(parts) != 3:
-                raise ProtocolError("usage: PUTS <key> <node>")
-            node.handle_puts(parts[1], parts[2])
-            writer.write(b"OK\n")
-        elif cmd == "RGET":
-            if len(parts) != 2:
-                raise ProtocolError("usage: RGET <key>")
-            value = node.handle_rget(parts[1])
-            if value is None:
-                writer.write(b"MISS\n")
-                return "miss"
-            writer.write(b"VALUE %d\n" % len(value))
-            writer.write(value)
-            writer.write(b"\n")
-            return "hit"
-        elif cmd == "CSTATUS":
-            payload = json.dumps(node.status()).encode("utf-8")
-            writer.write(b"CSTATUS %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        else:  # DRAIN
-            node.draining = True
-            writer.write(b"DRAINING\n")
-            await writer.drain()
-            # stop accepting & drain in the background; this response (and
-            # every other in-flight request) still completes
-            asyncio.ensure_future(self.stop())
-        return None
+    @wire_verb("PUTS")
+    async def _verb_puts(self, key: str, holder: str) -> Reply:
+        self.node.handle_puts(key, holder)
+        return Reply("OK")
 
-    async def _serve_frame(self, cmd: str, fields: list, seq: int, enc,
-                           writer, conn_id: int = 0):
-        """v2 frame dispatch for the cluster verbs; the rest fall through.
+    @wire_verb("RGET")
+    async def _verb_rget(self, key: str) -> Reply:
+        value = self.node.handle_rget(key)
+        if value is None:
+            return Reply("MISS", outcome="miss")
+        return Reply("VALUE", value, outcome="hit")
 
-        Mirrors :meth:`_serve_request` verb for verb, so FLOW003's
-        framing-coverage check sees the cluster layer serving the same
-        verb set in both framings.  Batch verbs are *not* intercepted:
-        the base arms route every item through :meth:`_apply_set` /
-        :meth:`_apply_delete` below, so a batched write on a cluster node
-        still runs the full INVAL-before-ack fan-out per item.
-        """
-        if cmd not in CLUSTER_VERBS:
-            return await super()._serve_frame(cmd, fields, seq, enc, writer,
-                                              conn_id)
-        node = self.node
+    @wire_verb("CSTATUS")
+    async def _verb_cstatus(self) -> Reply:
+        return Reply("CSTATUS", json.dumps(self.node.status()).encode("utf-8"))
 
-        if cmd == "SET":
-            stored = await node.handle_set(fields[0], fields[1])
-            writer.write(enc.simple(
-                STATUS_IDS["STORED" if stored else "TAGGED"], seq
-            ))
-            return "stored" if stored else "tagged"
-        elif cmd == "DEL":
-            removed = await node.handle_delete(fields[0])
-            writer.write(enc.simple(
-                STATUS_IDS["DELETED" if removed else "NOTFOUND"], seq
-            ))
-            return "deleted" if removed else "notfound"
-        elif cmd == "REPL":
-            key, version, value = fields
-            accepted = await node.handle_repl(key, version, value)
-            writer.write(enc.simple(
-                STATUS_IDS["REPLICATED" if accepted else "STALE"], seq
-            ))
-            return "replicated" if accepted else "stale"
-        elif cmd == "INVAL":
-            dropped = node.handle_inval(fields[0], fields[1])
-            writer.write(enc.simple(STATUS_IDS["INVALED"], seq))
-            return "dropped" if dropped else "clean"
-        elif cmd == "PUTS":
-            node.handle_puts(fields[0], fields[1])
-            writer.write(enc.simple(STATUS_IDS["OK"], seq))
-        elif cmd == "RGET":
-            value = node.handle_rget(fields[0])
-            if value is None:
-                writer.write(enc.simple(STATUS_IDS["MISS"], seq))
-                return "miss"
-            writer.write(enc.simple(STATUS_IDS["VALUE"], seq, value))
-            return "hit"
-        elif cmd == "CSTATUS":
-            payload = json.dumps(node.status()).encode("utf-8")
-            writer.write(enc.simple(STATUS_IDS["CSTATUS"], seq, payload))
-        else:  # DRAIN
-            node.draining = True
-            writer.write(enc.simple(STATUS_IDS["DRAINING"], seq))
-            await writer.drain()
-            # stop accepting & drain in the background; this response (and
-            # every other in-flight request) still completes
-            asyncio.ensure_future(self.stop())
-        return None
+    @wire_verb("DRAIN")
+    async def _verb_drain(self) -> Reply:
+        self.node.draining = True
+        # stop accepting & drain in the background; this response (and
+        # every other in-flight request) still completes
+        asyncio.ensure_future(self.stop())
+        return Reply("DRAINING")
 
     async def _apply_set(self, key: str, value: bytes) -> bool:
-        """Batched writes go through the owner write path, fan-out included."""
+        """Writes go through the owner write path, fan-out included."""
         return await self.node.handle_set(key, value)
 
     async def _apply_delete(self, key: str) -> bool:
-        """Batched deletes run the same INVAL-before-ack path as singles."""
+        """Deletes run the same INVAL-before-ack path as writes."""
         return await self.node.handle_delete(key)
 
-    def _record_request(self, cmd: str, parts: list, start: float,
-                        elapsed: float, conn_id: int, ctx, outcome) -> None:
+    def _record_request(self, cmd: str, key, start: float, elapsed: float,
+                        conn_id: int, ctx, outcome) -> None:
         if cmd not in CLUSTER_VERBS:
-            super()._record_request(cmd, parts, start, elapsed, conn_id,
+            super()._record_request(cmd, key, start, elapsed, conn_id,
                                     ctx, outcome)
             return
-        if cmd in ("SET", "DEL") and len(parts) > 1:
-            shard_idx = self.store.shard_of(parts[1])
+        if cmd in ("SET", "DEL") and key is not None:
+            shard_idx = self.store.shard_of(key)
             self.store.shards[shard_idx].stats.record_latency(elapsed)
-        key = parts[1] if cmd in ("SET", "DEL", "REPL", "INVAL", "PUTS",
-                                  "RGET") and len(parts) > 1 else None
         self.node.record_request(cmd, elapsed, conn_id, start=start,
                                  ctx=ctx, key=key, outcome=outcome)
-
-    async def _read_body(self, reader, length_token: str) -> bytes:
-        length = self._int(length_token, "length")
-        if not 0 <= length <= MAX_VALUE_BYTES:
-            raise ProtocolError(f"length {length} out of range")
-        try:
-            body = await reader.readexactly(length + 1)  # value + '\n'
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("value body truncated") from None
-        if body[-1:] != b"\n":
-            raise ProtocolError("value not newline-terminated")
-        return body[:-1]
-
-    @staticmethod
-    def _int(token: str, what: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ProtocolError(f"bad {what} {token!r}") from None
 
 
 class ClusterNode:

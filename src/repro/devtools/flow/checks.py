@@ -19,11 +19,13 @@ Built on the statement CFGs (:mod:`.cfg`), the project call graph
   excused *because of a lock*, performed without holding that lock —
   the unguarded writer silently breaks the invariant the lock was
   supposed to provide.
-* **FLOW003 wire-protocol conformance** — the verb sets actually
-  dispatched by the servers and sent by the clients, diffed against the
-  declarative spec in :mod:`.protocol_spec`: an undocumented verb, a
-  server verb with no client sender, or a spec verb no server handles
-  all fail.
+* **FLOW003 wire-protocol conformance** — each server layer's verb
+  table (its ``@wire_verb`` handlers), the codec's ``VERB_IDS`` /
+  ``REQUEST_FIELDS`` tables and the clients' ``.call("VERB")`` senders,
+  diffed against the declarative spec in :mod:`.protocol_spec`: an
+  undeclared handler, a declared verb never handled, a handled verb
+  never sent, a sent verb never documented, or codec-table drift all
+  fail.
 
 Everything is deliberately *syntactic and conservative*: no alias
 analysis, one level of call-graph inlining, locks matched structurally
@@ -106,17 +108,19 @@ class LockDisciplineRule(FlowRule):
 class ProtocolConformanceRule(FlowRule):
     """Wire verbs must match the declarative spec on both ends.
 
-    Every verb a server dispatches must be declared in
+    Every verb a server registers a handler for must be declared in
     ``repro.devtools.flow.protocol_spec`` and have at least one client
-    sender; every declared verb must be dispatched.  A new verb lands by
-    touching spec, server and client together — drift fails CI.
+    sender; every declared verb must be handled and present in the
+    codec's ``VERB_IDS`` / ``REQUEST_FIELDS`` tables.  A new verb lands
+    by touching spec, codec tables and handler together — drift fails
+    CI.
     """
 
     id = "FLOW003"
     name = "protocol-conformance"
     description = (
-        "server-dispatched / client-sent wire verbs drifted from "
-        "protocol_spec.py"
+        "server-handled / codec-tabled / client-sent wire verbs drifted "
+        "from protocol_spec.py"
     )
 
 
@@ -573,34 +577,14 @@ def _transfer(node, active, taint, out: FunctionFindings):
 
 # -- FLOW003 verb extraction -------------------------------------------------
 
-#: names of the dispatch methods the verb extraction keys on; servers must
-#: dispatch on a local called ``cmd`` inside these methods (repo convention).
-#: ``_serve_request`` dispatches the v1 line framing, ``_serve_frame`` the
-#: v2 binary framing.
-DISPATCH_METHOD = "_serve_request"
-DISPATCH_METHOD_V2 = "_serve_frame"
-DISPATCH_VAR = "cmd"
+#: the decorator registering a server handler (``@wire_verb("VERB")``);
+#: the decorated functions of a server file are that layer's verb table
+HANDLER_DECORATOR = "wire_verb"
 
-_VERB_RE = re.compile(r"^([A-Z][A-Z0-9]*)")
+#: the codec tables whose keys must cover exactly the documented verbs
+CODEC_TABLES = ("VERB_IDS", "REQUEST_FIELDS")
 
-
-def _module_string_tuples(tree) -> dict:
-    """Module-level ``NAME = ("A", "B", ...)`` constants, by name."""
-    consts = {}
-    for node in tree.body:
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            continue
-        value = node.value
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set)) and all(
-            isinstance(e, ast.Constant) and isinstance(e.value, str)
-            for e in value.elts
-        ):
-            consts[node.targets[0].id] = [e.value for e in value.elts]
-    return consts
+_VERB_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
 
 
 def _module_string_dict_keys(tree) -> dict:
@@ -608,7 +592,7 @@ def _module_string_dict_keys(tree) -> dict:
 
     Returns ``{const_name: {key: line}}`` for every module-level dict
     literal whose keys are all string constants — the shape of the
-    ``VERB_IDS`` / ``V1_LINES`` framing tables.
+    ``VERB_IDS`` / ``REQUEST_FIELDS`` codec tables.
     """
     consts = {}
     for node in tree.body:
@@ -629,152 +613,73 @@ def _module_string_dict_keys(tree) -> dict:
     return consts
 
 
-def has_method(tree, name: str) -> bool:
-    """Whether any function in ``tree`` is named ``name``."""
-    return any(func.name == name for _, func in iter_functions(tree))
+def _verb_constant(node):
+    """The verb named by a string-constant AST node, or None."""
+    if (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _VERB_RE.match(node.value)
+    ):
+        return node.value
+    return None
 
 
-def extract_handled_verbs(tree, method: str = DISPATCH_METHOD) -> dict:
-    """Verbs a server file dispatches in one framing: ``{verb: line}``.
+def extract_handled_verbs(tree) -> dict:
+    """A server file's verb table: ``{verb: line}``.
 
-    A verb is *handled* when, inside a function named ``method``
-    (``_serve_request`` for the v1 line framing, ``_serve_frame`` for the
-    v2 binary framing), the local ``cmd`` is compared against a string
-    constant (``==``) or against a tuple/list/set of string constants —
-    inline or via a module-level constant such as ``CLUSTER_VERBS``
-    (``in`` / ``not in``).
+    A verb is *handled* when a function is decorated with
+    ``@wire_verb("VERB")`` (plain or attribute-qualified decorator name).
     """
-    consts = _module_string_tuples(tree)
     handled = {}
     for _, func in iter_functions(tree):
-        if func.name != method:
-            continue
-        for sub in iter_scope(func):
-            if not (
-                isinstance(sub, ast.Compare)
-                and isinstance(sub.left, ast.Name)
-                and sub.left.id == DISPATCH_VAR
-                and len(sub.ops) == 1
-            ):
+        for deco in func.decorator_list:
+            if not (isinstance(deco, ast.Call) and deco.args):
                 continue
-            op, comp = sub.ops[0], sub.comparators[0]
-            if (
-                isinstance(op, ast.Eq)
-                and isinstance(comp, ast.Constant)
-                and isinstance(comp.value, str)
-            ):
-                handled.setdefault(comp.value, sub.lineno)
-            elif isinstance(op, (ast.In, ast.NotIn)):
-                if isinstance(comp, (ast.Tuple, ast.List, ast.Set)) and all(
-                    isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    for e in comp.elts
-                ):
-                    values = [e.value for e in comp.elts]
-                elif isinstance(comp, ast.Name):
-                    values = consts.get(comp.id, [])
-                else:
-                    values = []
-                for value in values:
-                    handled.setdefault(value, sub.lineno)
-    return {v: l for v, l in handled.items() if _VERB_RE.match(v)}
-
-
-def _payload_text(expr, assigns):
-    """Best-effort leading text of a ``_request`` payload expression."""
-    for _ in range(8):  # peel wrappers; bounded for safety
-        if isinstance(expr, ast.Call) and isinstance(
-            expr.func, ast.Attribute
-        ) and expr.func.attr == "encode":
-            expr = expr.func.value
-        elif isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Mod):
-            expr = expr.left
-        elif isinstance(expr, ast.Name):
-            resolved = assigns.get(expr.id)
-            if resolved is None or resolved is expr:
-                return None
-            expr, assigns = resolved, dict(assigns, **{expr.id: None})
-        else:
-            break
-    if isinstance(expr, ast.JoinedStr):
-        if expr.values and isinstance(expr.values[0], ast.Constant):
-            expr = expr.values[0]
-        else:
-            return None
-    if isinstance(expr, ast.Constant):
-        value = expr.value
-        if isinstance(value, bytes):
-            try:
-                value = value.decode("ascii")
-            except UnicodeDecodeError:
-                return None
-        if isinstance(value, str):
-            return value
-    return None
+            name = getattr(deco.func, "id", None) or getattr(
+                deco.func, "attr", None
+            )
+            verb = _verb_constant(deco.args[0])
+            if name == HANDLER_DECORATOR and verb is not None:
+                handled.setdefault(verb, deco.lineno)
+    return handled
 
 
 def extract_sent_verbs(tree) -> dict:
     """Verbs a client file sends: ``{verb: line}``.
 
-    A verb is *sent* when either
-
-    * the first argument of a ``*.call(...)`` transport call is a string
-      constant naming the verb (the v2-era unified API), or
-    * the first argument of a legacy ``*._request(...)`` call starts with
-      an upper-case token — as a constant, an f-string, a ``%``-formatted
-      literal, or a local assigned one of those shapes.
+    A verb is *sent* when the first argument of a ``*.call(...)``
+    transport call is a string constant naming it.
     """
     sent = {}
     for _, func in iter_functions(tree):
-        assigns = {}
-        for sub in ast.walk(func):
-            if (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Name)
-            ):
-                assigns[sub.targets[0].id] = sub.value
         for sub in iter_scope(func):
-            if not (
+            if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in ("_request", "call")
+                and sub.func.attr == "call"
                 and sub.args
             ):
-                continue
-            if sub.func.attr == "call":
-                arg = sub.args[0]
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and _VERB_RE.fullmatch(arg.value)
-                ):
-                    sent.setdefault(arg.value, sub.lineno)
-                continue
-            text = _payload_text(sub.args[0], assigns)
-            if text is None:
-                continue
-            match = _VERB_RE.match(text.strip())
-            if match:
-                sent.setdefault(match.group(1), sub.lineno)
+                verb = _verb_constant(sub.args[0])
+                if verb is not None:
+                    sent.setdefault(verb, sub.lineno)
     return sent
 
 
 def check_protocol(files, rule) -> list:
-    """FLOW003: diff dispatched/sent verbs against the declarative spec.
+    """FLOW003: diff verb tables, codec tables and senders against the spec.
 
-    ``files`` is a list of ``(path_str, tree)``.  A layer is checked only
-    when its server file is part of the analyzed set; the client-sender
-    check additionally needs every spec client file present (a partial
-    tree cannot prove the absence of a sender).
+    ``files`` is a list of ``(path_str, tree)``.  Three surfaces are
+    diffed against ``protocol_spec.SPEC``:
 
-    A server file that defines ``_serve_frame`` is *framing-aware*: its
-    v1 (``_serve_request``) and v2 (``_serve_frame``) dispatch arms are
-    diffed separately against the framings each verb declares, so a verb
-    wired into one framing but not the other is a finding.  A file
-    without ``_serve_frame`` is checked as a single undifferentiated
-    dispatch surface (the pre-v2 behaviour).  The ``VERB_IDS`` /
-    ``V1_LINES`` framing tables are cross-checked against the spec when
-    their defining files are part of the analyzed set.
+    * each layer's verb table (the ``@wire_verb`` handlers of its server
+      file) — an undeclared handler, or a declared verb never handled;
+    * the codec tables ``VERB_IDS`` / ``REQUEST_FIELDS`` — table drift;
+    * the ``.call("VERB")`` senders — a handled verb no client sends, or
+      a sent verb the spec does not document.
+
+    A surface is checked only when its file is part of the analyzed set;
+    the never-sent check additionally needs every spec client file
+    present (a partial tree cannot prove the absence of a sender).
     """
     from . import protocol_spec as spec
 
@@ -794,13 +699,12 @@ def check_protocol(files, rule) -> list:
             )
         )
 
-    documented = {verb.name for verb in spec.SPEC}
+    documented = spec.documented_verbs()
     internal = spec.internal_verbs()
-    client_files = [(s,) + find(s) for s in spec.CLIENT_FILES]
-    clients_present = [(s, p, t) for s, p, t in client_files if t is not None]
-    all_clients_present = len(clients_present) == len(spec.CLIENT_FILES)
+    client_trees = [find(suffix) for suffix in spec.CLIENT_FILES]
+    clients = [(p, t) for p, t in client_trees if t is not None]
     sent = {}  # verb -> (path, line), first sender wins
-    for _, path, tree in clients_present:
+    for path, tree in clients:
         for verb, line in extract_sent_verbs(tree).items():
             sent.setdefault(verb, (path, line))
 
@@ -808,89 +712,55 @@ def check_protocol(files, rule) -> list:
         server_path, server_tree = find(spec.SERVER_FILES[layer])
         if server_tree is None:
             continue
-        handled_v1 = extract_handled_verbs(server_tree)
-        if has_method(server_tree, DISPATCH_METHOD_V2):
-            handled_v2 = extract_handled_verbs(
-                server_tree, DISPATCH_METHOD_V2
+        handled = extract_handled_verbs(server_tree)
+        declared = spec.verbs_for_layer(layer) - internal
+        for verb in sorted(set(handled) - declared):
+            report(
+                server_path, handled[verb],
+                f"server registers a handler for verb {verb!r} not "
+                f"declared for layer {layer!r} in protocol_spec.py — add "
+                f"a spec entry",
             )
-            surfaces = [
-                ("v1", DISPATCH_METHOD, handled_v1,
-                 spec.verbs_for_layer(layer, "v1") - internal),
-                ("v2", DISPATCH_METHOD_V2, handled_v2,
-                 spec.verbs_for_layer(layer, "v2") - internal),
-            ]
-        else:
-            # legacy single-framing tree: one dispatch method is the
-            # whole layer surface, framings are not distinguished
-            handled_v2 = {}
-            surfaces = [
-                (None, DISPATCH_METHOD, handled_v1,
-                 spec.verbs_for_layer(layer)),
-            ]
-        for framing, method, handled, declared in surfaces:
-            where = f" in the {framing} framing ({method})" if framing else ""
-            for verb in sorted(set(handled) - declared):
+        table_line = min(handled.values()) if handled else 1
+        for verb in sorted(declared - set(handled)):
+            report(
+                server_path, table_line,
+                f"protocol_spec.py declares verb {verb!r} for layer "
+                f"{layer!r} but this server never handles it",
+            )
+        if len(clients) == len(spec.CLIENT_FILES):
+            for verb in sorted(declared & set(handled) - set(sent)):
                 report(
                     server_path, handled[verb],
-                    f"server dispatches verb {verb!r}{where} not declared "
-                    f"for layer {layer!r} in protocol_spec.py — add a spec "
-                    f"entry",
+                    f"verb {verb!r} is handled here but no client ever "
+                    f"sends it — dead protocol surface",
                 )
-            dispatch_line = min(handled.values()) if handled else 1
-            for verb in sorted(declared - set(handled)):
-                report(
-                    server_path, dispatch_line,
-                    f"protocol_spec.py declares verb {verb!r} for layer "
-                    f"{layer!r} but this server never dispatches it"
-                    f"{where}",
-                )
-        if all_clients_present:
-            handled_any = dict(handled_v2)
-            handled_any.update(handled_v1)
-            declared_any = spec.verbs_for_layer(layer) - internal
-            for verb in sorted(declared_any & set(handled_any)):
-                if verb not in sent:
-                    report(
-                        server_path, handled_any[verb],
-                        f"verb {verb!r} is dispatched here but no client "
-                        f"ever sends it — dead protocol surface",
-                    )
-    if any(t is not None for _, _, t in client_files):
-        for verb in sorted(set(sent) - documented):
-            path, line = sent[verb]
-            report(
-                path, line,
-                f"client sends verb {verb!r} that protocol_spec.py does "
-                f"not document — add a spec entry",
-            )
+    for verb in sorted(set(sent) - documented):
+        path, line = sent[verb]
+        report(
+            path, line,
+            f"client sends verb {verb!r} that protocol_spec.py does not "
+            f"document — add a spec entry",
+        )
 
-    # framing tables: VERB_IDS (v2 ids in the codec) and V1_LINES (v1
-    # line templates in the transport) must each cover exactly the verbs
-    # the spec declares for that framing
-    for suffix, table_name, framing in (
-        (spec.CODEC_FILE, "VERB_IDS", "v2"),
-        (spec.TRANSPORT_FILE, "V1_LINES", "v1"),
-    ):
-        table_path, table_tree = find(suffix)
-        if table_tree is None:
-            continue
-        table = _module_string_dict_keys(table_tree).get(table_name)
+    codec_path, codec_tree = find(spec.CODEC_FILE)
+    tables = _module_string_dict_keys(codec_tree) if codec_tree else {}
+    for name in CODEC_TABLES:
+        table = tables.get(name)
         if table is None:
             continue  # table absent: nothing to diff (stub trees)
-        expected = spec.verbs_for_framing(framing)
-        for verb in sorted(set(table) - expected):
+        for verb in sorted(set(table) - documented):
             report(
-                table_path, table[verb],
-                f"{table_name} has an entry for verb {verb!r} that "
-                f"protocol_spec.py does not declare for the {framing} "
-                f"framing — add/extend a spec entry",
+                codec_path, table[verb],
+                f"{name} has an entry for verb {verb!r} that "
+                f"protocol_spec.py does not declare — add a spec entry",
             )
-        table_line = min(table.values()) if table else 1
-        for verb in sorted(expected - set(table)):
+        table_line = min(table.values())
+        for verb in sorted(documented - set(table)):
             report(
-                table_path, table_line,
-                f"protocol_spec.py declares verb {verb!r} for the "
-                f"{framing} framing but {table_name} has no entry for it",
+                codec_path, table_line,
+                f"protocol_spec.py declares verb {verb!r} but {name} has "
+                f"no entry for it",
             )
     return findings
 

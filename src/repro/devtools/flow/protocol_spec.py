@@ -1,37 +1,32 @@
 """Declarative wire-protocol verb spec — the single source of truth.
 
-FLOW003 (:func:`repro.devtools.flow.checks.check_protocol`) extracts the
-verbs the servers actually dispatch and the clients actually send, and
-diffs both sets against :data:`SPEC`.  Adding a wire verb therefore takes
-four edits that must land together or CI fails:
+FLOW003 (:func:`repro.devtools.flow.checks.check_protocol`) extracts
+each server layer's verb table, the codec's framing tables and the verbs
+the clients actually send, and diffs all of them against :data:`SPEC`.
+Adding a wire verb therefore takes three edits that must land together
+or CI fails:
 
-1. a :class:`Verb` entry here, naming its layer(s) and framing(s);
-2. the server dispatch arm — ``_serve_request`` for the v1 line framing,
-   ``_serve_frame`` for the v2 binary framing, both comparing the local
-   ``cmd`` (the extraction keys on that repo convention); a verb framed
-   both ways needs both arms;
-3. the framing tables: a ``VERB_IDS`` entry in
-   :data:`CODEC_FILE` for v2 verbs, a ``V1_LINES`` entry in
-   :data:`TRANSPORT_FILE` for v1 verbs;
-4. at least one client sender — a ``*.call("VERB", ...)`` transport call
-   or a legacy ``*._request(...)`` payload starting with the verb.
+1. a :class:`Verb` entry here, naming its layer;
+2. a ``VERB_IDS`` id and a ``REQUEST_FIELDS`` field schema in
+   :data:`CODEC_FILE` — the schema fixes both framings: the v2 payload
+   layout, and whether (and how) the verb is spelled as a v1 text line;
+3. one handler in the layer's server file, registered with
+   ``@wire_verb("VERB")``; it serves both framings.
+
+A client sender — a ``*.call("VERB", ...)`` transport call in one of
+:data:`CLIENT_FILES` — must exist too, or the handler is reported as
+dead protocol surface.
 
 Layers: ``"service"`` is the base cache protocol served by
 ``repro.service.server.CacheServer``; ``"cluster"`` is the peer protocol
-served by ``repro.cluster.node.ClusterServer`` on top of it.  ``SET`` and
-``DEL`` appear in both because the cluster server intercepts them for
-owner routing while plain cache servers handle them directly.
-
-Framings: ``"v1"`` is the newline-delimited text protocol, ``"v2"`` the
-length-prefixed binary framing (:mod:`repro.service.protocol`).  Most
-verbs speak both; the batch verbs (``MGET``/``MSET``/``MDEL``) and the
-negotiation probe (``HELLO``) are v2-only — over a v1 connection the
-transport emulates batches as sequential singles.
+``repro.cluster.node.ClusterServer`` adds on top of it.  The cluster
+server inherits the service table — its SET/DEL run the owner write path
+through the base handlers' write hooks — so each verb has one layer.
 
 ``internal=True`` marks verbs the transport layer itself originates and
-answers (today only ``HELLO``, handled before dispatch in
-``_handle_frame``); they are exempt from the dispatch-arm and
-client-sender checks but still must appear in ``VERB_IDS``.
+answers (today only ``HELLO``, the v2 negotiation probe the v2 codec
+answers before dispatch); they are exempt from the handler and
+client-sender checks but still must appear in the codec tables.
 
 Every request additionally accepts one optional trace field
 ``T=<trace-id>/<span-id>`` (:mod:`repro.obs.dist`) — trailing token on a
@@ -43,13 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: layer name -> repo-relative server file whose dispatch defines the layer
+#: layer name -> repo-relative server file whose handlers define the layer
 SERVER_FILES = {
     "service": "repro/service/server.py",
     "cluster": "repro/cluster/node.py",
 }
 
-#: repo-relative client files whose transport calls / payloads are senders
+#: repo-relative client files whose ``.call("VERB", ...)`` transport calls
+#: are the senders
 CLIENT_FILES = (
     "repro/service/client.py",
     "repro/service/transport.py",
@@ -57,39 +53,30 @@ CLIENT_FILES = (
     "repro/cluster/client.py",
 )
 
-#: repo-relative codec file whose ``VERB_IDS`` dict is the v2 framing table
+#: repo-relative codec file holding the ``VERB_IDS`` / ``REQUEST_FIELDS``
+#: tables
 CODEC_FILE = "repro/service/protocol.py"
-
-#: repo-relative transport file whose ``V1_LINES`` dict is the v1 framing table
-TRANSPORT_FILE = "repro/service/transport.py"
-
-#: the wire framings a verb may be declared for
-FRAMINGS = ("v1", "v2")
 
 
 @dataclass(frozen=True)
 class Verb:
-    """One wire verb: name, serving layers, framings, and a summary."""
+    """One wire verb: name, serving layers, and a summary."""
 
     name: str
     layers: tuple
     summary: str
-    framings: tuple = FRAMINGS
     internal: bool = field(default=False, compare=False)
 
 
 SPEC = (
     Verb("HELLO", ("service",), "v2 negotiation probe (transport-internal)",
-         framings=("v2",), internal=True),
+         internal=True),
     Verb("GET", ("service",), "read a value by key"),
-    Verb("SET", ("service", "cluster"), "store a value (cluster: routed)"),
-    Verb("DEL", ("service", "cluster"), "delete a key (cluster: routed)"),
-    Verb("MGET", ("service",), "read many keys in one frame",
-         framings=("v2",)),
-    Verb("MSET", ("service",), "store many pairs in one frame",
-         framings=("v2",)),
-    Verb("MDEL", ("service",), "delete many keys in one frame",
-         framings=("v2",)),
+    Verb("SET", ("service",), "store a value (cluster: owner write path)"),
+    Verb("DEL", ("service",), "delete a key (cluster: owner write path)"),
+    Verb("MGET", ("service",), "read many keys in one frame"),
+    Verb("MSET", ("service",), "store many pairs in one frame"),
+    Verb("MDEL", ("service",), "delete many keys in one frame"),
     Verb("STATS", ("service",), "per-shard + aggregate stats snapshot"),
     Verb("METRICS", ("service",), "obs registry in Prometheus text format"),
     Verb("TRACE", ("service",), "drain the node's trace ring (JSONL batch)"),
@@ -104,22 +91,13 @@ SPEC = (
 )
 
 
-def verbs_for_layer(layer: str, framing: str = None) -> set:
-    """Names of the verbs declared for ``layer`` (optionally one framing)."""
-    return {
-        verb.name for verb in SPEC
-        if layer in verb.layers
-        and (framing is None or framing in verb.framings)
-    }
-
-
-def verbs_for_framing(framing: str) -> set:
-    """Every declared verb name that speaks ``framing``, across layers."""
-    return {verb.name for verb in SPEC if framing in verb.framings}
+def verbs_for_layer(layer: str) -> set:
+    """Names of the verbs declared for ``layer``."""
+    return {verb.name for verb in SPEC if layer in verb.layers}
 
 
 def internal_verbs() -> set:
-    """Verbs the transport originates itself (dispatch/sender-exempt)."""
+    """Verbs the transport originates itself (handler/sender-exempt)."""
     return {verb.name for verb in SPEC if verb.internal}
 
 

@@ -42,10 +42,6 @@ class CacheClient:
     ``ConnectionError``).
     """
 
-    #: response headers followed by a length-prefixed body; subclasses
-    #: (the cluster's peer client) extend this for their extra verbs
-    _BODY_TOKENS = ("VALUE", "STATS", "METRICS", "TRACE")
-
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -71,35 +67,14 @@ class CacheClient:
             timeout=timeout,
             mode=protocol,
             mux_conns=mux_conns,
-            body_tokens=self._BODY_TOKENS,
         )
 
-    # -- transport delegation -------------------------------------------------
-    #
-    # The pool internals moved into the Transport; these delegates keep
-    # the old surface (tests and operational probes inspect them).
+    # -- lifecycle ----------------------------------------------------------
 
     @property
     def protocol_version(self):
         """Negotiated wire version: ``None`` before first use, then 1 or 2."""
         return self.transport.version
-
-    @property
-    def _pool(self):
-        return self.transport._pool
-
-    @property
-    def _open(self) -> int:
-        return self.transport._open
-
-    async def _acquire(self):
-        return await self.transport._acquire()
-
-    def _release(self, conn) -> None:
-        self.transport._release(conn)
-
-    def _discard(self, conn) -> None:
-        self.transport._discard(conn)
 
     async def close(self) -> None:
         """Close every connection; in-flight requests finish first."""
@@ -110,18 +85,6 @@ class CacheClient:
 
     async def __aexit__(self, *exc):
         await self.close()
-
-    # -- request plumbing ------------------------------------------------------
-
-    async def _request(self, payload: bytes):
-        """Send one hand-framed v1 text request; returns (tokens, body).
-
-        .. deprecated:: the text-only spelling survives for callers that
-           build raw request lines; new code calls :meth:`Transport.call`
-           (via the verb methods), which frames for the negotiated
-           protocol version and pipelines on v2.
-        """
-        return await self.transport._request(payload)
 
     # -- protocol commands -----------------------------------------------------
 

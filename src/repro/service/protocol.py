@@ -31,6 +31,14 @@ are u64, batches are u32-counted repetitions.  Responses are a status id
 plus either a raw blob (VALUE/STATS/METRICS/TRACE/ERR/CSTATUS bodies) or
 a typed batch payload (VALUES/STATUSES).
 
+``REQUEST_FIELDS`` also fixes the v1 text framing, so no second table is
+needed: a verb has a v1 spelling iff all its fields are scalars
+(:data:`V1_VERBS`), its request line is ``VERB f0 f1 ...`` with a
+``value`` field sent as its byte length (the body follows the line), and
+a reply whose status is in :data:`BLOB_STATUSES` is ``STATUS <len>``
+followed by the body.  Both ends of both framings exchange one
+framing-independent :class:`Reply`.
+
 Errors split by trust in the stream: :class:`FrameError` means the frame
 boundary itself is gone (bad magic, truncation, oversize) and the
 connection must drop; :class:`FieldError` means one well-framed payload
@@ -43,8 +51,7 @@ from __future__ import annotations
 import asyncio
 import struct
 
-#: hard cap on a single value accepted over the wire (16 MiB); v1's
-#: ``server.MAX_VALUE_BYTES`` re-exports this
+#: hard cap on a single value accepted over the wire (16 MiB), both framings
 MAX_VALUE_BYTES = 16 * 1024 * 1024
 #: hard cap on one frame's payload (a batch of values plus framing)
 MAX_FRAME_PAYLOAD = 32 * 1024 * 1024
@@ -60,7 +67,8 @@ HEADER_SIZE = HEADER.size
 FLAG_TRACE = 0x01
 
 # Request verb ids.  Plain literals on purpose: FLOW003 cross-checks these
-# keys against the version-aware protocol spec (devtools/flow).
+# keys (and those of REQUEST_FIELDS) against the protocol spec
+# (devtools/flow).
 VERB_IDS = {
     "HELLO": 1,
     "GET": 2,
@@ -110,6 +118,10 @@ STATUS_IDS = {
 VERB_NAMES = {v: k for k, v in VERB_IDS.items()}
 STATUS_NAMES = {v: k for k, v in STATUS_IDS.items()}
 
+#: statuses whose reply carries a body: on v1 the status line is
+#: ``STATUS <len>`` and ``<body>\n`` follows (v2 frames always carry one)
+BLOB_STATUSES = frozenset(("VALUE", "STATS", "METRICS", "TRACE", "CSTATUS"))
+
 #: typed payload schema per request verb.  Field kinds:
 #: ``key``/``peer`` — u16-prefixed UTF-8 string; ``value`` — u32-prefixed
 #: bytes; ``version`` — u64; ``keys`` — u32 count + strings; ``items`` —
@@ -135,11 +147,42 @@ REQUEST_FIELDS = {
     "DRAIN": (),
 }
 
+#: verbs with a v1 text spelling: every field fits on (or, for a
+#: ``value``, is sized on) the request line, so batches and the HELLO
+#: probe are v2-only
+V1_VERBS = frozenset(
+    verb for verb, kinds in REQUEST_FIELDS.items()
+    if set(kinds) <= {"key", "peer", "version", "value"}
+)
+
 #: HELLO probe payload.  The trailing newline matters: sent to a v1
 #: server, the frame reads as one garbage "line" that *terminates*, so
 #: readline() returns, the server answers ``ERR request not utf-8`` and
 #: the connection stays usable for the v1 fallback.
 HELLO_PAYLOAD = b"v2\n"
+
+
+class Reply:
+    """One response, framing-independent.
+
+    ``status`` is the status name (``"VALUE"``, ``"STORED"``, ...);
+    ``body`` carries blob payloads (VALUE, STATS, METRICS, TRACE,
+    CSTATUS); ``values`` carries batch payloads — a list of
+    ``bytes | None`` for VALUES, a list of ``bool`` for STATUSES.
+    Server handlers may set ``outcome``, the request span's label
+    (``"hit"``, ``"tagged"``, ...); it never goes on the wire.
+    """
+
+    __slots__ = ("status", "body", "values", "outcome")
+
+    def __init__(self, status, body=None, values=None, outcome=None):
+        self.status = status
+        self.body = body
+        self.values = values
+        self.outcome = outcome
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return f"Reply({self.status}, body={self.body!r:.40}, values={self.values!r:.40})"
 
 
 class CodecError(Exception):
@@ -415,6 +458,26 @@ def encode_request(enc: FrameEncoder, verb: str, fields, seq: int,
                 enc.put_bytes(value)
         else:  # blob
             enc.put_blob(field)
+    return enc.finish()
+
+
+def encode_reply(enc: FrameEncoder, reply: Reply, seq: int) -> bytes:
+    """Encode one response frame for ``reply``, answering request ``seq``."""
+    values = reply.values
+    if values is None:
+        return enc.simple(STATUS_IDS[reply.status], seq, reply.body or b"")
+    enc.begin(STATUS_IDS[reply.status], seq)
+    enc.put_u32(len(values))
+    if reply.status == "VALUES":
+        for value in values:
+            if value is None:
+                enc.put_u8(0)
+            else:
+                enc.put_u8(1)
+                enc.put_bytes(value)
+    else:  # STATUSES
+        for flag in values:
+            enc.put_u8(1 if flag else 0)
     return enc.finish()
 
 

@@ -1,11 +1,18 @@
 """Asyncio TCP front end for a :class:`~repro.service.sharding.ShardedStore`.
 
-The server speaks two framings, detected per connection from the first
+Every wire verb is one handler, registered once with :func:`wire_verb`:
+a coroutine method taking the verb's typed fields in ``REQUEST_FIELDS``
+order and returning a framing-independent
+:class:`~repro.service.protocol.Reply`.  :class:`CacheServer` owns that
+table; the cluster's ``ClusterServer`` extends it with its peer verbs.
+
+Two thin codecs wrap the table, chosen per connection from the first
 byte: the binary v2 frame protocol of :mod:`repro.service.protocol`
 (magic byte ``0xA8``; pipelined requests, batch verbs, typed trace
 field — see ``docs/protocol.md``) and the original v1 text protocol
 below.  v1 is line-framed with length-prefixed values (one request,
-one response; see ``docs/service.md``):
+one response; see ``docs/service.md``).  A request line is the verb
+followed by one token per request field, a value sent as its length:
 
 ======================================  =========================================
 request                                 response
@@ -31,8 +38,9 @@ The field is stripped before arity checks and ignored when tracing is off.
 *declined* to store the value but recorded the key in the tag directory, so
 a client re-offering after the next miss will see ``STORED``.  Malformed
 requests get ``ERR <reason>\\n`` and keep the connection open; a request
-that exceeds ``request_timeout`` gets ``ERR timeout`` and the connection is
-dropped (its framing can no longer be trusted).
+that exceeds ``request_timeout`` or a line longer than
+:data:`MAX_LINE_BYTES` gets ``ERR timeout`` / ``ERR line too long`` and the
+connection is dropped (its framing can no longer be trusted).
 
 Operational guards:
 
@@ -59,6 +67,7 @@ shard's process lane, with the connection id as the thread lane.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import os
@@ -79,27 +88,34 @@ from ..obs.logging import get_logger
 from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
 from .protocol import (
+    BLOB_STATUSES,
     MAGIC,
     MAX_FRAME_PAYLOAD,
-    MAX_VALUE_BYTES,  # noqa: F401  (re-export; the codec owns the cap now)
+    MAX_VALUE_BYTES,
+    REQUEST_FIELDS,
     STATUS_IDS,
+    V1_VERBS,
     VERB_NAMES,
     FieldError,
     FrameEncoder,
     FrameError,
+    Reply,
     decode_request_fields,
     decode_trace,
+    encode_reply,
     read_frame,
 )
 from .sharding import ShardedStore
 
 log = get_logger(__name__)
 
-#: hard cap on request-line length (fits any sane key)
+#: hard cap on v1 request-line length (fits any sane key); the stream
+#: reader's limit, so an overlong line fails closed
 MAX_LINE_BYTES = 64 * 1024
 
-#: verbs whose first key records per-shard request latency
-_KEYED_VERBS = ("GET", "SET", "DEL", "MGET", "MSET", "MDEL")
+#: v1 usage-message placeholder per request field kind
+_V1_USAGE = {"key": "<key>", "peer": "<node>", "version": "<version>",
+             "value": "<len>"}
 
 #: default span-id prefixes for servers not given one (cluster nodes pass
 #: their node name); a plain counter keeps ids deterministic per process
@@ -112,6 +128,17 @@ class ProtocolError(Exception):
 
 class _Quit(Exception):
     """Internal: client sent QUIT; close the connection cleanly."""
+
+
+def wire_verb(name: str):
+    """Register the decorated coroutine method as the handler of ``name``.
+
+    FLOW003 reads these decorators as the layer's verb table.
+    """
+    def register(method):
+        method.wire_verb = name
+        return method
+    return register
 
 
 class CacheServer:
@@ -144,6 +171,13 @@ class CacheServer:
         #: is observable from outside (STATS/CSTATUS and ``repro top``)
         self.connections_v1 = 0
         self.connections_v2 = 0
+        #: verb -> bound handler, subclass registrations included
+        self._handlers = {
+            method.wire_verb: getattr(self, name)
+            for klass in reversed(type(self).__mro__)
+            for name, method in vars(klass).items()
+            if hasattr(method, "wire_verb")
+        }
         if (self.obs.tracer.enabled
                 and hasattr(store, "set_decision_listener")):
             store.set_decision_listener(self._on_store_decision)
@@ -177,7 +211,8 @@ class CacheServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = clock()
@@ -314,25 +349,29 @@ class CacheServer:
 
     async def _serve_v1_connection(self, reader, writer, conn_id: int,
                                    first: bytes = b"") -> None:
-        """The v1 text request loop: one line-framed request at a time.
+        """The v1 codec: one line-framed request at a time.
 
         ``first`` is the byte the protocol sniffer consumed; it belongs
-        to the first request line.
+        to the first request line.  A malformed request is answered
+        ``ERR <reason>`` and the connection stays open; a timed-out
+        request or an overlong line drops it, because the stream
+        position can no longer be trusted.
         """
         while not self._stopping:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than the reader's MAX_LINE_BYTES limit
+                writer.write(b"ERR line too long\n")
+                await writer.drain()
+                break
             if first:
                 line, first = first + line, b""
             if not line:
                 break
-            if len(line) > MAX_LINE_BYTES:
-                writer.write(b"ERR line too long\n")
-                await writer.drain()
-                break
             self._inflight += 1
             try:
                 await asyncio.wait_for(
-                    self._handle_request(line, reader, writer, conn_id),
+                    self._serve_v1_request(line, reader, writer, conn_id),
                     self.request_timeout,
                 )
             except asyncio.TimeoutError:
@@ -348,9 +387,31 @@ class CacheServer:
             finally:
                 self._inflight -= 1
 
+    async def _serve_v1_request(self, line: bytes, reader, writer,
+                                conn_id: int) -> None:
+        """Decode one request line (and any value body) and serve it.
+
+        The trailing ``T=`` trace field is popped *before* the arity
+        check, so every verb accepts it.
+        """
+        try:
+            parts = line.decode("utf-8").split()
+        except UnicodeDecodeError:
+            raise ProtocolError("request not utf-8") from None
+        parts, wire_ctx = pop_trace_token(parts)
+        if not parts:
+            raise ProtocolError("empty request")
+        verb = parts[0].upper()
+        handler = self._handlers.get(verb) if verb in V1_VERBS else None
+        if handler is None:
+            raise ProtocolError(f"unknown command {verb!r}")
+        fields = await _read_v1_fields(verb, parts[1:], reader)
+        await self._serve(handler, verb, fields, wire_ctx, conn_id, writer,
+                          _render_v1)
+
     async def _serve_v2_connection(self, reader, writer, conn_id: int,
                                    first: bytes = b"") -> None:
-        """The v2 frame loop: frames are handled as fast as they arrive.
+        """The v2 codec: frames are handled as fast as they arrive.
 
         Pipelining falls out of the framing: every request is fully read
         before dispatch, so the loop never waits on the client mid-request
@@ -361,12 +422,13 @@ class CacheServer:
         unframeable byte stream (:class:`FrameError`) drops it.
         """
         enc = FrameEncoder()
+        render = functools.partial(encode_reply, enc)
         frame = await read_frame(reader, MAX_FRAME_PAYLOAD, first)
         while frame is not None and not self._stopping:
             self._inflight += 1
             try:
                 await asyncio.wait_for(
-                    self._handle_frame(frame, enc, writer, conn_id),
+                    self._serve_v2_request(frame, render, writer, conn_id),
                     self.request_timeout,
                 )
             except asyncio.TimeoutError:
@@ -384,118 +446,13 @@ class CacheServer:
                 self._inflight -= 1
             frame = await read_frame(reader)
 
-    async def _handle_request(self, line: bytes, reader, writer,
-                              conn_id: int = 0) -> None:
-        """Frame one request: decode, pop the trace field, dispatch, record.
+    async def _serve_v2_request(self, frame, render, writer,
+                                conn_id: int) -> None:
+        """Decode one frame's trace token and typed fields and serve it.
 
-        The trace field is stripped *before* arity checks so every verb
-        accepts it; with tracing enabled the dispatch runs under the
-        request's span context (:func:`use_context`), which is how
-        fan-outs deep inside the cluster layer find their parent.
-        """
-        try:
-            parts = line.decode("utf-8").split()
-        except UnicodeDecodeError:
-            raise ProtocolError("request not utf-8") from None
-        parts, wire_ctx = pop_trace_token(parts)
-        if not parts:
-            raise ProtocolError("empty request")
-        cmd = parts[0].upper()
-        start = clock()
-        tr = self.obs.tracer
-        if tr.enabled:
-            ctx = self._trace_ids.begin(wire_ctx)
-            with use_context(ctx):
-                outcome = await self._serve_request(
-                    cmd, parts, reader, writer, conn_id
-                )
-        else:
-            ctx = None
-            outcome = await self._serve_request(
-                cmd, parts, reader, writer, conn_id
-            )
-        await writer.drain()
-        self._record_request(
-            cmd, parts, start, clock() - start, conn_id, ctx, outcome
-        )
-
-    async def _serve_request(self, cmd: str, parts: list, reader, writer,
-                             conn_id: int = 0):
-        """Dispatch one decoded request; returns the outcome label (or None).
-
-        ``cmd`` is ``parts[0].upper()``; responses are written but not yet
-        drained (the caller drains once).  FLOW003 extracts the served
-        verbs from the ``cmd`` comparisons in this method — a new verb
-        needs its arm here, a spec entry, and a client sender.
-        """
-        if cmd == "GET":
-            key = self._one_key(parts)
-            value = self.store.get(key)
-            if value is None:
-                writer.write(b"MISS\n")
-                return "miss"
-            writer.write(b"VALUE %d\n" % len(value))
-            writer.write(value)
-            writer.write(b"\n")
-            return "hit"
-        elif cmd == "SET":
-            if len(parts) != 3:
-                raise ProtocolError("usage: SET <key> <len>")
-            key = parts[1]
-            try:
-                length = int(parts[2])
-            except ValueError:
-                raise ProtocolError(f"bad length {parts[2]!r}") from None
-            if not 0 <= length <= MAX_VALUE_BYTES:
-                raise ProtocolError(f"length {length} out of range")
-            try:
-                body = await reader.readexactly(length + 1)  # value + '\n'
-            except asyncio.IncompleteReadError:
-                raise ProtocolError("value body truncated") from None
-            if body[-1:] != b"\n":
-                raise ProtocolError("value not newline-terminated")
-            stored = self.store.set(key, body[:-1])
-            writer.write(b"STORED\n" if stored else b"TAGGED\n")
-            return "stored" if stored else "tagged"
-        elif cmd == "DEL":
-            key = self._one_key(parts)
-            removed = self.store.delete(key)
-            writer.write(b"DELETED\n" if removed else b"NOTFOUND\n")
-            return "deleted" if removed else "notfound"
-        elif cmd == "STATS":
-            payload = self._stats_payload()
-            writer.write(b"STATS %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        elif cmd == "METRICS":
-            payload = self.obs.registry.to_prometheus().encode("utf-8")
-            writer.write(b"METRICS %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        elif cmd == "TRACE":
-            payload = self.obs.tracer.drain().encode("utf-8")
-            writer.write(b"TRACE %d\n" % len(payload))
-            writer.write(payload)
-            writer.write(b"\n")
-        elif cmd == "PING":
-            writer.write(b"PONG\n")
-        elif cmd == "QUIT":
-            writer.write(b"BYE\n")
-            await writer.drain()
-            raise _Quit
-        else:
-            raise ProtocolError(f"unknown command {cmd!r}")
-        return None
-
-    async def _handle_frame(self, frame, enc, writer, conn_id: int = 0) -> None:
-        """Frame one v2 request: decode, pop the trace field, dispatch, record.
-
-        The v2 analogue of :meth:`_handle_request`: the typed trace frame
-        field replaces the trailing ``T=`` text token, and the decoded
-        positional fields replace the split request line.  ``HELLO`` (the
-        negotiation probe) is answered here and deliberately left out of
-        tracing and request accounting, so trace topology and counters
-        are identical whether or not clients negotiated.
+        ``HELLO`` (the negotiation probe) is answered here and left out
+        of tracing and request accounting, so trace topology and
+        counters are identical whether or not clients negotiated.
         """
         verb = VERB_NAMES.get(frame.verb_id)
         if verb is None:
@@ -503,113 +460,107 @@ class CacheServer:
         token, rd = decode_trace(frame)
         fields = decode_request_fields(verb, rd)
         if verb == "HELLO":
-            writer.write(enc.simple(STATUS_IDS["HELLO"], frame.seq, b"v2"))
+            writer.write(render(Reply("HELLO", b"v2"), frame.seq))
             await writer.drain()
             return
+        handler = self._handlers.get(verb)
+        if handler is None:
+            raise ProtocolError(f"unknown command {verb!r}")
         wire_ctx = parse_token(token) if token is not None else None
+        await self._serve(handler, verb, fields, wire_ctx, conn_id, writer,
+                          render, frame.seq)
+
+    async def _serve(self, handler, verb: str, fields: list, wire_ctx,
+                     conn_id: int, writer, render, seq: int = 0) -> None:
+        """Run one decoded request through its handler and answer it.
+
+        Shared by both codecs: with tracing enabled the handler runs
+        under the request's span context (:func:`use_context`), which is
+        how fan-outs deep inside the cluster layer find their parent.
+        ``render(reply, seq)`` is the connection codec's encoder.
+        """
         start = clock()
-        tr = self.obs.tracer
-        if tr.enabled:
+        if self.obs.tracer.enabled:
             ctx = self._trace_ids.begin(wire_ctx)
             with use_context(ctx):
-                outcome = await self._serve_frame(
-                    verb, fields, frame.seq, enc, writer, conn_id
-                )
+                reply = await handler(*fields)
         else:
             ctx = None
-            outcome = await self._serve_frame(
-                verb, fields, frame.seq, enc, writer, conn_id
-            )
+            reply = await handler(*fields)
+        writer.write(render(reply, seq))
         await writer.drain()
-        parts = [verb]
-        first_key = _first_key(fields)
-        if first_key is not None:
-            parts.append(first_key)
-        self._record_request(
-            verb, parts, start, clock() - start, conn_id, ctx, outcome
-        )
-
-    async def _serve_frame(self, cmd: str, fields: list, seq: int, enc,
-                           writer, conn_id: int = 0):
-        """Dispatch one decoded v2 frame; returns the outcome label (or None).
-
-        ``cmd`` is the verb name resolved from the frame's verb id and
-        ``fields`` its typed payload fields (``REQUEST_FIELDS`` order).
-        FLOW003 extracts the v2-served verbs from the ``cmd`` comparisons
-        in this method, exactly as it reads :meth:`_serve_request` for v1
-        — a verb served in one framing but not the other is a finding.
-        """
-        if cmd == "GET":
-            value = self.store.get(fields[0])
-            if value is None:
-                writer.write(enc.simple(STATUS_IDS["MISS"], seq))
-                return "miss"
-            writer.write(enc.simple(STATUS_IDS["VALUE"], seq, value))
-            return "hit"
-        elif cmd == "SET":
-            stored = await self._apply_set(fields[0], fields[1])
-            writer.write(enc.simple(
-                STATUS_IDS["STORED" if stored else "TAGGED"], seq
-            ))
-            return "stored" if stored else "tagged"
-        elif cmd == "DEL":
-            removed = await self._apply_delete(fields[0])
-            writer.write(enc.simple(
-                STATUS_IDS["DELETED" if removed else "NOTFOUND"], seq
-            ))
-            return "deleted" if removed else "notfound"
-        elif cmd == "MGET":
-            keys = fields[0]
-            enc.begin(STATUS_IDS["VALUES"], seq)
-            enc.put_u32(len(keys))
-            for key in keys:
-                value = self.store.get(key)
-                if value is None:
-                    enc.put_u8(0)
-                else:
-                    enc.put_u8(1)
-                    enc.put_bytes(value)
-            writer.write(enc.finish())
-        elif cmd == "MSET":
-            items = fields[0]
-            flags = []
-            for key, value in items:
-                flags.append(await self._apply_set(key, value))
-            enc.begin(STATUS_IDS["STATUSES"], seq)
-            enc.put_u32(len(flags))
-            for flag in flags:
-                enc.put_u8(1 if flag else 0)
-            writer.write(enc.finish())
-        elif cmd == "MDEL":
-            keys = fields[0]
-            flags = []
-            for key in keys:
-                flags.append(await self._apply_delete(key))
-            enc.begin(STATUS_IDS["STATUSES"], seq)
-            enc.put_u32(len(flags))
-            for flag in flags:
-                enc.put_u8(1 if flag else 0)
-            writer.write(enc.finish())
-        elif cmd == "STATS":
-            writer.write(enc.simple(STATUS_IDS["STATS"], seq,
-                                    self._stats_payload()))
-        elif cmd == "METRICS":
-            writer.write(enc.simple(
-                STATUS_IDS["METRICS"], seq,
-                self.obs.registry.to_prometheus().encode("utf-8"),
-            ))
-        elif cmd == "TRACE":
-            writer.write(enc.simple(STATUS_IDS["TRACE"], seq,
-                                    self.obs.tracer.drain().encode("utf-8")))
-        elif cmd == "PING":
-            writer.write(enc.simple(STATUS_IDS["PONG"], seq))
-        elif cmd == "QUIT":
-            writer.write(enc.simple(STATUS_IDS["BYE"], seq))
-            await writer.drain()
+        if reply.status == "BYE":
             raise _Quit
-        else:
-            raise ProtocolError(f"unknown command {cmd!r}")
-        return None
+        # latency is attributed to the first key's shard; a batch to its
+        # first item's — the approximation STATS makes for per-shard latency
+        key = fields[0] if fields else None
+        if isinstance(key, list):
+            key = key[0] if key else None
+            if isinstance(key, tuple):
+                key = key[0]
+        self._record_request(verb, key, start, clock() - start, conn_id,
+                             ctx, reply.outcome)
+
+    # -- the verb table ---------------------------------------------------------
+    #
+    # One handler per verb, shared by both codecs.  Each takes the verb's
+    # fields in REQUEST_FIELDS order and returns a Reply.
+
+    @wire_verb("GET")
+    async def _verb_get(self, key: str) -> Reply:
+        value = self.store.get(key)
+        if value is None:
+            return Reply("MISS", outcome="miss")
+        return Reply("VALUE", value, outcome="hit")
+
+    @wire_verb("SET")
+    async def _verb_set(self, key: str, value: bytes) -> Reply:
+        if await self._apply_set(key, value):
+            return Reply("STORED", outcome="stored")
+        return Reply("TAGGED", outcome="tagged")
+
+    @wire_verb("DEL")
+    async def _verb_del(self, key: str) -> Reply:
+        if await self._apply_delete(key):
+            return Reply("DELETED", outcome="deleted")
+        return Reply("NOTFOUND", outcome="notfound")
+
+    @wire_verb("MGET")
+    async def _verb_mget(self, keys: list) -> Reply:
+        return Reply("VALUES", values=[self.store.get(key) for key in keys])
+
+    @wire_verb("MSET")
+    async def _verb_mset(self, items: list) -> Reply:
+        return Reply("STATUSES", values=[
+            await self._apply_set(key, value) for key, value in items
+        ])
+
+    @wire_verb("MDEL")
+    async def _verb_mdel(self, keys: list) -> Reply:
+        return Reply("STATUSES", values=[
+            await self._apply_delete(key) for key in keys
+        ])
+
+    @wire_verb("STATS")
+    async def _verb_stats(self) -> Reply:
+        return Reply("STATS", self._stats_payload())
+
+    @wire_verb("METRICS")
+    async def _verb_metrics(self) -> Reply:
+        return Reply("METRICS",
+                     self.obs.registry.to_prometheus().encode("utf-8"))
+
+    @wire_verb("TRACE")
+    async def _verb_trace(self) -> Reply:
+        return Reply("TRACE", self.obs.tracer.drain().encode("utf-8"))
+
+    @wire_verb("PING")
+    async def _verb_ping(self) -> Reply:
+        return Reply("PONG")
+
+    @wire_verb("QUIT")
+    async def _verb_quit(self) -> Reply:
+        return Reply("BYE")  # the codec closes the connection after it
 
     # -- write hooks (the cluster layer overrides these for coherence) --------
 
@@ -641,7 +592,7 @@ class CacheServer:
         }
 
     def _stats_payload(self) -> bytes:
-        """The STATS JSON document, shared by both wire framings."""
+        """The STATS JSON document (also read by the telemetry sampler)."""
         snapshot = self.store.stats_snapshot()
         snapshot["process"] = {"pid": os.getpid(), **process_resources()}
         snapshot["server"] = self.server_info()
@@ -649,13 +600,14 @@ class CacheServer:
             snapshot["obs"] = self.obs.registry.snapshot()
         return json.dumps(snapshot).encode("utf-8")
 
-    def _record_request(self, cmd: str, parts: list, start: float,
-                        elapsed: float, conn_id: int, ctx, outcome) -> None:
-        """Latency, counters and the request span for one answered request."""
+    def _record_request(self, cmd: str, key, start: float, elapsed: float,
+                        conn_id: int, ctx, outcome) -> None:
+        """Latency, counters and the request span for one answered request.
+
+        ``key`` is the request's first key (None for keyless verbs).
+        """
         shard_idx = 0
-        key = None
-        if cmd in _KEYED_VERBS and len(parts) > 1:
-            key = parts[1]
+        if key is not None:
             shard_idx = self.store.shard_of(key)
             self.store.shards[shard_idx].stats.record_latency(elapsed)
         registry = self.obs.registry
@@ -698,31 +650,53 @@ class CacheServer:
             tid=0, args=leaf_args(current_context(), key=key),
         )
 
-    @staticmethod
-    def _one_key(parts: list) -> str:
-        if len(parts) != 2:
-            raise ProtocolError(f"usage: {parts[0].upper()} <key>")
-        return parts[1]
 
+async def _read_v1_fields(verb: str, args: list, reader) -> list:
+    """Typed request fields from one v1 line's argument tokens.
 
-def _first_key(fields: list):
-    """The first key named by a frame's fields, for latency attribution.
-
-    Batch payloads attribute the whole frame to their first key's shard —
-    the same approximation STATS already makes for per-shard latency.
+    One token per ``REQUEST_FIELDS`` entry: ``version`` parses as an
+    int, and a ``value`` token is the body length — the body and its
+    terminating newline are read from ``reader`` right after the line.
     """
-    if not fields:
-        return None
-    first = fields[0]
-    if isinstance(first, str):
-        return first
-    if isinstance(first, list) and first:
-        item = first[0]
-        if isinstance(item, tuple):
-            return item[0]
-        if isinstance(item, str):
-            return item
-    return None
+    kinds = REQUEST_FIELDS[verb]
+    if len(args) != len(kinds):
+        raise ProtocolError(
+            " ".join(["usage:", verb] + [_V1_USAGE[kind] for kind in kinds])
+        )
+    fields = []
+    for kind, token in zip(kinds, args):
+        if kind == "version":
+            fields.append(_v1_int(token, "version"))
+        elif kind == "value":
+            length = _v1_int(token, "length")
+            if not 0 <= length <= MAX_VALUE_BYTES:
+                raise ProtocolError(f"length {length} out of range")
+            try:
+                body = await reader.readexactly(length + 1)  # value + '\n'
+            except asyncio.IncompleteReadError:
+                raise ProtocolError("value body truncated") from None
+            if body[-1:] != b"\n":
+                raise ProtocolError("value not newline-terminated")
+            fields.append(body[:-1])
+        else:
+            fields.append(token)
+    return fields
+
+
+def _v1_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ProtocolError(f"bad {what} {token!r}") from None
+
+
+def _render_v1(reply: Reply, seq: int = 0) -> bytes:
+    """One v1 reply: the status line, plus ``<len>\\n<body>\\n`` for blobs."""
+    status = reply.status.encode("ascii")
+    if reply.status in BLOB_STATUSES:
+        body = reply.body or b""
+        return b"%s %d\n%s\n" % (status, len(body), body)
+    return status + b"\n"
 
 
 async def run_server(server: CacheServer) -> None:

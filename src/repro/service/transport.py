@@ -18,10 +18,12 @@ text on pooled connections.  ``mode="v1"``/``mode="v2"`` pin the
 framing; forced v2 against a v1-only server raises
 :class:`ConnectionError` instead of falling back.
 
-Batch verbs (``MGET``/``MSET``/``MDEL``) are emulated over v1 as
-sequential singles, so callers get one behaviour — and identical
-operation order, which is what the bench's hit-rate parity gate relies
-on — regardless of the negotiated framing.
+The v1 line framing is derived from the codec's ``REQUEST_FIELDS``
+(:func:`_v1_payload`), so the transport keeps no per-verb table.  Batch
+verbs (``MGET``/``MSET``/``MDEL``) are emulated over v1 as sequential
+singles, so callers get one behaviour — and identical operation order,
+which is what the bench's hit-rate parity gate relies on — regardless of
+the negotiated framing.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ import asyncio
 
 from ..obs.dist import wire_token
 from .protocol import (
+    BLOB_STATUSES,
     HELLO_PAYLOAD,
     MAGIC,
     MAX_VALUE_BYTES,
     REQUEST_FIELDS,
+    V1_VERBS,
     FrameEncoder,
     FrameError,
     PayloadReader,
+    Reply,
     STATUS_NAMES,
     VERB_IDS,
     encode_request,
@@ -46,50 +51,9 @@ from .protocol import (
 #: batch verbs emulated as sequential singles over v1 text
 BATCH_VERBS = ("MGET", "MSET", "MDEL")
 
-#: v1 request-line templates per verb: positional fields fill ``{0}``,
-#: ``{1}``, ... and ``{n}`` is the byte length of the value body sent
-#: after the line.  Plain literal on purpose — FLOW003 cross-checks these
-#: keys against the protocol spec's v1 framing table, so a verb present
-#: here but absent from the spec (or vice versa) is a finding.
-V1_LINES = {
-    "GET": "GET {0}",
-    "SET": "SET {0} {n}",
-    "DEL": "DEL {0}",
-    "STATS": "STATS",
-    "METRICS": "METRICS",
-    "TRACE": "TRACE",
-    "PING": "PING",
-    "QUIT": "QUIT",
-    "REPL": "REPL {0} {1} {n}",
-    "INVAL": "INVAL {0} {1}",
-    "PUTS": "PUTS {0} {1}",
-    "RGET": "RGET {0}",
-    "CSTATUS": "CSTATUS",
-    "DRAIN": "DRAIN",
-}
 
 class ServerError(Exception):
     """The server answered ``ERR <reason>`` (not retried)."""
-
-
-class Reply:
-    """One decoded response, framing-independent.
-
-    ``status`` is the v1 response token / v2 status name (``"VALUE"``,
-    ``"STORED"``, ...); ``body`` carries blob payloads (VALUE, STATS,
-    METRICS, TRACE, CSTATUS); ``values`` carries batch payloads — a list
-    of ``bytes | None`` for VALUES, a list of ``bool`` for STATUSES.
-    """
-
-    __slots__ = ("status", "body", "values")
-
-    def __init__(self, status, body=None, values=None):
-        self.status = status
-        self.body = body
-        self.values = values
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Reply({self.status}, body={self.body!r:.40}, values={self.values!r:.40})"
 
 
 class _MuxConn:
@@ -195,7 +159,6 @@ class Transport:
         timeout: float = 5.0,
         mode: str = "auto",
         mux_conns: int = 1,
-        body_tokens=("VALUE", "STATS", "METRICS", "TRACE"),
     ):
         if pool_size <= 0:
             raise ValueError(f"pool_size must be positive, got {pool_size}")
@@ -209,7 +172,6 @@ class Transport:
         self.timeout = timeout
         self.mode = mode
         self.mux_conns = max(1, mux_conns)
-        self.body_tokens = tuple(body_tokens)
         #: negotiated protocol version: None until first use, then 1 or 2
         self.version = 1 if mode == "v1" else None
         self._pool = asyncio.Queue()  # idle v1 (reader, writer) pairs
@@ -457,7 +419,7 @@ class Transport:
                 raise ConnectionError("server closed connection")
             tokens = header.decode("utf-8").split()
             body = None
-            if tokens and tokens[0] in self.body_tokens:
+            if tokens and tokens[0] in BLOB_STATUSES:
                 length = int(tokens[1])
                 if not 0 <= length <= MAX_VALUE_BYTES:
                     raise ConnectionError(f"insane body length {length}")
@@ -483,28 +445,6 @@ class Transport:
             raise ServerError(" ".join(tokens[1:]))
         return tokens, body
 
-    async def _request(self, payload: bytes):
-        """Send one raw v1 request line; retry loop around `_request_once`.
-
-        .. deprecated:: retained for callers that hand-build v1 text
-           payloads; new code goes through :meth:`call`, which frames for
-           the negotiated protocol version.
-        """
-        attempt = 0
-        while True:
-            try:
-                return await self._request_once(payload)
-            except asyncio.CancelledError:
-                raise
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    asyncio.TimeoutError, OSError) as exc:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise ConnectionError(
-                        f"request failed after {attempt} attempts: {exc}"
-                    ) from exc
-                await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
-
     # -- lifecycle ------------------------------------------------------------
 
     async def close(self) -> None:
@@ -529,21 +469,23 @@ class Transport:
 
 
 def _v1_payload(verb: str, fields, token) -> bytes:
-    """Build the v1 text payload for ``verb`` from positional fields."""
-    template = V1_LINES.get(verb)
-    if template is None:
+    """Build the v1 request ``VERB f0 f1 ... [T=..]\\n[body\\n]``.
+
+    One token per ``REQUEST_FIELDS`` entry; a ``value`` field is sent as
+    its byte length on the line and as the body after it.
+    """
+    if verb not in V1_VERBS:
         raise ServerError(f"verb {verb} has no v1 spelling")
     body = None
-    args = []
+    args = [verb]
     for kind, field in zip(REQUEST_FIELDS[verb], fields):
         if kind == "value":
             body = field
-        else:
-            args.append(str(field))
-    line = template.format(*args, n=len(body) if body is not None else 0)
+            field = len(field)
+        args.append(str(field))
     if token is not None:
-        line = f"{line} {token}"
-    payload = line.encode("utf-8") + b"\n"
+        args.append(token)
+    payload = " ".join(args).encode("utf-8") + b"\n"
     if body is not None:
         payload += body + b"\n"
     return payload

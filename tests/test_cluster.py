@@ -684,8 +684,8 @@ class TestClientCancellation:
                 await asyncio.wait_for(client.ping(), 0.2)
             # the connection with a request in flight was discarded, not
             # repooled — a late response can never poison the next request
-            assert client._open == 0
-            assert client._pool.qsize() == 0
+            assert client.transport._open == 0
+            assert client.transport._pool.qsize() == 0
             await client.close()
             server.close()
             await server.wait_closed()

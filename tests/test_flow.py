@@ -28,13 +28,12 @@ from repro.devtools.flow.protocol_spec import (
     CLIENT_FILES,
     CODEC_FILE,
     SPEC,
-    TRANSPORT_FILE,
     documented_verbs,
     internal_verbs,
-    verbs_for_framing,
     verbs_for_layer,
 )
 from repro.devtools.lint.engine import format_json
+from repro.service.protocol import V1_VERBS
 
 #: the real source tree, wherever the package was imported from
 SRC_DIR = Path(repro.__file__).resolve().parent
@@ -318,31 +317,26 @@ class TestLockDiscipline:
 # -- FLOW003: wire-protocol conformance --------------------------------------
 
 
-SERVICE_ARMS = {
-    "GET": 'writer.write(b"VALUE 0\\n")',
-    "SET": 'writer.write(b"STORED\\n")',
-    "DEL": 'writer.write(b"DELETED\\n")',
-    "STATS": 'writer.write(b"STATS 0\\n")',
-    "METRICS": 'writer.write(b"METRICS 0\\n")',
-    "PING": 'writer.write(b"PONG\\n")',
-    "QUIT": 'writer.write(b"BYE\\n")',
-}
-
-
 def fake_server_source(verbs):
-    """A minimal ``_serve_request`` dispatching exactly ``verbs``."""
+    """A minimal server whose verb table is exactly ``verbs``."""
     lines = [
+        "from repro.service.server import wire_verb",
+        "",
         "class CacheServer:",
-        "    async def _serve_request(self, line, reader, writer):",
-        "        parts = line.decode('utf-8').split()",
-        "        cmd = parts[0].upper() if parts else ''",
     ]
-    keyword = "if"
     for verb in verbs:
-        arm = SERVICE_ARMS.get(verb, f'writer.write(b"{verb}ED\\n")')
-        lines.append(f"        {keyword} cmd == {verb!r}:")
-        lines.append(f"            {arm}")
-        keyword = "elif"
+        lines.append(f"    @wire_verb({verb!r})")
+        lines.append(f"    async def _verb_{verb.lower()}(self):")
+        lines.append(f"        return {verb!r}")
+    return "\n".join(lines) + "\n"
+
+
+def fake_sender_source(verbs):
+    """A minimal client sending exactly ``verbs`` through its transport."""
+    lines = ["class Client:"]
+    for verb in verbs:
+        lines.append(f"    async def send_{verb.lower()}(self):")
+        lines.append(f"        return await self.transport.call({verb!r})")
     return "\n".join(lines) + "\n"
 
 
@@ -352,7 +346,9 @@ def analyze_tree(sources, select=None):
 
 
 class TestProtocolConformance:
-    SERVICE_VERBS = sorted(verbs_for_layer("service"))
+    """The verb-table half: handlers and senders against the spec."""
+
+    SERVICE_VERBS = sorted(verbs_for_layer("service") - internal_verbs())
     SERVER = "src/repro/service/server.py"
 
     def test_spec_layers_are_known(self):
@@ -365,7 +361,7 @@ class TestProtocolConformance:
         assert analyze_tree(sources, select={"FLOW003"}) == []
 
     def test_undeclared_dispatch_fires(self):
-        # the acceptance gate: a server verb missing from the spec fails
+        # the acceptance gate: a handler for a verb missing from the spec
         sources = {
             self.SERVER: fake_server_source(self.SERVICE_VERBS + ["FROB"])
         }
@@ -380,19 +376,12 @@ class TestProtocolConformance:
         findings = analyze_tree(sources, select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
         assert "'QUIT'" in findings[0].message
-        assert "never dispatches" in findings[0].message
+        assert "never handles" in findings[0].message
 
     def test_undocumented_client_send_fires(self):
         sources = {
             self.SERVER: fake_server_source(self.SERVICE_VERBS),
-            "src/repro/service/client.py": textwrap.dedent("""
-                class CacheClient:
-                    async def _request(self, payload):
-                        return [], b""
-
-                    async def frob(self):
-                        await self._request(b"FROB 1\\n")
-            """),
+            "src/repro/cluster/client.py": fake_sender_source(["FROB"]),
         }
         findings = analyze_tree(sources, select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
@@ -400,16 +389,12 @@ class TestProtocolConformance:
         assert "does not document" in findings[0].message
 
     def test_no_sender_check_needs_every_client_file(self):
-        # with only one of the client files present, a dispatched verb
+        # with only one of the client files present, a handled verb
         # without a visible sender is NOT dead surface — the sender may
         # live in a file outside the analyzed tree
         sources = {
             self.SERVER: fake_server_source(self.SERVICE_VERBS),
-            "src/repro/service/client.py": (
-                "class CacheClient:\n"
-                "    async def _request(self, payload):\n"
-                "        return [], b''\n"
-            ),
+            "src/repro/service/client.py": fake_sender_source(["GET"]),
         }
         findings = analyze_tree(sources, select={"FLOW003"})
         assert findings == []
@@ -419,9 +404,8 @@ class TestProtocolConformance:
         for client in CLIENT_FILES:
             sources.setdefault(
                 "src/" + client,
-                "class C:\n"
-                "    async def _request(self, payload):\n"
-                "        return [], b''\n",
+                fake_sender_source([v for v in self.SERVICE_VERBS
+                                    if v != "QUIT"]),
             )
         findings = analyze_tree(sources, select={"FLOW003"})
         assert any(
@@ -434,73 +418,46 @@ class TestProtocolConformance:
         assert findings == []
 
 
-def fake_framed_server_source(v1_verbs, v2_verbs):
-    """A server dispatching ``v1_verbs`` in ``_serve_request`` and
-    ``v2_verbs`` in ``_serve_frame`` (framing-aware shape)."""
-    src = fake_server_source(v1_verbs)
-    lines = [
-        "    async def _serve_frame(self, cmd, fields, seq, enc, writer):",
-    ]
-    keyword = "if"
-    for verb in v2_verbs:
-        lines.append(f"        {keyword} cmd == {verb!r}:")
-        lines.append(f"            writer.write(b{verb!r})")
-        keyword = "elif"
-    return src + "\n".join(lines) + "\n"
-
-
 class TestFramingConformance:
-    """FLOW003's version-aware half: v1 vs v2 dispatch surfaces and the
-    VERB_IDS / V1_LINES framing tables."""
+    """The codec half: ``VERB_IDS`` and ``REQUEST_FIELDS`` fix both
+    framings, so they must cover exactly the documented verbs."""
 
     SERVER = "src/repro/service/server.py"
-    V1_VERBS = sorted(verbs_for_layer("service", "v1") - internal_verbs())
-    V2_VERBS = sorted(verbs_for_layer("service", "v2") - internal_verbs())
+    SERVICE_VERBS = TestProtocolConformance.SERVICE_VERBS
+
+    def _table_source(self, *tables):
+        out = []
+        for name, verbs in tables:
+            entries = ", ".join(f"{v!r}: {i}" for i, v in enumerate(verbs))
+            out.append(f"{name} = {{{entries}}}\n")
+        return "".join(out)
+
+    def _codec(self, verb_ids=None, request_fields=None):
+        every = sorted(documented_verbs())
+        return {
+            "src/" + CODEC_FILE: self._table_source(
+                ("VERB_IDS", every if verb_ids is None else verb_ids),
+                ("REQUEST_FIELDS",
+                 every if request_fields is None else request_fields),
+            )
+        }
 
     def test_spec_declares_batch_verbs_v2_only(self):
-        assert {"MGET", "MSET", "MDEL"} <= verbs_for_framing("v2")
-        assert not ({"MGET", "MSET", "MDEL"} & verbs_for_framing("v1"))
+        # v1 eligibility is derived from the codec's field schema
+        assert {"MGET", "MSET", "MDEL", "HELLO"} <= documented_verbs()
+        assert not ({"MGET", "MSET", "MDEL", "HELLO"} & V1_VERBS)
+        assert V1_VERBS >= documented_verbs() - {"MGET", "MSET", "MDEL",
+                                                 "HELLO"}
         assert "HELLO" in internal_verbs()
 
     def test_conforming_framed_server_is_silent(self):
-        sources = {
-            self.SERVER: fake_framed_server_source(
-                self.V1_VERBS, self.V2_VERBS
-            )
-        }
+        sources = self._codec()
+        sources[self.SERVER] = fake_server_source(self.SERVICE_VERBS)
         assert analyze_tree(sources, select={"FLOW003"}) == []
-
-    def test_verb_missing_from_v2_framing_fires(self):
-        # MGET declared for v2 but only the v1 loop grew... no arm: finding
-        v2 = [v for v in self.V2_VERBS if v != "MGET"]
-        sources = {
-            self.SERVER: fake_framed_server_source(self.V1_VERBS, v2)
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
-        assert codes(findings) == ["FLOW003"]
-        assert "'MGET'" in findings[0].message
-        assert "never dispatches" in findings[0].message
-        assert "v2" in findings[0].message
-
-    def test_v2_only_verb_in_v1_dispatch_fires(self):
-        # wiring a batch verb into the v1 line loop without declaring the
-        # framing in the spec is a finding
-        sources = {
-            self.SERVER: fake_framed_server_source(
-                self.V1_VERBS + ["MGET"], self.V2_VERBS
-            )
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
-        assert codes(findings) == ["FLOW003"]
-        assert "'MGET'" in findings[0].message
-        assert "v1" in findings[0].message
-        assert "add a spec entry" in findings[0].message
 
     def test_call_sender_with_undocumented_verb_fires(self):
         sources = {
-            self.SERVER: fake_framed_server_source(
-                self.V1_VERBS, self.V2_VERBS
-            ),
+            self.SERVER: fake_server_source(self.SERVICE_VERBS),
             "src/repro/service/client.py": textwrap.dedent("""
                 class CacheClient:
                     async def frob(self):
@@ -512,44 +469,32 @@ class TestFramingConformance:
         assert "'FROB'" in findings[0].message
         assert "does not document" in findings[0].message
 
-    def _table_source(self, name, verbs):
-        entries = ", ".join(f"{v!r}: {i}" for i, v in enumerate(verbs))
-        return f"{name} = {{{entries}}}\n"
-
     def test_codec_table_missing_verb_fires(self):
-        verbs = sorted(verbs_for_framing("v2") - {"MDEL"})
-        sources = {
-            "src/" + CODEC_FILE: self._table_source("VERB_IDS", verbs)
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
+        verbs = sorted(documented_verbs() - {"MDEL"})
+        findings = analyze_tree(self._codec(verb_ids=verbs),
+                                select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
         assert "'MDEL'" in findings[0].message
         assert "VERB_IDS" in findings[0].message
 
     def test_codec_table_extra_verb_fires(self):
-        verbs = sorted(verbs_for_framing("v2")) + ["FROB"]
-        sources = {
-            "src/" + CODEC_FILE: self._table_source("VERB_IDS", verbs)
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
+        verbs = sorted(documented_verbs()) + ["FROB"]
+        findings = analyze_tree(self._codec(verb_ids=verbs),
+                                select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
         assert "'FROB'" in findings[0].message
 
-    def test_v1_table_is_checked_in_transport(self):
-        verbs = sorted(verbs_for_framing("v1") - {"QUIT"})
-        sources = {
-            "src/" + TRANSPORT_FILE: self._table_source("V1_LINES", verbs)
-        }
-        findings = analyze_tree(sources, select={"FLOW003"})
+    def test_request_fields_table_is_checked(self):
+        verbs = sorted(documented_verbs() - {"QUIT"})
+        findings = analyze_tree(self._codec(request_fields=verbs),
+                                select={"FLOW003"})
         assert codes(findings) == ["FLOW003"]
         assert "'QUIT'" in findings[0].message
-        assert "V1_LINES" in findings[0].message
+        assert "REQUEST_FIELDS" in findings[0].message
 
-    def test_stub_transport_without_table_is_silent(self):
-        # a partial tree (no V1_LINES dict at all) proves nothing
-        sources = {
-            "src/" + TRANSPORT_FILE: "class Transport:\n    pass\n"
-        }
+    def test_stub_codec_without_tables_is_silent(self):
+        # a partial tree (no table dicts at all) proves nothing
+        sources = {"src/" + CODEC_FILE: "class Frame:\n    pass\n"}
         assert analyze_tree(sources, select={"FLOW003"}) == []
 
 

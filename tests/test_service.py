@@ -19,6 +19,7 @@ from repro.service import (
     value_of,
 )
 from repro.service.cli import build_service_parser, run_service_benchmark
+from repro.service.protocol import VERB_NAMES
 from repro.service.stats import ShardStats
 from repro.workloads.mixes import EXAMPLE_MIX, build_workload
 
@@ -300,6 +301,22 @@ class TestServerProtocol:
                 await server.stop()
         run(body())
 
+    def test_overlong_request_line_fails_closed(self):
+        async def body():
+            server = await _started_server()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"GET " + b"k" * 65530 + b"\n")  # fits
+                assert await reader.readline() == b"MISS\n"
+                writer.write(b"GET " + b"k" * 65536 + b"\n")
+                assert await reader.readline() == b"ERR line too long\n"
+                assert await reader.read() == b""  # connection dropped
+                writer.close()
+            finally:
+                await server.stop()
+        run(body())
+
     def test_stats_command_reports_per_shard(self):
         async def body():
             server = await _started_server()
@@ -456,12 +473,23 @@ class TestClient:
     def test_server_errors_are_not_retried(self):
         async def body():
             server = await _started_server()
+            served = []
+            serve = server._serve_v2_request
+
+            async def counting(frame, *args):
+                served.append(VERB_NAMES[frame.verb_id])
+                return await serve(frame, *args)
+
+            server._serve_v2_request = counting
             try:
                 async with CacheClient("127.0.0.1", server.port) as c:
-                    with pytest.raises(ServerError):
-                        await c._request(b"FROB x\n")
+                    # RGET is a cluster verb: a plain cache server answers ERR
+                    with pytest.raises(ServerError, match="unknown command"):
+                        await c.transport.call("RGET", "k")
             finally:
                 await server.stop()
+            # one request (after the negotiation probe), never retried
+            assert served == ["HELLO", "RGET"]
         run(body())
 
 
