@@ -70,6 +70,7 @@ from ..obs.prof import clock
 from ..coherence.distributed import ReplicaDirectory
 from ..coherence.states import State
 from ..service.client import CacheClient
+from ..service.deadline import deadline
 from ..service.protocol import Reply
 from ..service.server import CacheServer, ProtocolError, wire_verb
 from ..service.sharding import ShardedStore
@@ -361,6 +362,9 @@ class ClusterNode:
         self._peers = {}  # name -> PeerClient
         self._write_locks = {}  # key -> asyncio.Lock (pruned when idle)
         self._pending_evictions = []  # (key, kind) from the store listener
+        #: request metric handles, looked up on first use (record_request)
+        self._request_counters = {}  # verb -> counter
+        self._request_latency = None
         store.set_evict_listener(self._on_store_evict)
         #: one id allocator for the node's request spans *and* its fan-out
         #: spans (the server shares it), prefixed with the node name so a
@@ -703,9 +707,8 @@ class ClusterNode:
             # not a member any more: it left read routing with its peer
             # registration, so there is no replica left to invalidate
             return True
-        return await asyncio.wait_for(
-            peer.inval(key, version), self.peer_timeout
-        )
+        async with deadline(self.peer_timeout):
+            return await peer.inval(key, version)
 
     async def _replicate(self, key: str, version: int, value: bytes) -> None:
         """Push the freshly stored value to the key's ring successors.
@@ -732,10 +735,9 @@ class ClusterNode:
             for target in targets:
                 self.directory.note_replicate(key, target)
                 try:
-                    accepted = await asyncio.wait_for(
-                        self._peers[target].repl(key, version, value),
-                        self.peer_timeout,
-                    )
+                    async with deadline(self.peer_timeout):
+                        accepted = await self._peers[target].repl(
+                            key, version, value)
                 except (ConnectionError, asyncio.TimeoutError, OSError):
                     accepted = None  # unknown: the push may still land
                 if accepted is False:
@@ -802,10 +804,8 @@ class ClusterNode:
         if peer is None:
             return
         try:
-            await asyncio.wait_for(
-                peer.puts(key, self.name, trace=current_context()),
-                self.peer_timeout,
-            )
+            async with deadline(self.peer_timeout):
+                await peer.puts(key, self.name, trace=current_context())
         except (ConnectionError, asyncio.TimeoutError, OSError):
             pass  # best-effort notice; the owner's INVAL still finds nothing
 
@@ -817,16 +817,21 @@ class ClusterNode:
         """Counters + tracing for one cluster-verb request."""
         registry = self.obs.registry
         if registry.enabled:
-            registry.counter(
-                "repro_cluster_requests_total",
-                help="cluster-verb requests answered, by node and verb",
-                node=self.name, cmd=cmd,
-            ).inc()
-            registry.histogram(
-                "repro_cluster_request_latency_seconds",
-                help="cluster-verb service time, by node",
-                node=self.name,
-            ).observe(elapsed)
+            counter = self._request_counters.get(cmd)
+            if counter is None:
+                counter = self._request_counters[cmd] = registry.counter(
+                    "repro_cluster_requests_total",
+                    help="cluster-verb requests answered, by node and verb",
+                    node=self.name, cmd=cmd,
+                )
+            counter.inc()
+            if self._request_latency is None:
+                self._request_latency = registry.histogram(
+                    "repro_cluster_request_latency_seconds",
+                    help="cluster-verb service time, by node",
+                    node=self.name,
+                )
+            self._request_latency.observe(elapsed)
         tr = self.obs.tracer
         if tr.enabled:
             extra = {}

@@ -45,7 +45,9 @@ connection is dropped (its framing can no longer be trusted).
 Operational guards:
 
 * ``max_connections`` — further clients are turned away with ``ERR busy``;
-* per-request timeouts via :func:`asyncio.wait_for`;
+* per-request timeouts: each request runs inside its connection's task
+  under a :class:`~repro.service.deadline.deadline`, so a request costs
+  no Task, timer-future pair or extra event-loop turn of its own;
 * graceful shutdown — :meth:`CacheServer.stop` stops accepting, waits for
   in-flight requests to drain (bounded by ``drain_timeout``), then closes
   idle connections.
@@ -87,6 +89,7 @@ from ..obs.dist import (
 from ..obs.logging import get_logger
 from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
+from .deadline import deadline
 from .protocol import (
     BLOB_STATUSES,
     MAGIC,
@@ -187,6 +190,9 @@ class CacheServer:
         self._stopping = False
         self._next_conn_id = 0
         self._lag_task = None
+        #: verb -> (requests counter, latency histogram), looked up on the
+        #: verb's first request so a verb never requested exports no series
+        self._request_metrics = {}
         registry = self.obs.registry
         if registry.enabled:
             registry.gauge_callback(
@@ -247,12 +253,12 @@ class CacheServer:
             self._server.close()
             await self._server.wait_closed()
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout
-        while self._inflight and loop.time() < deadline:
+        drain_until = loop.time() + drain_timeout
+        while self._inflight and loop.time() < drain_until:
             await asyncio.sleep(0.005)
         for writer in list(self._writers):
             writer.close()
-        while self._writers and loop.time() < deadline:
+        while self._writers and loop.time() < drain_until:
             await asyncio.sleep(0.005)
         log.info("stopped")
 
@@ -370,10 +376,9 @@ class CacheServer:
                 break
             self._inflight += 1
             try:
-                await asyncio.wait_for(
-                    self._serve_v1_request(line, reader, writer, conn_id),
-                    self.request_timeout,
-                )
+                async with deadline(self.request_timeout):
+                    await self._serve_v1_request(line, reader, writer,
+                                                 conn_id)
             except asyncio.TimeoutError:
                 log.warning("connection %d: request timed out, dropping", conn_id)
                 writer.write(b"ERR timeout\n")
@@ -411,7 +416,7 @@ class CacheServer:
 
     async def _serve_v2_connection(self, reader, writer, conn_id: int,
                                    first: bytes = b"") -> None:
-        """The v2 codec: frames are handled as fast as they arrive.
+        """The v2 codec: frames are served one at a time, in arrival order.
 
         Pipelining falls out of the framing: every request is fully read
         before dispatch, so the loop never waits on the client mid-request
@@ -420,6 +425,11 @@ class CacheServer:
         timed-out handler answers with an ERR frame and the connection
         stays usable (the stream framing is still trusted); only an
         unframeable byte stream (:class:`FrameError`) drops it.
+
+        Each request runs in this connection's task under a
+        :class:`deadline`, so frames already buffered are served back to
+        back without an event-loop turn between them, unless a handler
+        awaits or the send buffer is full.
         """
         enc = FrameEncoder()
         render = functools.partial(encode_reply, enc)
@@ -427,10 +437,9 @@ class CacheServer:
         while frame is not None and not self._stopping:
             self._inflight += 1
             try:
-                await asyncio.wait_for(
-                    self._serve_v2_request(frame, render, writer, conn_id),
-                    self.request_timeout,
-                )
+                async with deadline(self.request_timeout):
+                    await self._serve_v2_request(frame, render, writer,
+                                                 conn_id)
             except asyncio.TimeoutError:
                 log.warning("connection %d: request timed out", conn_id)
                 writer.write(enc.simple(STATUS_IDS["ERR"], frame.seq,
@@ -612,16 +621,23 @@ class CacheServer:
             self.store.shards[shard_idx].stats.record_latency(elapsed)
         registry = self.obs.registry
         if registry.enabled:
-            registry.counter(
-                "repro_service_requests_total",
-                help="requests answered, by command",
-                cmd=cmd,
-            ).inc()
-            registry.histogram(
-                "repro_service_request_latency_seconds",
-                help="request service time, by command",
-                cmd=cmd,
-            ).observe(elapsed)
+            handles = self._request_metrics.get(cmd)
+            if handles is None:
+                handles = self._request_metrics[cmd] = (
+                    registry.counter(
+                        "repro_service_requests_total",
+                        help="requests answered, by command",
+                        cmd=cmd,
+                    ),
+                    registry.histogram(
+                        "repro_service_request_latency_seconds",
+                        help="request service time, by command",
+                        cmd=cmd,
+                    ),
+                )
+            counter, latency = handles
+            counter.inc()
+            latency.observe(elapsed)
         tr = self.obs.tracer
         # the TRACE verb's own span would pollute the batch after a drain
         if tr.enabled and cmd != "TRACE":

@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 
 from ..obs.dist import wire_token
+from .deadline import deadline
 from .protocol import (
     BLOB_STATUSES,
     HELLO_PAYLOAD,
@@ -115,7 +116,8 @@ class _MuxConn:
         try:
             self.writer.write(payload)
             await self.writer.drain()
-            return await asyncio.wait_for(fut, timeout)
+            async with deadline(timeout):
+                return await fut
         finally:
             self.pending.pop(seq, None)
 
@@ -414,7 +416,8 @@ class Transport:
             reader, writer = conn
             writer.write(payload)
             await writer.drain()
-            header = await asyncio.wait_for(reader.readline(), self.timeout)
+            async with deadline(self.timeout):
+                header = await reader.readline()
             if not header:
                 raise ConnectionError("server closed connection")
             tokens = header.decode("utf-8").split()
@@ -423,9 +426,8 @@ class Transport:
                 length = int(tokens[1])
                 if not 0 <= length <= MAX_VALUE_BYTES:
                     raise ConnectionError(f"insane body length {length}")
-                body = await asyncio.wait_for(
-                    reader.readexactly(length + 1), self.timeout
-                )
+                async with deadline(self.timeout):
+                    body = await reader.readexactly(length + 1)
                 body = body[:-1]
         except asyncio.CancelledError:
             # cancelled from outside (e.g. a caller's wait_for) with the

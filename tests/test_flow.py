@@ -97,6 +97,41 @@ class TestAsyncAtomicity:
                     self.count = v + 1
         """) == []
 
+    def test_deadline_block_is_not_a_lock(self):
+        # a request deadline bounds time; it excludes no other task, so a
+        # read-modify-write across an await inside it is still a race
+        findings = analyze_snippet("""
+        import asyncio
+        from repro.service.deadline import deadline
+
+        class Counter:
+            async def bump(self):
+                async with deadline(self.timeout):
+                    v = self.count
+                    await asyncio.sleep(0)
+                    self.count = v + 1
+        """)
+        assert codes(findings) == ["FLOW001"]
+
+    def test_inflight_count_around_a_deadline_block_is_silent(self):
+        # the serving codecs' shape: single-statement counter bumps
+        # around an in-task deadline
+        assert analyze_snippet("""
+        import asyncio
+        from repro.service.deadline import deadline
+
+        class Server:
+            async def serve(self, request):
+                self._inflight += 1
+                try:
+                    async with deadline(self.request_timeout):
+                        await request()
+                except asyncio.TimeoutError:
+                    pass
+                finally:
+                    self._inflight -= 1
+        """) == []
+
     def test_lock_released_before_the_write_fires(self):
         findings = analyze_snippet("""
         import asyncio
