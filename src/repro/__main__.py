@@ -14,9 +14,8 @@ content-addressed cache (``--cache-dir``, default ``.repro-cache``;
 disable with ``--no-cache``, recompute with ``--force``).  Re-runs and
 interrupted sweeps resume from cache with byte-identical output.
 
-The legacy spellings (``python -m repro fig5``, ``list``, ``all``) still
-work but print a deprecation note; so do the per-module entry points
-(``python -m repro.experiments.fig5``).
+An unknown command prints the command groups below and exits 2;
+``python -m repro --help`` prints them and exits 0.
 
 Serving mode (see ``docs/service.md``) lives under two extra subcommands
 dispatched to :mod:`repro.service.cli`::
@@ -142,20 +141,6 @@ def build_run_parser() -> argparse.ArgumentParser:
         "--stats-json", metavar="FILE",
         help="dump runner statistics (cells run/cached/failed) as JSON",
     )
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy single-positional CLI (``repro fig5``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce tables/figures of 'The Reuse Cache' (MICRO 2013).",
-    )
-    parser.add_argument(
-        "experiment",
-        help="experiment name (see 'list-experiments'), or 'all', or 'list'",
-    )
-    _add_param_args(parser)
     return parser
 
 
@@ -312,6 +297,22 @@ def cmd_list_experiments() -> int:
     return 0
 
 
+def _print_command_groups(stream) -> None:
+    """One line per command group, with where to read its options."""
+    groups = (
+        ("experiments", ("run", "list-experiments"), "repro run --help"),
+        ("serving", service_cli.SERVICE_COMMANDS, "repro serve --help"),
+        ("static checks", devtools_cli.DEVTOOLS_COMMANDS, "repro lint --help"),
+        ("observability", obs_cli.OBS_COMMANDS, "repro obs --help"),
+        ("performance baselines", perf_cli.PERF_COMMANDS, "repro perf --help"),
+        ("cluster mode", cluster_cli.CLUSTER_COMMANDS, "repro cluster --help"),
+    )
+    print("usage: repro <command> [options]", file=stream)
+    for title, commands, help_hint in groups:
+        print(f"  {title + ':':<23}{', '.join(commands)}  (see '{help_hint}')",
+              file=stream)
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
@@ -332,48 +333,13 @@ def main(argv=None) -> int:
     if argv and argv[0] == "list-experiments":
         return cmd_list_experiments()
 
-    # ---- legacy spellings ---------------------------------------------------
-    args = build_parser().parse_args(argv)
-    if args.experiment == "list":
-        print("experiments (run with 'repro run <name>'):")
-        for name in registry.names():
-            print(f"  {name}")
-        print("service commands (see 'repro serve --help'):")
-        for name in service_cli.SERVICE_COMMANDS:
-            print(f"  {name}")
-        print("static checks (see 'repro lint --help'):")
-        for name in devtools_cli.DEVTOOLS_COMMANDS:
-            print(f"  {name}")
-        print("observability (see 'repro obs --help'):")
-        for name in obs_cli.OBS_COMMANDS:
-            print(f"  {name}")
-        print("performance baselines (see 'repro perf --help'):")
-        for name in perf_cli.PERF_COMMANDS:
-            print(f"  {name}")
-        print("cluster mode (see 'repro cluster --help'):")
-        for name in cluster_cli.CLUSTER_COMMANDS:
-            print(f"  {name} serve|bench|status|smoke|trace")
+    if argv and argv[0] in ("-h", "--help"):
+        _print_command_groups(sys.stdout)
         return 0
-    if args.experiment != "all" and args.experiment not in registry.names():
-        print(f"unknown experiment {args.experiment!r}; try 'list-experiments'",
-              file=sys.stderr)
-        return 2
-    print(
-        f"DEPRECATED: 'repro {args.experiment}' is superseded by "
-        f"'repro run {args.experiment}' (parallel + cached engine); "
-        "forwarding.",
-        file=sys.stderr,
-    )
-    forward = [args.experiment]
-    forward += ["--workloads", str(args.workloads), "--refs", str(args.refs),
-                "--scale", str(args.scale), "--seed", str(args.seed),
-                "--no-cache"]
-    if args.json:
-        forward += ["--json", args.json]
-    if args.out:
-        forward += ["--out", args.out]
-    return cmd_run(forward)
-
+    if argv:
+        print(f"repro: unknown command {argv[0]!r}", file=sys.stderr)
+    _print_command_groups(sys.stderr)
+    return 2
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -17,9 +17,10 @@ data array, but it differs in three ways that the paper's Figure 9 exposes:
 
 A re-reference to a tag-only line allocates a data entry (fetching from
 memory or a peer), which is what lets NCID operate with a downsized data
-array at all.  Structurally this class reuses the decoupled tag/data
-machinery of :class:`repro.core.reuse_cache.ReuseCache` and overrides the
-allocation and tag-victim policies.
+array at all.  Structurally this class is a
+:class:`repro.core.reuse_cache.ReuseCache` over the same
+:class:`repro.core.reuse_directory.ReuseDirectory`; it overrides the
+allocation policy and protects no tag victim.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 import random
 
 from ..cache.llc_base import LLCAccess
-from ..core.reuse_cache import ReuseCache, _INV, _S, _TO
-from ..obs.tracing import FILL, TAG_ONLY_ALLOC, TAG_REPL
+from ..core.reuse_cache import ReuseCache
+from ..obs.tracing import FILL, TAG_ONLY_ALLOC
 from ..utils import require_power_of_two
 
 
@@ -110,26 +111,13 @@ class NCIDCache(ReuseCache):
         selective = self._uses_selective(set_idx, core)
         allocate_data = (not selective) or (self.rng.random() < self.selective_fill_rate)
 
-        writebacks = ()
-        inclusion_invals = ()
-        way = self.tags.free_way(set_idx)
-        if way is None:
-            way, writebacks, inclusion_invals = self._evict_tag(set_idx, now)
-        self.tags.install(set_idx, way, addr)
-        self._fwd[set_idx][way] = -1
-        self._to_count[set_idx][way] = 0
-        self.directory.set_only(set_idx, way, core)
-        self.tag_fills += 1
-
-        if allocate_data:
+        way, writebacks, inclusion_invals = self._install_tag(addr, set_idx, core, now)
+        if allocate_data:  # the tag stays at the MRU position
             self.normal_fills += 1
-            self._state[set_idx][way] = _S
-            self.tag_repl.on_fill(set_idx, way, core)  # MRU insert
-            writebacks = writebacks + tuple(self._allocate_data(addr, set_idx, way, now))
-        else:
+            writebacks += self._allocate_data(addr, set_idx, way, now)[0]
+        else:  # tag-only: move the fresh tag to the LRU position
             self.selective_fills += 1
-            self._state[set_idx][way] = _TO
-            self.tag_repl.fill_at_lru(set_idx, way)  # LRU-position insert
+            self.rdir.tag_repl.fill_at_lru(set_idx, way)
         tr = self.tracer
         if tr.enabled:
             tr.emit(
@@ -144,31 +132,9 @@ class NCIDCache(ReuseCache):
             inclusion_invals=inclusion_invals,
         )
 
-    def _evict_tag(self, set_idx, now):
-        """Plain-LRU tag eviction: no protection of private-resident lines."""
-        directory = self.directory
-        candidates = self.tags.valid_ways(set_idx)
-        way = self.tag_repl.victim(set_idx, candidates)
-        victim_addr = self.tags.evict(set_idx, way)
-        writebacks = ()
-        had_data = self._fwd[set_idx][way] >= 0
-        if had_data:
-            dset = victim_addr & self._dmask
-            writebacks = self._evict_data(dset, self._fwd[set_idx][way], now)
-        sharers = directory.sharers(set_idx, way)
-        inclusion_invals = tuple((c, victim_addr) for c in sharers)
-        directory.clear(set_idx, way)
-        self._state[set_idx][way] = _INV
-        self._fwd[set_idx][way] = -1
-        self._to_count[set_idx][way] = 0
-        self.tag_repl.on_invalidate(set_idx, way)
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
-                TAG_REPL, ts=now, pid=self.trace_pid,
-                args={"addr": victim_addr, "had_data": had_data},
-            )
-        return way, writebacks, inclusion_invals
+    def _tag_candidates(self, set_idx):
+        """Plain LRU: no way is protected, private-resident or not."""
+        return ()
 
     def stats(self) -> dict:
         """Counters plus NCID's per-mode fill counts."""

@@ -15,9 +15,10 @@ Contrast with the reuse cache:
   no reuse memory);
 * data replacement is global Reuse Replacement (2-bit counters).
 
-Structurally it reuses the decoupled fwd/rev pointer machinery of
-:class:`repro.core.reuse_cache.ReuseCache` with a fully associative data
-array, overriding allocation so data is assigned on every fill.
+Structurally it is a :class:`repro.core.reuse_cache.ReuseCache` over the
+same :class:`repro.core.reuse_directory.ReuseDirectory` with a fully
+associative data array, overriding allocation so data is assigned on every
+fill and a reclaimed data entry takes its tag with it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import random
 
 from ..cache.llc_base import LLCAccess
-from ..core.reuse_cache import ReuseCache, _INV, _M, _S
+from ..core.reuse_cache import ReuseCache
+from ..core.reuse_directory import M, S
 from ..utils import require_power_of_two
 
 
@@ -60,20 +62,9 @@ class VWayCache(ReuseCache):
     def _tag_miss(self, addr, set_idx, core, now) -> LLCAccess:
         self.tag_misses += 1
         self.core_dram_fetches[core] += 1
-        writebacks = ()
-        inclusion_invals = ()
-        way = self.tags.free_way(set_idx)
-        if way is None:
-            # Set full: evict a tag from this set (frees its data too).
-            way, writebacks, inclusion_invals = self._evict_tag(set_idx, now)
-        self.tags.install(set_idx, way, addr)
-        self._state[set_idx][way] = _S
-        self._fwd[set_idx][way] = -1
-        self._to_count[set_idx][way] = 0
-        self.directory.set_only(set_idx, way, core)
-        self.tag_repl.on_fill(set_idx, way, core)
-        self.tag_fills += 1
-        wb2, invals2 = self._allocate_data_globally(addr, set_idx, way, now)
+        # a full set evicts a tag from this set (frees its data too)
+        way, writebacks, inclusion_invals = self._install_tag(addr, set_idx, core, now)
+        wb2, invals2 = self._allocate_data(addr, set_idx, way, now)
         return LLCAccess(
             "dram",
             dram_reads=1,
@@ -81,94 +72,31 @@ class VWayCache(ReuseCache):
             inclusion_invals=inclusion_invals + invals2,
         )
 
-    def _allocate_data_globally(self, addr, tag_set, tag_way, now):
-        """Assign a data entry; a global victim's *tag* is invalidated."""
-        dset = addr & self._dmask  # 0: fully associative
-        rev = self._rev[dset]
-        writebacks = ()
-        inclusion_invals = ()
-        dway = None
-        for w in range(self.data_assoc):
-            if rev[w] is None:
-                dway = w
-                break
-        if dway is None:
-            dway = self.data_repl.victim(dset, list(range(self.data_assoc)))
-            writebacks, inclusion_invals = self._invalidate_data_holder(dset, dway, now)
-        rev[dway] = (tag_set, tag_way)
-        self._d_addr[dset][dway] = addr
-        self._d_dirty[dset][dway] = False
-        self._fwd[tag_set][tag_way] = dway
-        self.data_repl.on_fill(dset, dway)
-        self.data_fills += 1
-        self.recorder.on_fill(addr, now)
-        return writebacks, inclusion_invals
-
-    def _invalidate_data_holder(self, dset, dway, now):
-        """Reclaim a data entry: the owning tag becomes fully invalid."""
-        tag_set, tag_way = self._rev[dset][dway]
-        victim_addr = self._d_addr[dset][dway]
-        self.recorder.on_evict(victim_addr, now)
-        writebacks = (victim_addr,) if self._d_dirty[dset][dway] else ()
-        self._rev[dset][dway] = None
-        self._d_addr[dset][dway] = None
-        self._d_dirty[dset][dway] = False
-        self.data_repl.on_invalidate(dset, dway)
-        # invalidate the tag (V-way has no tag-only residency)
-        self.tags.evict(tag_set, tag_way)
-        sharers = self.directory.sharers(tag_set, tag_way)
-        inclusion_invals = tuple((c, victim_addr) for c in sharers)
-        self.directory.clear(tag_set, tag_way)
-        self._state[tag_set][tag_way] = _INV
-        self._fwd[tag_set][tag_way] = -1
-        self.tag_repl.on_invalidate(tag_set, tag_way)
-        return writebacks, inclusion_invals
-
-    def _evict_tag(self, set_idx, now):
-        """In-set tag eviction (set ran out of virtual ways)."""
-        directory = self.directory
-        candidates = self.tags.valid_ways(set_idx)
-        unshared = [w for w in candidates if not directory.in_private_caches(set_idx, w)]
-        way = self.tag_repl.victim(set_idx, unshared if unshared else candidates)
-        victim_addr = self.tags.evict(set_idx, way)
-        writebacks = ()
-        if self._fwd[set_idx][way] >= 0:
-            dset = victim_addr & self._dmask
-            dway = self._fwd[set_idx][way]
-            writebacks = (victim_addr,) if self._d_dirty[dset][dway] else ()
-            self.recorder.on_evict(victim_addr, now)
-            self._rev[dset][dway] = None
-            self._d_addr[dset][dway] = None
-            self._d_dirty[dset][dway] = False
-            self.data_repl.on_invalidate(dset, dway)
-        sharers = directory.sharers(set_idx, way)
-        inclusion_invals = tuple((c, victim_addr) for c in sharers)
-        directory.clear(set_idx, way)
-        self._state[set_idx][way] = _INV
-        self._fwd[set_idx][way] = -1
-        self.tag_repl.on_invalidate(set_idx, way)
-        return way, writebacks, inclusion_invals
+    def _data_replaced(self, victim, set_idx, dway, now):
+        """Reclaiming a data entry globally invalidates the previous
+        holder's tag: V-way has no tag-only residency."""
+        writebacks = self._data_evicted(victim, set_idx, dway, now)
+        vset, vway = self._index[victim]
+        self.rdir.drop_tag(vset, vway)
+        return writebacks, self._tag_evicted(victim, vset, vway, -1, now)[1]
 
     def prefetch(self, addr: int, core: int, now: int) -> LLCAccess:
         """V-way prefetch: a non-selective design allocates on prefetch too
         (no tag-only residency exists), without promoting replacement state."""
         self.prefetches += 1
-        set_idx, way = self.tags.lookup(addr)
-        if way is not None:
-            self.directory.add(set_idx, way, core)
+        loc = self._index.get(addr)
+        if loc is not None:
+            self.directory.add(*loc, core)
             return LLCAccess("llc")
-        res = self._tag_miss(addr, set_idx, core, now)
+        res = self._tag_miss(addr, addr & self._tmask, core, now)
         self.tag_misses -= 1  # not a demand miss
         self.core_dram_fetches[core] -= 1
         return res
 
     def check_no_tag_only_states(self) -> bool:
         """V-way invariant: every valid tag has a data entry."""
-        for tset in range(self.tags.num_sets):
-            for tway in range(self.tag_assoc):
-                if self.tags.addrs[tset][tway] is not None:
-                    if self._fwd[tset][tway] < 0:
-                        return False
-                    if self._state[tset][tway] not in (_S, _M):
-                        return False
-        return True
+        rdir = self.rdir
+        return all(
+            rdir.fwd[tset][tway] >= 0 and rdir.state[tset][tway] in (S, M)
+            for tset, tway in rdir.index.values()
+        )

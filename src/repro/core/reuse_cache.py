@@ -23,6 +23,14 @@ set-associative organisations and Clock for the fully associative one
 data entry (``DataRepl``) demotes its tag to ``TO`` via the reverse pointer;
 evicting a tag with data frees both.
 
+The arrays and these transitions live in
+:class:`repro.core.reuse_directory.ReuseDirectory`, shared with the
+service's :class:`repro.service.store.ReuseStore`.  This adapter adds what a
+cache line needs: the coherence directory, dirty bits, the generation
+recorder and the tracer, plus the simulator's three policies (set index
+``addr & mask``, tag victims outside the private caches, and a reuse count
+that restarts on DataRepl).
+
 States are stored as small ints for speed; :meth:`ReuseCache.state_of`
 exposes them as :class:`repro.coherence.State` for tests and tools.
 """
@@ -32,16 +40,13 @@ from __future__ import annotations
 import random
 
 from ..cache.llc_base import BaseLLC, LLCAccess
-from ..cache.set_assoc import TagStore
 from ..coherence.directory import Directory
 from ..coherence.states import State
 from ..obs.tracing import DATA_REPL, REUSE_DETECTED, TAG_ONLY_ALLOC, TAG_REPL
-from ..replacement import make_policy
 from ..utils import require_power_of_two
+from .reuse_directory import INV, M, S, TO, ReuseDirectory
 
-# integer state encoding for the hot path
-_INV, _TO, _S, _M = 0, 1, 2, 3
-_STATE_ENUM = {_INV: State.I, _TO: State.TO, _S: State.S, _M: State.M}
+_STATE_ENUM = {INV: State.I, TO: State.TO, S: State.S, M: State.M}
 
 
 class ReuseCache(BaseLLC):
@@ -84,11 +89,7 @@ class ReuseCache(BaseLLC):
             )
         self.data_sets = data_lines // self.data_assoc
         tag_sets = tag_lines // tag_assoc
-        if self.data_sets > tag_sets:
-            raise ValueError(
-                "data array cannot have more sets than the tag array "
-                f"({self.data_sets} > {tag_sets}); raise data associativity"
-            )
+        self._tmask = tag_sets - 1
         self._dmask = self.data_sets - 1
 
         if reuse_threshold < 0:
@@ -99,25 +100,19 @@ class ReuseCache(BaseLLC):
         #: k>1 = stricter selectivity (needs a k-th re-reference).
         self.reuse_threshold = reuse_threshold
 
-        self.tags = TagStore(tag_sets, tag_assoc)
         self.directory = Directory(tag_sets, tag_assoc, num_cores)
-        self._state = [[_INV] * tag_assoc for _ in range(tag_sets)]
-        self._fwd = [[-1] * tag_assoc for _ in range(tag_sets)]  # data way or -1
-        # per-tag count of observed reuses while tag-only (saturating)
-        self._to_count = [[0] * tag_assoc for _ in range(tag_sets)]
-
-        da = self.data_assoc
-        # reverse pointer: (tag_set, tag_way) or None
-        self._rev = [[None] * da for _ in range(self.data_sets)]
-        self._d_addr = [[None] * da for _ in range(self.data_sets)]
-        self._d_dirty = [[False] * da for _ in range(self.data_sets)]
-
         self.tag_policy_name = tag_policy
-        self.tag_repl = make_policy(tag_policy, tag_sets, tag_assoc, rng=self.rng)
         if data_policy is None:
             data_policy = "clock" if data_assoc == "full" else "nru"
         self.data_policy_name = data_policy
-        self.data_repl = make_policy(data_policy, self.data_sets, da, rng=self.rng)
+        #: the tag and data arrays and the I -> TO -> S transitions
+        self.rdir = ReuseDirectory(
+            tag_sets, tag_assoc, self.data_sets, self.data_assoc,
+            tag_policy, data_policy, self.rng,
+        )
+        self._index = self.rdir.index
+        self._state = self.rdir.state
+        self._d_dirty = [[False] * self.data_assoc for _ in range(self.data_sets)]
 
         # reuse-cache-specific counters
         self.to_hits = 0  # reuse detections (tag hit, no data)
@@ -129,11 +124,11 @@ class ReuseCache(BaseLLC):
         """Demand GETS/GETX; dispatches on the tag's stable state."""
         self.accesses += 1
         self.core_accesses[core] += 1
-        set_idx, way = self.tags.lookup(addr)
-        if way is None:
-            return self._tag_miss(addr, set_idx, core, now)
-        state = self._state[set_idx][way]
-        if state == _TO:
+        loc = self._index.get(addr)
+        if loc is None:
+            return self._tag_miss(addr, addr & self._tmask, core, now)
+        set_idx, way = loc
+        if self._state[set_idx][way] == TO:
             return self._reuse_hit(addr, set_idx, way, core, is_write, now)
         return self._data_hit(addr, set_idx, way, core, is_write, now)
 
@@ -141,19 +136,8 @@ class ReuseCache(BaseLLC):
         """GETS/GETX on an absent line: allocate tag only (I → TO)."""
         self.tag_misses += 1
         self.core_dram_fetches[core] += 1
-        self.tag_repl.on_miss(set_idx, core)
-        writebacks = ()
-        inclusion_invals = ()
-        way = self.tags.free_way(set_idx)
-        if way is None:
-            way, writebacks, inclusion_invals = self._evict_tag(set_idx, now)
-        self.tags.install(set_idx, way, addr)
-        self._state[set_idx][way] = _TO
-        self._fwd[set_idx][way] = -1
-        self._to_count[set_idx][way] = 0
-        self.directory.set_only(set_idx, way, core)
-        self.tag_repl.on_fill(set_idx, way, core)
-        self.tag_fills += 1
+        self.rdir.tag_repl.on_miss(set_idx, core)
+        way, writebacks, inclusion_invals = self._install_tag(addr, set_idx, core, now)
         tr = self.tracer
         if tr.enabled:
             tr.emit(
@@ -162,10 +146,7 @@ class ReuseCache(BaseLLC):
             )
         if self.reuse_threshold == 0:
             # degenerate non-selective mode: allocate data on first touch
-            writebacks = writebacks + tuple(
-                self._allocate_data(addr, set_idx, way, now)
-            )
-            self._state[set_idx][way] = _S
+            writebacks += self._allocate_data(addr, set_idx, way, now)[0]
         return LLCAccess(
             "dram",
             dram_reads=1,
@@ -177,10 +158,7 @@ class ReuseCache(BaseLLC):
         """Hit on a TO tag: reuse detected, allocate a data entry once the
         line has shown ``reuse_threshold`` reuses."""
         self.to_hits += 1
-        self.tag_repl.on_hit(set_idx, way, core)
-        counts = self._to_count[set_idx]
-        if counts[way] < 63:  # saturate well above any sensible threshold
-            counts[way] += 1
+        promoted = self.rdir.note_reuse(set_idx, way, core) >= self.reuse_threshold
         directory = self.directory
         peers = directory.others(set_idx, way, core)
         tr = self.tracer
@@ -190,26 +168,8 @@ class ReuseCache(BaseLLC):
                 args={
                     "addr": addr,
                     "source": "peer" if peers else "dram",
-                    "promoted": counts[way] >= self.reuse_threshold,
+                    "promoted": promoted,
                 },
-            )
-        if counts[way] < self.reuse_threshold:
-            # not yet reused enough: serve the private caches, stay tag-only
-            if peers:
-                self.peer_transfers += 1
-                source, dram_reads = "peer", 0
-            else:
-                self.reuse_reloads += 1
-                self.core_dram_fetches[core] += 1
-                source, dram_reads = "dram", 1
-            if is_write:
-                invals = tuple(peers)
-                directory.set_only(set_idx, way, core)
-            else:
-                invals = ()
-                directory.add(set_idx, way, core)
-            return LLCAccess(
-                source, dram_reads=dram_reads, coherence_invals=invals
             )
         if peers:
             # A private cache still holds the line: cache-to-cache transfer,
@@ -222,15 +182,17 @@ class ReuseCache(BaseLLC):
             self.reuse_reloads += 1
             self.core_dram_fetches[core] += 1
             source, dram_reads = "dram", 1
-
-        writebacks = self._allocate_data(addr, set_idx, way, now)
-
+        # below the threshold the line stays tag-only: only the private
+        # caches are served
+        writebacks = inclusion_invals = ()
+        if promoted:
+            writebacks, inclusion_invals = self._allocate_data(addr, set_idx, way, now)
         if is_write:
-            self._state[set_idx][way] = _M
+            if promoted:
+                self._state[set_idx][way] = M
             invals = tuple(peers)
             directory.set_only(set_idx, way, core)
         else:
-            self._state[set_idx][way] = _S
             invals = ()
             directory.add(set_idx, way, core)
         return LLCAccess(
@@ -238,103 +200,102 @@ class ReuseCache(BaseLLC):
             dram_reads=dram_reads,
             writebacks=writebacks,
             coherence_invals=invals,
+            inclusion_invals=inclusion_invals,
         )
 
     def _data_hit(self, addr, set_idx, way, core, is_write, now) -> LLCAccess:
         """Hit on a tag in the tag+data group: served by the data array."""
         self.data_hits += 1
-        self.tag_repl.on_hit(set_idx, way, core)
-        dset = addr & self._dmask
-        self.data_repl.on_hit(dset, self._fwd[set_idx][way], core)
+        self.rdir.hit(set_idx, way, core)
         self.recorder.on_hit(addr, now)
         directory = self.directory
         if is_write:
             invals = tuple(directory.others(set_idx, way, core))
             directory.set_only(set_idx, way, core)
-            self._state[set_idx][way] = _M
+            self._state[set_idx][way] = M
             return LLCAccess("llc", coherence_invals=invals)
         directory.add(set_idx, way, core)
         return LLCAccess("llc")
 
-    # -- data array management ---------------------------------------------------------
-    def _allocate_data(self, addr, tag_set, tag_way, now):
-        """Install ``addr`` in the data array; returns writeback addresses."""
-        dset = addr & self._dmask
-        rev = self._rev[dset]
-        writebacks = ()
-        dway = None
-        for w in range(self.data_assoc):
-            if rev[w] is None:
-                dway = w
-                break
-        if dway is None:
-            candidates = list(range(self.data_assoc))
-            dway = self.data_repl.victim(dset, candidates)
-            writebacks = self._evict_data(dset, dway, now)
-        rev[dway] = (tag_set, tag_way)
-        self._d_addr[dset][dway] = addr
-        self._d_dirty[dset][dway] = False
-        self._fwd[tag_set][tag_way] = dway
-        self.data_repl.on_fill(dset, dway)
-        self.data_fills += 1
-        self.recorder.on_fill(addr, now)
-        return writebacks
+    # -- tag and data allocation ---------------------------------------------------------
+    def _tag_candidates(self, set_idx):
+        """Protect directory inclusion: prefer tag victims absent from the
+        private caches (the paper's NRR rule).  When every way is
+        private-resident the directory falls back to all of them, and the
+        forced eviction back-invalidates."""
+        in_private = self.directory.in_private_caches
+        return [w for w in range(self.tag_assoc) if not in_private(set_idx, w)]
 
-    def _evict_data(self, dset, dway, now):
-        """DataRepl: free a data entry, demoting its tag to TO.
+    def _install_tag(self, addr, set_idx, core, now):
+        """Allocate a tag for ``addr`` (I → TO) with ``core`` as its holder.
 
-        Returns the writeback addresses (the victim, when dirty)."""
-        tag_set, tag_way = self._rev[dset][dway]
-        victim_addr = self._d_addr[dset][dway]
-        self.recorder.on_evict(victim_addr, now)
-        writebacks = (victim_addr,) if self._d_dirty[dset][dway] else ()
-        self._rev[dset][dway] = None
-        self._d_addr[dset][dway] = None
-        self._d_dirty[dset][dway] = False
-        self.data_repl.on_invalidate(dset, dway)
-        # S/M --DataRepl--> TO: the tag keeps the reuse history.  The reuse
-        # count restarts, so with the paper's threshold of 1 the next hit
-        # reloads the line (as Section 3 specifies).
-        self._state[tag_set][tag_way] = _TO
-        self._fwd[tag_set][tag_way] = -1
-        self._to_count[tag_set][tag_way] = 0
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(
-                DATA_REPL, ts=now, pid=self.trace_pid,
-                args={"addr": victim_addr, "dirty": bool(writebacks)},
+        Returns ``(way, writebacks, inclusion_invals)``, the last two from
+        the TagRepl a full set needed."""
+        way, victim, victim_dway = self.rdir.alloc_tag(
+            addr, set_idx, self._tag_candidates, core
+        )
+        writebacks = inclusion_invals = ()
+        if victim is not None:
+            writebacks, inclusion_invals = self._tag_evicted(
+                victim, set_idx, way, victim_dway, now
             )
-        return writebacks
+        self.directory.set_only(set_idx, way, core)
+        self.tag_fills += 1
+        return way, writebacks, inclusion_invals
 
-    def _evict_tag(self, set_idx, now):
-        """TagRepl: free a tag entry (and its data entry, if any)."""
-        directory = self.directory
-        candidates = self.tags.valid_ways(set_idx)
-        # Protect directory inclusion: prefer victims absent from the
-        # private caches (the paper's NRR rule).  Forced evictions of
-        # private-resident lines back-invalidate.
-        unshared = [w for w in candidates if not directory.in_private_caches(set_idx, w)]
-        way = self.tag_repl.victim(set_idx, unshared if unshared else candidates)
-        victim_addr = self.tags.evict(set_idx, way)
+    def _tag_evicted(self, victim, set_idx, way, victim_dway, now):
+        """TagRepl side effects: write back the victim's dirty data and
+        back-invalidate its private copies."""
         writebacks = ()
-        had_data = self._fwd[set_idx][way] >= 0
-        if had_data:
-            dset = victim_addr & self._dmask
-            writebacks = self._evict_data(dset, self._fwd[set_idx][way], now)
-        sharers = directory.sharers(set_idx, way)
-        inclusion_invals = tuple((c, victim_addr) for c in sharers)
+        if victim_dway >= 0:
+            writebacks = self._data_evicted(victim, set_idx, victim_dway, now)
+        directory = self.directory
+        inclusion_invals = tuple((c, victim) for c in directory.sharers(set_idx, way))
         directory.clear(set_idx, way)
-        self._state[set_idx][way] = _INV
-        self._fwd[set_idx][way] = -1
-        self._to_count[set_idx][way] = 0
-        self.tag_repl.on_invalidate(set_idx, way)
         tr = self.tracer
         if tr.enabled:
             tr.emit(
                 TAG_REPL, ts=now, pid=self.trace_pid,
-                args={"addr": victim_addr, "had_data": had_data},
+                args={"addr": victim, "had_data": victim_dway >= 0},
             )
-        return way, writebacks, inclusion_invals
+        return writebacks, inclusion_invals
+
+    def _allocate_data(self, addr, set_idx, way, now):
+        """Install ``addr`` in the data array.
+
+        Returns ``(writebacks, inclusion_invals)`` of the DataRepl a full
+        data set needed."""
+        dway, victim = self.rdir.alloc_data(set_idx, way)
+        result = ((), ())
+        if victim is not None:
+            result = self._data_replaced(victim, set_idx, dway, now)
+        self.data_fills += 1
+        self.recorder.on_fill(addr, now)
+        return result
+
+    def _data_replaced(self, victim, set_idx, dway, now):
+        """DataRepl demoted ``victim`` (S/M → TO): the tag keeps the reuse
+        history, but its reuse count restarts, so with the paper's
+        threshold of 1 the next hit reloads the line (as Section 3
+        specifies)."""
+        vset, vway = self._index[victim]
+        self.rdir.count[vset][vway] = 0
+        return self._data_evicted(victim, set_idx, dway, now), ()
+
+    def _data_evicted(self, victim, set_idx, dway, now):
+        """A data entry was freed: returns the writebacks (the victim, when
+        dirty)."""
+        self.recorder.on_evict(victim, now)
+        dirty = self._d_dirty[set_idx & self._dmask]
+        writebacks = (victim,) if dirty[dway] else ()
+        dirty[dway] = False
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(
+                DATA_REPL, ts=now, pid=self.trace_pid,
+                args={"addr": victim, "dirty": bool(writebacks)},
+            )
+        return writebacks
 
     # -- prefetch ----------------------------------------------------------------------
     def prefetch(self, addr: int, core: int, now: int) -> LLCAccess:
@@ -347,29 +308,20 @@ class ReuseCache(BaseLLC):
         for demand-detected reuse.
         """
         self.prefetches += 1
-        set_idx, way = self.tags.lookup(addr)
-        if way is None:
-            writebacks = ()
-            inclusion_invals = ()
-            free = self.tags.free_way(set_idx)
-            if free is None:
-                free, writebacks, inclusion_invals = self._evict_tag(set_idx, now)
-            self.tags.install(set_idx, free, addr)
-            self._state[set_idx][free] = _TO
-            self._fwd[set_idx][free] = -1
-            self._to_count[set_idx][free] = 0
-            self.directory.set_only(set_idx, free, core)
-            self.tag_repl.on_fill(set_idx, free, core)  # NRR bit set: low prio
-            self.tag_fills += 1
+        loc = self._index.get(addr)
+        if loc is None:  # the fresh tag's NRR bit stays set: low priority
+            _, writebacks, inclusion_invals = self._install_tag(
+                addr, addr & self._tmask, core, now
+            )
             return LLCAccess(
                 "dram",
                 dram_reads=1,
                 writebacks=writebacks,
                 inclusion_invals=inclusion_invals,
             )
-        state = self._state[set_idx][way]
+        set_idx, way = loc
         self.directory.add(set_idx, way, core)
-        if state == _TO:
+        if self._state[set_idx][way] == TO:
             # no reuse detection, no NRR promotion: data comes from memory
             # (or a peer) straight into the private cache
             if self.directory.others(set_idx, way, core):
@@ -386,14 +338,14 @@ class ReuseCache(BaseLLC):
         is allocated; the tag records the reuse (NRR bit cleared) and keeps
         state ``TO`` — memory may now be stale, which ``TO`` permits.
         """
-        set_idx, way = self.tags.lookup(addr)
-        if way is None:
+        loc = self._index.get(addr)
+        if loc is None:
             raise KeyError(f"UPG for line {addr:#x} absent from the tag array")
+        set_idx, way = loc
         self.upgrades += 1
-        self.tag_repl.on_hit(set_idx, way, core)
-        state = self._state[set_idx][way]
-        if state == _S:
-            self._state[set_idx][way] = _M
+        self.rdir.tag_repl.on_hit(set_idx, way, core)
+        if self._state[set_idx][way] == S:
+            self._state[set_idx][way] = M
         invals = tuple(self.directory.others(set_idx, way, core))
         self.directory.set_only(set_idx, way, core)
         return invals
@@ -405,38 +357,37 @@ class ReuseCache(BaseLLC):
         tag-only line the writeback must go to main memory.  Returns the
         line addresses to write back to DRAM.
         """
-        set_idx, way = self.tags.lookup(addr)
-        if way is None:
+        loc = self._index.get(addr)
+        if loc is None:
             raise KeyError(f"PUT for line {addr:#x} absent from the tag array")
+        set_idx, way = loc
         self.directory.remove(set_idx, way, core)
         if not dirty:
             return ()
-        state = self._state[set_idx][way]
-        if state == _TO:
+        if self._state[set_idx][way] == TO:
             return (addr,)  # writeback forwarded to main memory
-        dset = addr & self._dmask
-        self._d_dirty[dset][self._fwd[set_idx][way]] = True
-        self._state[set_idx][way] = _M
+        self._d_dirty[set_idx & self._dmask][self.rdir.fwd[set_idx][way]] = True
+        self._state[set_idx][way] = M
         return ()
 
     # -- introspection -----------------------------------------------------------------
     def state_of(self, addr: int) -> State:
         """Coherence state of ``addr`` (State.I when the tag is absent)."""
-        set_idx, way = self.tags.lookup(addr)
-        if way is None:
+        loc = self._index.get(addr)
+        if loc is None:
             return State.I
-        return _STATE_ENUM[self._state[set_idx][way]]
+        return _STATE_ENUM[self._state[loc[0]][loc[1]]]
 
     def resident_data_lines(self):
         """Line addresses currently held in the data array."""
-        for dset in range(self.data_sets):
-            for addr in self._d_addr[dset]:
+        for addrs in self.rdir.data_keys:
+            for addr in addrs:
                 if addr is not None:
                     yield addr
 
     def data_occupancy(self) -> int:
         """Number of valid data-array entries."""
-        return sum(1 for _ in self.resident_data_lines())
+        return self.rdir.data_entries()
 
     def fraction_not_entered(self) -> float:
         """Fraction of tag fills that never allocated a data entry (Table 6)."""
@@ -447,38 +398,7 @@ class ReuseCache(BaseLLC):
     def check_pointer_consistency(self) -> bool:
         """Invariant (tests): fwd/rev pointers form a bijection and states
         agree with data residency."""
-        seen = set()
-        for tset in range(self.tags.num_sets):
-            for tway in range(self.tag_assoc):
-                addr = self.tags.addrs[tset][tway]
-                state = self._state[tset][tway]
-                fwd = self._fwd[tset][tway]
-                if addr is None:
-                    if state != _INV or fwd != -1:
-                        return False
-                    continue
-                if state == _INV:
-                    return False
-                if state == _TO:
-                    if fwd != -1:
-                        return False
-                    continue
-                # S/M: must point at a data entry that points back
-                dset = addr & self._dmask
-                if not (0 <= fwd < self.data_assoc):
-                    return False
-                if self._rev[dset][fwd] != (tset, tway):
-                    return False
-                if self._d_addr[dset][fwd] != addr:
-                    return False
-                seen.add((dset, fwd))
-        for dset in range(self.data_sets):
-            for dway in range(self.data_assoc):
-                if (self._rev[dset][dway] is None) != (self._d_addr[dset][dway] is None):
-                    return False
-                if self._rev[dset][dway] is not None and (dset, dway) not in seen:
-                    return False
-        return True
+        return self.rdir.check_pointer_consistency()
 
     def stats(self) -> dict:
         """Counters plus the reuse-cache-specific ones (Table 6 etc.)."""

@@ -94,13 +94,3 @@ def format_ablation(result: dict, title: str) -> str:
     """Render one ablation result as a text table."""
     rows = [(name, f"{sp:.3f}") for name, sp in result.items()]
     return format_table(["variant", "speedup vs 8MB LRU"], rows, title=title)
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(
-        run_module_main(
-            "ablation-tag", "ablation-data", "ablation-threshold", "ablation-alloc"
-        )
-    )

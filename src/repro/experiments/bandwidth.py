@@ -52,9 +52,3 @@ def format_bandwidth(result: dict) -> str:
         rows,
         title="Sec. 5.8: memory-bandwidth sensitivity (paper: <1% variation)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("bandwidth"))

@@ -66,9 +66,3 @@ def format_energy(result: dict) -> str:
         rows,
         title="Energy study: SLLC downsizing vs DRAM reload energy",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("energy"))

@@ -99,9 +99,3 @@ def format_fig1b(result: dict) -> str:
         + f"  (paper: ~5%)\ntop group: {result['top_group_share']:.0%} of hits"
         + " (paper: 47%)"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig1a", "fig1b"))

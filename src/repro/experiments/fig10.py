@@ -65,9 +65,3 @@ def format_fig10(result: dict) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig10"))

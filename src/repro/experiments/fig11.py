@@ -58,9 +58,3 @@ def format_fig11(result: dict) -> str:
     return format_table(
         headers, rows, title="Fig. 11: parallel-application speedups vs baseline"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig11"))

@@ -46,9 +46,3 @@ def format_fig4(result: dict) -> str:
         rows,
         title="Fig. 4: speedup vs baseline, 8 MBeq tags, varying data size/assoc",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig4"))

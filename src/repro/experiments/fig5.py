@@ -64,9 +64,3 @@ def format_fig5(result: dict) -> str:
     )
     rows = [(label, f"{sp:.3f}") for label, sp in items]
     return chart + "\n\n" + format_table(["config", "speedup"], rows)
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig5"))

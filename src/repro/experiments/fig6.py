@@ -64,9 +64,3 @@ def format_fig6(result: dict) -> str:
         title="Fig. 6: per-workload speedups (sorted curves summarised)",
     )
     return plot + "\n\n" + table
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig6"))

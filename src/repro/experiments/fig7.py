@@ -58,9 +58,3 @@ def format_fig7(result: dict) -> str:
         rows,
         title="Fig. 7: average fraction of live lines in the (data) array",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig7"))

@@ -60,9 +60,3 @@ def format_fig8(result: dict) -> str:
         rows,
         title="Fig. 8: speedups and storage of reuse vs conventional caches",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig8"))

@@ -67,9 +67,3 @@ def format_fig9(result: dict) -> str:
         rows,
         title="Fig. 9: reuse cache vs NCID (paper gains: +7.0/+6.4/+5.2/+5.3%)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("fig9"))

@@ -69,9 +69,3 @@ def format_mlp(result: dict) -> str:
         title="Core-model sensitivity: speedups vs the same-core 8 MB LRU "
         "baseline (overlap = simple MLP model)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("mlp"))

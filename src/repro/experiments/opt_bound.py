@@ -84,9 +84,3 @@ def format_opt_bound(result: dict) -> str:
         title="OPT bound: achievable vs measured hit ratios on the baseline "
         "demand stream",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("opt"))

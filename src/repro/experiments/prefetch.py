@@ -56,9 +56,3 @@ def format_prefetch(result: dict) -> str:
         rows,
         title="Extension: sequential prefetching (Section 6 discussion)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("prefetch"))

@@ -4,10 +4,9 @@ Each table/figure reproduction (and each extension study) is described by
 an :class:`ExperimentSpec` — its CLI name, a human title, the ``run_*``
 driver, the matching ``format_*`` renderer, and whether it consumes
 :class:`~repro.experiments.common.ExperimentParams`.  The CLI
-(``python -m repro run <name>`` / ``python -m repro list-experiments``),
-the benchmarks under ``benchmarks/`` and the deprecation shims in the old
-``python -m repro.experiments.figX`` entry points all resolve experiments
-here instead of hard-coding driver functions.
+(``python -m repro run <name>`` / ``python -m repro list-experiments``)
+and the benchmarks under ``benchmarks/`` resolve experiments here instead
+of hard-coding driver functions.
 
 Drivers accept an optional :class:`~repro.runner.Runner` so one engine
 instance (and its result cache) is shared across an invocation::

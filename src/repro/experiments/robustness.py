@@ -73,9 +73,3 @@ def format_robustness(result: dict) -> str:
         f"\nordering stability: {decided_pairs - inversions}/{decided_pairs} "
         "decided pairs agree across all scales (ties within 1% ignored)"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("robustness"))

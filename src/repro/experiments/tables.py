@@ -121,9 +121,3 @@ def format_table6(result: dict) -> str:
         title="Table 6: lines not entered in the data array "
         "(paper avg: 93/93/95.4/95%, conventional 0%)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("table2", "table3", "table5", "table6"))

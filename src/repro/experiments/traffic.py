@@ -70,9 +70,3 @@ def format_traffic(result: dict) -> str:
         rows,
         title="Memory traffic: the double-fetch cost of selective allocation",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("traffic"))

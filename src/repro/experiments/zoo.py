@@ -41,9 +41,3 @@ def format_zoo(result: dict) -> str:
         rows,
         title="Replacement zoo: related-work policies vs the reuse cache",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - deprecation shim
-    from ._shim import run_module_main
-
-    raise SystemExit(run_module_main("zoo"))

@@ -130,16 +130,20 @@ def build_service_parser() -> argparse.ArgumentParser:
 
 
 def make_store(args, obs: Observability | None = None) -> ShardedStore:
-    """Build a :class:`ShardedStore` from parsed CLI arguments."""
-    return ShardedStore(
-        num_shards=args.shards,
-        data_capacity=args.data_capacity,
-        tag_capacity=args.tag_capacity,
-        tag_assoc=args.tag_assoc,
-        admission=args.admission,
-        seed=args.seed,
-        obs=obs,
-    )
+    """Build a :class:`ShardedStore` from parsed CLI arguments; sizes the
+    store rejects end the command with the reason."""
+    try:
+        return ShardedStore(
+            num_shards=args.shards,
+            data_capacity=args.data_capacity,
+            tag_capacity=args.tag_capacity,
+            tag_assoc=args.tag_assoc,
+            admission=args.admission,
+            seed=args.seed,
+            obs=obs,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro serve: {exc}") from None
 
 
 def _serve_obs(args) -> Observability:

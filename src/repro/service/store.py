@@ -26,8 +26,22 @@ Admission mirrors the paper's state machine (``I → TO → S``):
 Evicting a data entry demotes the key to tag-only *keeping its reuse
 history* (the paper's ``S → TO`` on DataRepl), so a re-fetch re-admits it.
 Evicting a tag drops everything, including any stored value (``* → I``).
+
 ``admission="always"`` disables the filter — every SET stores — giving the
 conventional-cache baseline for apples-to-apples comparisons.
+
+The tag and data arrays and these transitions are
+:class:`repro.core.reuse_directory.ReuseDirectory`, the same class under the
+simulator's :class:`~repro.core.reuse_cache.ReuseCache`.  The store adds the
+values, byte accounting, listeners and its lock, plus its three policies:
+
+* the tag set is ``(stable_hash(key) >> 32) % sets``, so set counts need
+  not be powers of two;
+* tag victims are preferably keys without a stored value;
+* the reuse count survives DataRepl, unlike the simulator's.  A read-through
+  client re-fetches a demoted key with a GET either way, but a blind SET
+  after an eviction would otherwise be declined and come back as a GET
+  miss plus a SET.
 
 All public methods are thread-safe (one re-entrant lock per store); the
 sharded front end in :mod:`repro.service.sharding` relies on this.
@@ -39,8 +53,7 @@ import hashlib
 import random
 import threading
 
-from ..replacement.clock import ClockPolicy
-from ..replacement.nrr import NRRPolicy
+from ..core.reuse_directory import ReuseDirectory
 from .stats import ShardStats
 
 #: admission policies understood by :class:`ReuseStore`
@@ -73,36 +86,32 @@ class ReuseStore:
             raise ValueError(f"data_capacity must be positive, got {data_capacity}")
         if tag_capacity is None:
             tag_capacity = 4 * data_capacity  # paper: tags cover >> data entries
-        if tag_capacity < data_capacity:
-            raise ValueError(
-                f"tag directory ({tag_capacity}) cannot be smaller than the "
-                f"data store ({data_capacity}): every stored value is tracked"
-            )
         if admission not in ADMISSION_POLICIES:
             raise ValueError(
                 f"admission must be one of {ADMISSION_POLICIES}, got {admission!r}"
             )
-        tag_assoc = min(tag_assoc, tag_capacity)
+        tag_assoc = max(1, min(tag_assoc, tag_capacity))
 
         self.data_capacity = data_capacity
         self.tag_assoc = tag_assoc
-        self.num_tag_sets = max(1, tag_capacity // tag_assoc)
+        self.num_tag_sets = tag_capacity // tag_assoc
         self.tag_capacity = self.num_tag_sets * tag_assoc
+        if self.tag_capacity < data_capacity:
+            raise ValueError(
+                f"tag directory ({tag_capacity} tags, {self.tag_capacity} in "
+                f"whole {tag_assoc}-way sets) cannot be smaller than the data "
+                f"store ({data_capacity}): every stored value is tracked"
+            )
         self.admission = admission
 
-        rng = random.Random(seed)
-        # tag directory: key + reuse flag per way, NRR picks victims
-        self._tag_keys = [[None] * tag_assoc for _ in range(self.num_tag_sets)]
-        self._tag_reused = [[False] * tag_assoc for _ in range(self.num_tag_sets)]
-        self._tag_index = {}  # key -> (set_idx, way)
-        self._nrr = NRRPolicy(self.num_tag_sets, tag_assoc, rng)
-
-        # data store: fully associative value slots, Clock picks victims
-        self._values = [None] * data_capacity  # way -> value bytes
-        self._data_index = {}  # key -> way
-        self._data_key = [None] * data_capacity  # way -> key (reverse pointer)
-        self._free = list(range(data_capacity - 1, -1, -1))
-        self._clock = ClockPolicy(1, data_capacity, rng)
+        # NRR tags over a fully associative Clock data array
+        self.rdir = ReuseDirectory(
+            self.num_tag_sets, tag_assoc, 1, data_capacity, "nrr", "clock",
+            random.Random(seed),
+        )
+        self._index = self.rdir.index
+        self._fwd = self.rdir.fwd
+        self._values = [None] * data_capacity  # data way -> value bytes
 
         self._seed = seed
         self.stats = ShardStats(seed=seed)
@@ -134,24 +143,21 @@ class ReuseStore:
         next SET (second access — the paper's ``TO`` hit).
         """
         with self._lock:
-            way = self._data_index.get(key)
-            if way is not None:
-                self._clock.on_hit(0, way)
-                set_idx, tag_way = self._tag_index[key]
-                self._nrr.on_hit(set_idx, tag_way)
+            loc = self._index.get(key)
+            if loc is None:
+                self.stats.record_miss()
+                self._alloc_tag(key)
+                return None
+            set_idx, way = loc
+            dway = self._fwd[set_idx][way]
+            if dway >= 0:
+                self.rdir.hit(set_idx, way)
                 self.stats.record_hit()
-                return self._values[way]
-
+                return self._values[dway]
             self.stats.record_miss()
-            loc = self._tag_index.get(key)
-            if loc is not None:
-                set_idx, tag_way = loc
-                self._tag_reused[set_idx][tag_way] = True
-                self._nrr.on_hit(set_idx, tag_way)
-                if self.decision_listener is not None:
-                    self.decision_listener(key, "reuse")
-            else:
-                self._insert_tag(key)
+            self.rdir.note_reuse(set_idx, way)
+            if self.decision_listener is not None:
+                self.decision_listener(key, "reuse")
             return None
 
     def set(self, key: str, value: bytes) -> bool:
@@ -162,31 +168,33 @@ class ReuseStore:
         Declined offers still tag the key, so the *next* GET+SET pair admits.
         """
         with self._lock:
-            way = self._data_index.get(key)
-            if way is not None:  # update in place
-                self.stats.record_update(len(value), len(self._values[way]))
-                self._values[way] = value
-                self._clock.on_hit(0, way)
+            set_idx, way = self._index.get(key) or self._alloc_tag(key)
+            dway = self._fwd[set_idx][way]
+            if dway >= 0:  # update in place
+                self.stats.record_update(len(value), len(self._values[dway]))
+                self._values[dway] = value
+                self.rdir.data_repl.on_hit(0, dway)
                 if self.decision_listener is not None:
                     self.decision_listener(key, "update")
                 return True
 
-            loc = self._tag_index.get(key)
-            if loc is None:
-                loc = self._insert_tag(key)
-            set_idx, tag_way = loc
-
-            if self.admission == "reuse" and not self._tag_reused[set_idx][tag_way]:
+            if self.admission == "reuse" and not self.rdir.count[set_idx][way]:
                 self.stats.record_tag_only_set()
                 if self.decision_listener is not None:
                     self.decision_listener(key, "deny")
                 return False
 
-            way = self._allocate_data_way()
-            self._values[way] = value
-            self._data_key[way] = key
-            self._data_index[key] = way
-            self._clock.on_fill(0, way)
+            dway, victim = self.rdir.alloc_data(set_idx, way)
+            if victim is not None:
+                # Clock evicted a value; its key stays tagged with its
+                # reuse count (S -> TO), so the next offer re-admits it
+                self._free_value(dway)
+                self.stats.record_data_eviction()
+                if self.evict_listener is not None:
+                    self.evict_listener(victim, "data")
+                if self.decision_listener is not None:
+                    self.decision_listener(victim, "evict_data")
+            self._values[dway] = value
             self.stats.record_admission(len(value))
             if self.decision_listener is not None:
                 self.decision_listener(key, "admit")
@@ -201,140 +209,82 @@ class ReuseStore:
         making the key re-earn admission from scratch.
         """
         with self._lock:
-            loc = self._tag_index.get(key)
-            if loc is None:
-                loc = self._insert_tag(key)
-            set_idx, tag_way = loc
-            self._tag_reused[set_idx][tag_way] = True
+            set_idx, way = self._index.get(key) or self._alloc_tag(key)
+            counts = self.rdir.count[set_idx]
+            counts[way] = max(counts[way], 1)
             return self.set(key, value)
 
     def delete(self, key: str) -> bool:
         """Drop ``key`` entirely (tag and value); True iff a value was held."""
         with self._lock:
-            had_value = False
-            way = self._data_index.pop(key, None)
-            if way is not None:
-                self._release_data_way(way)
-                self.stats.record_delete()
-                had_value = True
-                if self.decision_listener is not None:
-                    self.decision_listener(key, "delete")
-            loc = self._tag_index.pop(key, None)
-            if loc is not None:
-                set_idx, tag_way = loc
-                self._tag_keys[set_idx][tag_way] = None
-                self._tag_reused[set_idx][tag_way] = False
-                self._nrr.on_invalidate(set_idx, tag_way)
-            return had_value
+            loc = self._index.get(key)
+            if loc is None:
+                return False
+            dway = self.rdir.drop_tag(*loc)
+            if dway < 0:
+                return False
+            self._free_value(dway)
+            self.stats.record_delete()
+            if self.decision_listener is not None:
+                self.decision_listener(key, "delete")
+            return True
 
     def contains(self, key: str) -> bool:
         """True iff a value for ``key`` is currently stored."""
         with self._lock:
-            return key in self._data_index
+            loc = self._index.get(key)
+            return loc is not None and self._fwd[loc[0]][loc[1]] >= 0
 
     def is_tracked(self, key: str) -> bool:
         """True iff ``key`` has a tag-directory entry (seen at least once)."""
         with self._lock:
-            return key in self._tag_index
+            return key in self._index
 
     def keys(self) -> list:
         """Keys with a stored value, sorted (deterministic migration order)."""
         with self._lock:
-            return sorted(self._data_index)
+            return sorted(k for k in self.rdir.data_keys[0] if k is not None)
 
     def __len__(self) -> int:
-        return len(self._data_index)
+        return self.rdir.data_entries()
 
     def clear(self) -> None:
         """Drop every entry and reset counters (stats object is replaced)."""
         with self._lock:
-            for set_idx in range(self.num_tag_sets):
-                for way in range(self.tag_assoc):
-                    self._tag_keys[set_idx][way] = None
-                    self._tag_reused[set_idx][way] = False
-                    self._nrr.on_invalidate(set_idx, way)
-            for way in range(self.data_capacity):
-                if self._values[way] is not None:
-                    self._clock.on_invalidate(0, way)
-                self._values[way] = None
-                self._data_key[way] = None
-            self._tag_index.clear()
-            self._data_index.clear()
-            self._free = list(range(self.data_capacity - 1, -1, -1))
+            self.rdir.clear()
+            self._values = [None] * self.data_capacity
             self.stats = ShardStats(seed=self._seed)
 
     # -- internals -----------------------------------------------------------
 
-    def _tag_set_of(self, key: str) -> int:
+    def _alloc_tag(self, key: str):
+        """Tag ``key`` (I -> TO); returns its (set, way).  A full set evicts
+        a tag and any value it holds (paper: * -> I)."""
         # decorrelate from the shard map, which uses the low bits of the
         # same hash: take the set index from the high half
-        return (stable_hash(key) >> 32) % self.num_tag_sets
-
-    def _insert_tag(self, key: str):
-        """Allocate a tag-directory entry for ``key``; returns (set, way)."""
-        set_idx = self._tag_set_of(key)
-        keys = self._tag_keys[set_idx]
-        try:
-            way = keys.index(None)
-        except ValueError:
-            way = self._evict_tag(set_idx)
-        keys[way] = key
-        self._tag_reused[set_idx][way] = False
-        self._tag_index[key] = (set_idx, way)
-        self._nrr.on_fill(set_idx, way)
+        set_idx = (stable_hash(key) >> 32) % self.num_tag_sets
+        way, victim, victim_dway = self.rdir.alloc_tag(
+            key, set_idx, self._valueless_ways
+        )
+        if victim is not None:
+            if victim_dway >= 0:
+                self._free_value(victim_dway)
+                self.stats.record_data_eviction()
+            self.stats.record_tag_eviction()
+            if self.evict_listener is not None:
+                self.evict_listener(victim, "tag")
+            if self.decision_listener is not None:
+                self.decision_listener(victim, "evict_tag")
         if self.decision_listener is not None:
             self.decision_listener(key, "tag_alloc")
         return set_idx, way
 
-    def _evict_tag(self, set_idx: int) -> int:
-        """Pick and clear an NRR tag victim; frees any stored value too."""
-        keys = self._tag_keys[set_idx]
-        # prefer tags without data (the paper's NRR filters out lines the
-        # directory pins); fall back to all ways when every tag holds data
-        candidates = [w for w in range(self.tag_assoc)
-                      if keys[w] not in self._data_index]
-        if not candidates:
-            candidates = list(range(self.tag_assoc))
-        way = self._nrr.victim(set_idx, candidates)
-        victim_key = keys[way]
-        data_way = self._data_index.pop(victim_key, None)
-        if data_way is not None:  # tag eviction frees both (paper: * -> I)
-            self._release_data_way(data_way)
-            self.stats.record_data_eviction()
-        del self._tag_index[victim_key]
-        keys[way] = None
-        self._tag_reused[set_idx][way] = False
-        self._nrr.on_invalidate(set_idx, way)
-        self.stats.record_tag_eviction()
-        if self.evict_listener is not None:
-            self.evict_listener(victim_key, "tag")
-        if self.decision_listener is not None:
-            self.decision_listener(victim_key, "evict_tag")
-        return way
+    def _valueless_ways(self, set_idx: int) -> list:
+        # prefer tag victims without a value (the simulator's NRR skips
+        # lines the directory pins); the directory falls back to every way
+        fwd = self._fwd[set_idx]
+        return [w for w in range(self.tag_assoc) if fwd[w] < 0]
 
-    def _allocate_data_way(self) -> int:
-        """Grab a free data slot, evicting a Clock victim if none is free."""
-        if self._free:
-            return self._free.pop()
-        way = self._clock.victim(0, list(range(self.data_capacity)))
-        victim_key = self._data_key[way]
-        del self._data_index[victim_key]
-        self.stats.record_value_freed(len(self._values[way]))
-        self._values[way] = None
-        self._data_key[way] = None
-        self._clock.on_invalidate(0, way)
-        self.stats.record_data_eviction()
-        if self.evict_listener is not None:
-            self.evict_listener(victim_key, "data")
-        if self.decision_listener is not None:
-            self.decision_listener(victim_key, "evict_data")
-        # demote, keeping the reuse history (paper: S -> TO on DataRepl);
-        # the tag stays resident so the next fetch re-admits the key
-        return way
-
-    def _release_data_way(self, way: int) -> None:
-        self.stats.record_value_freed(len(self._values[way]))
-        self._values[way] = None
-        self._data_key[way] = None
-        self._clock.on_invalidate(0, way)
-        self._free.append(way)
+    def _free_value(self, dway: int) -> None:
+        self.stats.record_value_freed(len(self._values[dway]))
+        self._values[dway] = None

@@ -4,33 +4,39 @@ import json
 
 import pytest
 
-from repro.__main__ import _jsonable, build_parser, main
+from repro.__main__ import _jsonable, build_run_parser, main
 from repro.experiments import registry
 
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args(["fig5"])
-        assert args.experiment == "fig5"
+        args = build_run_parser().parse_args(["fig5"])
+        assert args.experiments == ["fig5"]
         assert args.workloads > 0 and args.refs > 0
 
     def test_overrides(self):
-        args = build_parser().parse_args(
+        args = build_run_parser().parse_args(
             ["table6", "--workloads", "2", "--refs", "999", "--seed", "3"]
         )
         assert (args.workloads, args.refs, args.seed) == (2, 999, 3)
 
 
 class TestMain:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in registry.names():
-            assert name in out
+    def test_unknown_command_prints_command_groups(self, capsys):
+        assert main(["list"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown command 'list'" in err
+        for command in ("run", "list-experiments", "serve", "lint", "obs",
+                        "perf", "cluster"):
+            assert command in err
+
+    def test_help_prints_command_groups(self, capsys):
+        assert main(["--help"]) == 0
+        assert "list-experiments" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="unknown experiment 'fig99'"):
+            main(["run", "fig99", "--no-cache"])
 
     def test_registry_covers_every_paper_artifact(self):
         paper_artifacts = {
@@ -46,24 +52,25 @@ class TestMain:
         assert ablations <= set(registry.names())
 
     def test_run_analytic_experiment(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["run", "table2", "--no-cache"]) == 0
         assert "69888" in capsys.readouterr().out.replace(" ", "")
 
     @pytest.mark.parametrize("name", ["fig6", "table6"])
     def test_run_simulation_experiment(self, name, capsys):
-        assert main([name, "--workloads", "1", "--refs", "1200"]) == 0
-        assert "speedup" in capsys.readouterr().out.lower() or True
+        argv = ["run", name, "--workloads", "1", "--refs", "1200", "--no-cache"]
+        assert main(argv) == 0
+        assert "[cells: " in capsys.readouterr().out
 
     def test_out_capture(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
-        assert main(["table3", "--out", str(out)]) == 0
+        assert main(["run", "table3", "--no-cache", "--out", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "RC-8/4" in out.read_text()
         assert "RC-8/4" in captured  # still printed to the console
 
     def test_json_export(self, tmp_path, capsys):
         out = tmp_path / "t2.json"
-        assert main(["table2", "--json", str(out)]) == 0
+        assert main(["run", "table2", "--no-cache", "--json", str(out)]) == 0
         data = json.loads(out.read_text())
         assert "table2" in data
         assert data["table2"]["conv-8MB"]["tag_entry_bits"] == 34

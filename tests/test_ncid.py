@@ -17,7 +17,7 @@ def make(tag_lines=64, tag_assoc=4, data_lines=32, cores=4):
 class TestGeometry:
     def test_data_shares_tag_sets(self):
         ncid = make()
-        assert ncid.data_sets == ncid.tags.num_sets
+        assert ncid.data_sets == ncid.rdir.tag_sets
         assert ncid.data_assoc == 2  # 32 data lines / 16 sets
 
     def test_indivisible_geometry_rejected(self):

@@ -60,7 +60,7 @@ class TestReuseCachePrefetch:
     def test_prefetch_sets_presence(self):
         rc = self.make()
         rc.prefetch(0x10, 2, 0)
-        set_idx, way = rc.tags.lookup(0x10)
+        set_idx, way = rc.rdir.index[0x10]
         assert rc.directory.is_present(set_idx, way, 2)
 
 
@@ -124,7 +124,7 @@ class TestSystemPrefetch:
         for c, ph in enumerate(system.private):
             for addr in ph.l2.resident_addrs():
                 bank = system._bank_of(addr)
-                assert system.banks[bank].tags.lookup(system._local(addr))[1] is not None
+                assert system._local(addr) in system.banks[bank].rdir.index
 
     def test_prefetch_counts(self):
         wl = self._stream_workload(100)

@@ -73,12 +73,10 @@ def test_reuse_cache_directory_matches_mirror(ops):
             mirror.apply_access(rc, core, addr, is_write, now)
         else:
             mirror.maybe_evict(rc, core, addr, is_write)
-    for set_idx in range(rc.tags.num_sets):
-        for way in rc.tags.valid_ways(set_idx):
-            addr = rc.tags.addrs[set_idx][way]
-            assert rc.directory.sharers(set_idx, way) == sorted(
-                c for c, lines in mirror.private.items() if addr in lines
-            )
+    for addr, (set_idx, way) in rc.rdir.index.items():
+        assert rc.directory.sharers(set_idx, way) == sorted(
+            c for c, lines in mirror.private.items() if addr in lines
+        )
 
 
 @settings(max_examples=60, deadline=None)

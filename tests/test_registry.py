@@ -118,11 +118,12 @@ class TestRunCLI:
         assert main(plan) == 0
         assert "8 cell(s), 8 already cached" in capsys.readouterr().out
 
-    def test_legacy_spelling_forwards_with_deprecation(self, capsys):
-        assert main(["fig1a", *[a for a in TINY]]) == 0
+    def test_bare_experiment_name_is_an_unknown_command(self, capsys):
+        assert main(["fig1a", *TINY]) == 2
         captured = capsys.readouterr()
-        assert "DEPRECATED" in captured.err
-        assert "live" in captured.out.lower()
+        assert "unknown command 'fig1a'" in captured.err
+        assert "run, list-experiments" in captured.err
+        assert captured.out == ""
 
 
 class TestFromEnvValidation:

@@ -100,6 +100,22 @@ class TestHigherThresholds:
         rc.access(0x10, 0, False, 5)  # one reuse re-allocates (threshold 1)
         assert rc.state_of(0x10) is State.S
 
+    def test_demoted_line_needs_fresh_reuses_at_threshold_two(self):
+        """The simulator restarts the reuse count on DataRepl: at threshold
+        2 a demoted line re-allocates only after two more reuses."""
+        rc = make(2, data_lines=1)
+        for a in (0x10, 0x20):  # 0x20's allocation demotes 0x10
+            for t in range(3):
+                rc.access(a, 0, False, t)
+                rc.notify_private_eviction(a, 0, False)
+            assert rc.state_of(a) is State.S
+        assert rc.state_of(0x10) is State.TO
+        rc.access(0x10, 0, False, 5)  # first fresh reuse: still tag-only
+        rc.notify_private_eviction(0x10, 0, False)
+        assert rc.state_of(0x10) is State.TO
+        rc.access(0x10, 0, False, 6)  # second fresh reuse: allocates
+        assert rc.state_of(0x10) is State.S
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             make(-1)

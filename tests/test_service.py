@@ -94,6 +94,17 @@ class TestAdmission:
         with pytest.raises(ValueError):
             ReuseStore(data_capacity=8, admission="lru")
 
+    def test_tag_capacity_checked_after_rounding_to_whole_sets(self):
+        # 12 tags fill one whole 8-way set: 8 tags could never cover 10
+        # data slots
+        with pytest.raises(ValueError, match="8 in whole 8-way sets"):
+            ReuseStore(10, tag_capacity=12)
+        # 25 tags per shard round down to 24 for 25 data slots per shard
+        with pytest.raises(ValueError, match="24 in whole 8-way sets"):
+            ShardedStore(4, 100, tag_capacity=100)
+        assert ReuseStore(10, tag_capacity=16).tag_capacity == 16
+        assert ReuseStore(10, tag_capacity=12, tag_assoc=4).tag_capacity == 12
+
 
 class TestEviction:
     def _admit(self, store, key, payload=b"x"):
@@ -542,9 +553,16 @@ class TestServiceCLI:
 
     def test_main_dispatches_service_commands(self, capsys):
         from repro.__main__ import main
-        assert main(["list"]) == 0
+        assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "serve" in out and "bench-service" in out
+
+    def test_serve_rejects_tags_that_round_below_the_data_store(self):
+        from repro.service.cli import main
+        argv = ["serve", "--shards", "4", "--data-capacity", "100",
+                "--tag-capacity", "100", "--port", "0"]
+        with pytest.raises(SystemExit, match="24 in whole 8-way sets"):
+            main(argv)
 
     def test_bench_service_writes_comparison(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -12,6 +12,13 @@ def tiny_config(spec=None, **kw):
     return SystemConfig(llc=spec or LLCSpec.conventional(8), scale=32, **kw)
 
 
+def has_tag(bank, local):
+    """True iff the SLLC bank holds a tag for the bank-local line."""
+    if hasattr(bank, "rdir"):
+        return local in bank.rdir.index
+    return bank.tags.lookup(local)[1] is not None
+
+
 def synthetic_workload(n_cores=8, pattern="hot", n_refs=400):
     """Hand-built workloads with known cache behaviour."""
     traces = []
@@ -152,7 +159,7 @@ class TestSystemBehaviour:
                 for addr in ph.l2.resident_addrs():
                     bank = system._bank_of(addr)
                     local = system._local(addr)
-                    assert system.banks[bank].tags.lookup(local)[1] is not None, (
+                    assert has_tag(system.banks[bank], local), (
                         f"{spec.label}: line {addr:#x} in core {c} L2 "
                         "missing from SLLC tags"
                     )

@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import compare_results  # noqa: E402
+import gen_api_docs  # noqa: E402
 
 
 SAMPLE_A = """
@@ -64,3 +65,20 @@ class TestCompare:
         b.write_text(SAMPLE_B)
         assert compare_results.main([str(a), str(b)]) == 1
         assert "drift" in capsys.readouterr().out
+
+
+class TestApiDocs:
+    def test_committed_api_docs_are_current(self, capsys):
+        assert gen_api_docs.main(["--check"]) == 0
+
+    def test_check_flags_a_stale_file_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        stale = tmp_path / "api.md"
+        stale.write_text("# API reference\n")
+        monkeypatch.setattr(gen_api_docs, "TARGET", stale)
+        assert gen_api_docs.main(["--check"]) == 1
+        assert "stale" in capsys.readouterr().err
+        assert stale.read_text() == "# API reference\n"
+        assert gen_api_docs.main([]) == 0
+        assert gen_api_docs.main(["--check"]) == 0

@@ -61,7 +61,7 @@ class TestVWayStructure:
         """A hot set can hold more lines than its data share: with 8 sets
         and 2 base ways, one set can use 4 tag ways."""
         vw = make(data_lines=16, base_assoc=2)
-        tag_sets = vw.tags.num_sets  # 8
+        tag_sets = vw.rdir.tag_sets  # 8
         addrs = [i * tag_sets for i in range(4)]  # all map to set 0
         for t, a in enumerate(addrs):
             vw.access(a, 0, False, t)
