@@ -53,6 +53,7 @@ class ConventionalLLC(BaseLLC):
         # paper's baselines, which do not protect private-resident lines.
         self.protect_private = (policy == "nrr") if protect_private is None else protect_private
         self._dirty = [[False] * assoc for _ in range(num_sets)]
+        self._all_ways = list(range(assoc))
 
     # -- demand access ------------------------------------------------------------
     def access(self, addr: int, core: int, is_write: bool, now: int) -> LLCAccess:
@@ -80,10 +81,10 @@ class ConventionalLLC(BaseLLC):
         self.tag_misses += 1
         self.core_dram_fetches[core] += 1
         self.repl.on_miss(set_idx, core)
-        writebacks = ()
-        inclusion_invals = ()
-        way = self.tags.free_way(set_idx)
-        if way is None:
+        if len(self.tags.maps[set_idx]) < self.assoc:
+            way = self.tags.free_way(set_idx)
+            writebacks = inclusion_invals = ()
+        else:
             way, writebacks, inclusion_invals = self._evict(set_idx, now)
         self.tags.install(set_idx, way, addr)
         self._dirty[set_idx][way] = False
@@ -103,13 +104,11 @@ class ConventionalLLC(BaseLLC):
         )
 
     def _evict(self, set_idx, now):
-        """Pick and remove a victim; returns (way, writebacks, inclusion_invals)."""
-        candidates = self.tags.valid_ways(set_idx)
+        """Pick and remove a victim from the full ``set_idx``; returns
+        (way, writebacks, inclusion_invals)."""
+        candidates = self._all_ways
         if self.protect_private:
-            directory = self.directory
-            unshared = [w for w in candidates if not directory.in_private_caches(set_idx, w)]
-            if unshared:
-                candidates = unshared
+            candidates = self.directory.unshared_ways(set_idx) or candidates
         way = self.repl.victim(set_idx, candidates)
         victim_addr = self.tags.evict(set_idx, way)
         self.recorder.on_evict(victim_addr, now)

@@ -31,6 +31,10 @@ class PrivateCache:
         self.assoc = assoc
         self.store = TagStore(num_lines // assoc, assoc)
         ns = self.store.num_sets
+        # the hot paths index the store's per-set address -> way maps
+        # directly, sparing a TagStore method call per lookup
+        self._maps = self.store.maps
+        self._mask = ns - 1
         self._dirty = [[False] * assoc for _ in range(ns)]
         self._stamp = [[0] * assoc for _ in range(ns)]
         self._clock = 0
@@ -38,7 +42,8 @@ class PrivateCache:
     # -- fast paths -----------------------------------------------------------
     def lookup(self, addr: int):
         """Touch and return the way of ``addr``; None on miss."""
-        set_idx, way = self.store.lookup(addr)
+        set_idx = addr & self._mask
+        way = self._maps[set_idx].get(addr)
         if way is not None:
             self._clock += 1
             self._stamp[set_idx][way] = self._clock
@@ -46,40 +51,51 @@ class PrivateCache:
 
     def probe(self, addr: int):
         """Non-touching presence check; returns the way or None."""
-        return self.store.lookup(addr)[1]
+        return self._maps[addr & self._mask].get(addr)
 
     def is_dirty(self, addr: int) -> bool:
         """True when ``addr`` is resident and dirty."""
-        set_idx, way = self.store.lookup(addr)
+        set_idx = addr & self._mask
+        way = self._maps[set_idx].get(addr)
         return way is not None and self._dirty[set_idx][way]
 
     def set_dirty(self, addr: int) -> None:
         """Mark a resident line dirty; raises KeyError when absent."""
-        set_idx, way = self.store.lookup(addr)
+        set_idx = addr & self._mask
+        way = self._maps[set_idx].get(addr)
         if way is None:
             raise KeyError(f"{self.name}: set_dirty on absent line {addr:#x}")
         self._dirty[set_idx][way] = True
 
     def fill(self, addr: int, dirty: bool):
-        """Install ``addr``; returns the evicted ``(addr, dirty)`` or None."""
-        set_idx = self.store.set_of(addr)
-        if self.store.find(set_idx, addr) is not None:
+        """Install ``addr``; returns the evicted ``(addr, dirty)`` or None.
+
+        A set with an invalid way fills its lowest one.  A full set evicts
+        its least recently used way: every way of a full set was stamped
+        by a distinct tick of the clock, so the minimum is unique.
+        """
+        set_idx = addr & self._mask
+        resident = self._maps[set_idx]
+        if addr in resident:
             raise ValueError(f"{self.name}: fill of already-present line {addr:#x}")
-        way = self.store.free_way(set_idx)
-        evicted = None
-        if way is None:
-            stamps = self._stamp[set_idx]
-            way = min(range(self.assoc), key=lambda w: stamps[w])
-            evicted = (self.store.evict(set_idx, way), self._dirty[set_idx][way])
-        self.store.install(set_idx, way, addr)
-        self._dirty[set_idx][way] = dirty
+        stamps = self._stamp[set_idx]
+        dirty_bits = self._dirty[set_idx]
+        if len(resident) < self.assoc:
+            way = self.store.free_way(set_idx)
+            self.store.install(set_idx, way, addr)
+            evicted = None
+        else:
+            way = stamps.index(min(stamps))
+            evicted = (self.store.replace(set_idx, way, addr), dirty_bits[way])
+        dirty_bits[way] = dirty
         self._clock += 1
-        self._stamp[set_idx][way] = self._clock
+        stamps[way] = self._clock
         return evicted
 
     def invalidate(self, addr: int):
         """Remove ``addr`` if present; returns ``(was_present, was_dirty)``."""
-        set_idx, way = self.store.lookup(addr)
+        set_idx = addr & self._mask
+        way = self._maps[set_idx].get(addr)
         if way is None:
             return False, False
         dirty = self._dirty[set_idx][way]
@@ -114,17 +130,22 @@ class PrivateHierarchy:
         the SLLC directory.
         """
         l1 = self.l1
-        way = l1.lookup(addr)
+        set_idx = addr & l1._mask
+        way = l1._maps[set_idx].get(addr)
         if way is not None:
-            set_idx = l1.store.set_of(addr)
+            l1._clock += 1
+            l1._stamp[set_idx][way] = l1._clock
             if is_write and not l1._dirty[set_idx][way]:
                 return "l1", True, ()
             return "l1", False, ()
 
-        l2_way = self.l2.lookup(addr)
-        if l2_way is not None:
-            set_idx = self.l2.store.set_of(addr)
-            dirty = self.l2._dirty[set_idx][l2_way]
+        l2 = self.l2
+        set_idx = addr & l2._mask
+        way = l2._maps[set_idx].get(addr)
+        if way is not None:
+            l2._clock += 1
+            l2._stamp[set_idx][way] = l2._clock
+            dirty = l2._dirty[set_idx][way]
             needs_upgrade = is_write and not dirty
             self._refill_l1(addr, dirty=dirty or (is_write and not needs_upgrade))
             return "l2", needs_upgrade, ()

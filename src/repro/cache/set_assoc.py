@@ -69,6 +69,18 @@ class TagStore:
         del self.maps[set_idx][addr]
         return addr
 
+    def replace(self, set_idx: int, way: int, line_addr: int) -> int:
+        """Swap ``line_addr`` in for the line it returns, in place."""
+        ways = self.addrs[set_idx]
+        victim = ways[way]
+        if victim is None:
+            raise ValueError(f"replace in empty way {way} of set {set_idx}")
+        ways[way] = line_addr
+        m = self.maps[set_idx]
+        del m[victim]
+        m[line_addr] = way
+        return victim
+
     def valid_ways(self, set_idx: int) -> list:
         """Ways of ``set_idx`` currently holding a line."""
         ways = self.addrs[set_idx]

@@ -36,6 +36,7 @@ from ..obs import Observability, validate_chrome_trace
 from ..obs.dist import merge_node_traces
 from ..obs.logging import configure as configure_logging
 from ..service.loadgen import VALUE_BYTES, replay_interleaved, replay_with_client
+from ..service.sharding import ShardedStore
 from ..workloads.mixes import EXAMPLE_MIX, build_workload
 from .client import ClusterClient
 from .consistency import run_storm
@@ -553,10 +554,32 @@ def cmd_cluster_trace(args) -> int:
     return 0
 
 
+def check_store_sizes(args) -> None:
+    """Exit with an error line when a node's store rejects the sizes.
+
+    As ``repro serve`` does: ``repro cluster <cmd>: <reason>`` and status
+    1, for example for a ``--tag-capacity`` that rounds below the data
+    store, instead of a traceback from inside the running cluster.
+    """
+    try:
+        ShardedStore(
+            num_shards=args.shards,
+            data_capacity=args.data_capacity,
+            tag_capacity=args.tag_capacity,
+            admission=args.admission,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro cluster {args.subcommand}: {exc}") from None
+
+
 def main(argv) -> int:
     """Entry point for ``repro cluster ...`` (argv excludes "cluster")."""
     configure_logging()
     args = build_cluster_parser().parse_args(argv)
+    # every subcommand but status, and trace draining live nodes, builds
+    # a cluster from the size arguments
+    if args.subcommand != "status" and not getattr(args, "node", None):
+        check_store_sizes(args)
     handler = {
         "serve": cmd_cluster_serve,
         "bench": cmd_cluster_bench,

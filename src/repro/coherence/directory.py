@@ -45,9 +45,9 @@ class Directory:
         """True when ``core`` holds the line privately."""
         return bool(self._bits[set_idx][way] >> core & 1)
 
-    def in_private_caches(self, set_idx: int, way: int) -> bool:
-        """True when any private cache holds the line."""
-        return self._bits[set_idx][way] != 0
+    def unshared_ways(self, set_idx: int) -> list:
+        """Ways of ``set_idx`` no private cache holds, in way order."""
+        return [w for w, bits in enumerate(self._bits[set_idx]) if not bits]
 
     def sharers(self, set_idx: int, way: int) -> list:
         """Core ids whose private caches hold the line."""

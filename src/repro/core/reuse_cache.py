@@ -223,8 +223,7 @@ class ReuseCache(BaseLLC):
         private caches (the paper's NRR rule).  When every way is
         private-resident the directory falls back to all of them, and the
         forced eviction back-invalidates."""
-        in_private = self.directory.in_private_caches
-        return [w for w in range(self.tag_assoc) if not in_private(set_idx, w)]
+        return self.directory.unshared_ways(set_idx)
 
     def _install_tag(self, addr, set_idx, core, now):
         """Allocate a tag for ``addr`` (I → TO) with ``core`` as its holder.

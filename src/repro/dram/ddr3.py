@@ -71,6 +71,12 @@ class DDR3Memory:
         self._bank_mask = cfg.banks_per_channel - 1
         self._bank_bits = ilog2(cfg.banks_per_channel)
         self._page_bits = ilog2(cfg.page_lines)
+        # timing fields read on every access, copied out of the frozen config
+        self._banks_per_channel = cfg.banks_per_channel
+        self._raw_latency = cfg.raw_latency
+        self._row_hit_latency = cfg.row_hit_latency
+        self._bus_cycles = cfg.bus_cycles
+        self._closed_page = cfg.page_policy == "closed"
         nbanks = cfg.channels * cfg.banks_per_channel
         self._bank_free = [0] * nbanks
         self._open_row = [-1] * nbanks
@@ -88,39 +94,39 @@ class DDR3Memory:
         page = line_addr >> self._chan_bits >> self._page_bits
         bank_local = page & self._bank_mask
         row = page >> self._bank_bits
-        return channel, channel * self.config.banks_per_channel + bank_local, row
+        return channel, channel * self._banks_per_channel + bank_local, row
 
     def _bank_access(self, bank: int, row: int, now: int):
         """Reserve the bank; returns (start, access_latency)."""
-        start = now if now > self._bank_free[bank] else self._bank_free[bank]
-        if self._open_row[bank] == row:
+        free = self._bank_free[bank]
+        start = now if now > free else free
+        open_row = self._open_row
+        if open_row[bank] == row:
             self.row_hits += 1
-            access = self.config.row_hit_latency
+            access = self._row_hit_latency
         else:
-            access = self.config.raw_latency
-        if self.config.page_policy == "closed":
-            self._open_row[bank] = -1  # precharged: the next access re-opens
-        else:
-            self._open_row[bank] = row
+            access = self._raw_latency
+        # a closed page is precharged: the next access re-opens it
+        open_row[bank] = -1 if self._closed_page else row
         return start, access
 
     # -- interface -----------------------------------------------------------------
     def read(self, line_addr: int, now: int) -> int:
         """Issue a demand read at ``now``; returns its completion time."""
-        cfg = self.config
         self.reads += 1
         channel, bank, row = self._locate(line_addr)
         start, access = self._bank_access(bank, row, now)
         ready = start + access
         # the line occupies the channel data bus for bus_cycles at the end
-        bus_start = ready - cfg.bus_cycles
-        if bus_start < self._bus_free[channel]:
-            bus_start = self._bus_free[channel]
-        done = bus_start + cfg.bus_cycles
+        bus_start = ready - self._bus_cycles
+        bus_free = self._bus_free[channel]
+        if bus_start < bus_free:
+            bus_start = bus_free
+        done = bus_start + self._bus_cycles
         self._bus_free[channel] = done
         # the bank frees once its access completes; bus queueing does not
         # hold the bank (the controller buffers the burst)
-        self._bank_free[bank] = max(ready, done - cfg.bus_cycles)
+        self._bank_free[bank] = ready if ready > bus_start else bus_start
         self.busy_read_cycles += done - now
         return done
 

@@ -24,6 +24,7 @@ warm-up-then-measure methodology.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -158,6 +159,10 @@ class System:
         self._bank_mask = config.llc_banks - 1
         self._bank_bits = ilog2(config.llc_banks)
         self.dram = DDR3Memory(config.dram)
+        #: stalls of a reference the SLLC serves and of one a peer's private
+        #: cache serves (cycles)
+        self._llc_latency = config.l2_latency + config.xbar_latency + config.llc_latency
+        self._peer_latency = self._llc_latency + config.peer_latency
         #: observability bundle; disabled by default so simulation speed and
         #: results are untouched unless a caller opts in
         self.obs = obs if obs is not None else Observability.disabled()
@@ -194,68 +199,69 @@ class System:
         return (local_addr << self._bank_bits) | bank
 
     # -- one memory reference ----------------------------------------------------
-    def _access(self, core: int, addr: int, is_write: bool, now: int) -> int:
-        """Process one reference; returns the stall latency in cycles."""
-        cfg = self.config
-        level, needs_upgrade, evictions = self.private[core].access(addr, is_write)
-        # (the private L1<->L2 path produces no L2 evictions on a lookup)
+    def _access(
+        self, core: int, addr: int, is_write: bool, now: int, level: str,
+        needs_upgrade: bool,
+    ) -> int:
+        """Finish one reference the private hierarchy did not serve alone.
 
+        ``level`` and ``needs_upgrade`` are what ``PrivateHierarchy.access``
+        returned for it; the run loop handles a plain L1 hit (no stall)
+        itself.  Returns the stall latency in cycles.
+        """
         if level == "l1":
-            if needs_upgrade:
-                self._do_upgrade(core, addr, now)
-                return cfg.l2_latency + cfg.xbar_latency + cfg.llc_latency
-            return 0
-
+            self._do_upgrade(core, addr, now)
+            return self._llc_latency
         if level == "l2":
             self.l1_misses[core] += 1
             if needs_upgrade:
                 self._do_upgrade(core, addr, now)
-                return cfg.l2_latency + cfg.xbar_latency + cfg.llc_latency
-            return cfg.l2_latency
+                return self._llc_latency
+            return self.config.l2_latency
 
         # private miss: go to the SLLC bank
         self.l1_misses[core] += 1
         self.l2_misses[core] += 1
         if self.llc_trace is not None:
             self.llc_trace.append(addr)
-        bank = addr & self._bank_mask
-        llc = self.banks[bank]
-        t_at_llc = now + cfg.l2_latency + cfg.xbar_latency + cfg.llc_latency
-        res = llc.access(addr >> self._bank_bits, core, is_write, t_at_llc)
+        mask, bits = self._bank_mask, self._bank_bits
+        banks = self.banks
+        bank = addr & mask
+        t_at_llc = now + self._llc_latency
+        res = banks[bank].access(addr >> bits, core, is_write, t_at_llc)
 
-        # side effects: SLLC writebacks and invalidations
+        # side effects: SLLC writebacks and invalidations (bank-local
+        # victim addresses map back to global ones as local << bits | bank)
+        dram = self.dram
         for wb_local in res.writebacks:
-            self.dram.write(self._global(wb_local, bank), t_at_llc)
+            dram.write(wb_local << bits | bank, t_at_llc)
+        private = self.private
         for victim_core in res.coherence_invals:
-            self.private[victim_core].invalidate(addr)
+            private[victim_core].invalidate(addr)
             # dirty coherence victims forward their data to the requester
         for victim_core, victim_local in res.inclusion_invals:
-            victim_addr = self._global(victim_local, bank)
-            present, dirty = self.private[victim_core].invalidate(victim_addr)
+            victim_addr = victim_local << bits | bank
+            present, dirty = private[victim_core].invalidate(victim_addr)
             if present and dirty:
-                self.dram.write(victim_addr, t_at_llc)
+                dram.write(victim_addr, t_at_llc)
 
-        if res.source == "llc":
-            latency = cfg.l2_latency + cfg.xbar_latency + cfg.llc_latency
-        elif res.source == "peer":
-            latency = (
-                cfg.l2_latency + cfg.xbar_latency + cfg.llc_latency + cfg.peer_latency
-            )
+        source = res.source
+        if source == "llc":
+            latency = self._llc_latency
+        elif source == "peer":
+            latency = self._peer_latency
         else:  # dram
             self.llc_misses[core] += 1
-            done = self.dram.read(addr, t_at_llc)
-            latency = (done - now) + cfg.xbar_latency
+            latency = dram.read(addr, t_at_llc) - now + self.config.xbar_latency
 
         # refill the private hierarchy and report its L2 victim (PUTS/PUTX)
-        for ev_addr, ev_dirty in self.private[core].fill(addr, dirty=is_write):
-            ev_bank = ev_addr & self._bank_mask
-            wbs = self.banks[ev_bank].notify_private_eviction(
-                ev_addr >> self._bank_bits, core, ev_dirty
-            )
+        for ev_addr, ev_dirty in private[core].fill(addr, dirty=is_write):
+            ev_bank = ev_addr & mask
+            wbs = banks[ev_bank].notify_private_eviction(ev_addr >> bits, core, ev_dirty)
             for wb_local in wbs:
-                self.dram.write(self._global(wb_local, ev_bank), t_at_llc)
+                dram.write(wb_local << bits | ev_bank, t_at_llc)
 
-        if cfg.prefetch_degree:
+        if self.config.prefetch_degree:
             self._issue_prefetches(core, addr, t_at_llc)
         return latency
 
@@ -327,12 +333,12 @@ class System:
         warm_refs = [int(warmup_frac * ln) for ln in lengths]
 
         idx = [0] * n
-        instr = [0] * n
         finish = [0] * n
         # 'overlap' core model: misses within an mlp_window-instruction
         # burst overlap; the core serialises at burst boundaries
         overlap = cfg.core_model == "overlap"
         window = max(1, cfg.mlp_window)
+        issued = [0] * n  # instructions issued so far, kept under 'overlap'
         burst_start = [0] * n
         outstanding = [0] * n
         warm_time = [0] * n
@@ -344,35 +350,51 @@ class System:
         if cores_warm == n and self.recorder is not None:
             self._activate_recorder(0)
 
+        # Cores interleave in (clock, core id) order.  The core just run
+        # keeps running, with no heap operation, while its (t, c) stays
+        # below the heap's head: the heap would hand it back next anyway.
+        # ``limit`` is the first clock at which core c no longer does.
         heap = [(0, c) for c in range(n) if lengths[c]]
         heapq.heapify(heap)
+        heapreplace = heapq.heapreplace
+        lookup = [p.access for p in self.private]
         access = self._access
+        t, c = heapq.heappop(heap) if heap else (0, None)
+        limit = heap[0][0] + (c < heap[0][1]) if heap else math.inf
 
-        while heap:
-            t, c = heapq.heappop(heap)
+        while c is not None:
             i = idx[c]
             g = gaps[c][i]
             t += g  # non-memory instructions, one cycle each
+            addr = addrs[c][i]
+            is_write = True if writes[c][i] else False
             if overlap:
-                if instr[c] + g - burst_start[c] >= window:
+                before = issued[c] + g
+                if before - burst_start[c] >= window:
                     # burst boundary: drain outstanding misses
                     if outstanding[c] > t:
                         t = outstanding[c]
-                    burst_start[c] = instr[c] + g
-                stall = access(c, addrs[c][i], bool(writes[c][i]), t)
-                done = t + 1 + stall
+                    burst_start[c] = before
+                issued[c] = before + 1
+            level, needs_upgrade, _ = lookup[c](addr, is_write)
+            if level == "l1" and not needs_upgrade:
+                # an L1 hit does not stall; under 'overlap' it completes at
+                # t + 1, before any later read of outstanding[c]
+                t += 1
+            elif overlap:
+                done = t + 1 + access(c, addr, is_write, t, level, needs_upgrade)
                 if done > outstanding[c]:
                     outstanding[c] = done
                 t += 1  # the access issues; its latency overlaps
             else:
-                stall = access(c, addrs[c][i], bool(writes[c][i]), t)
-                t += 1 + stall  # the memory instruction itself
-            instr[c] += g + 1
+                # the memory instruction itself, plus its stall
+                t += 1 + access(c, addr, is_write, t, level, needs_upgrade)
             i += 1
             idx[c] = i
             if i == warm_refs[c]:
                 warm_time[c] = t
-                warm_instr[c] = instr[c]
+                # each reference is one instruction after its gap's ones
+                warm_instr[c] = sum(gaps[c][:i]) + i
                 warm_l1[c] = self.l1_misses[c]
                 warm_l2[c] = self.l2_misses[c]
                 warm_llc[c] = self.llc_misses[c]
@@ -380,11 +402,18 @@ class System:
                 if cores_warm == n and self.recorder is not None:
                     self._activate_recorder(t)
             if i < lengths[c]:
-                heapq.heappush(heap, (t, c))
+                if t < limit:
+                    continue
+                t, c = heapreplace(heap, (t, c))
             else:
                 finish[c] = max(t, outstanding[c]) if overlap else t
+                if not heap:
+                    break
+                t, c = heapq.heappop(heap)
+            limit = heap[0][0] + (c < heap[0][1]) if heap else math.inf
 
         end_time = max(finish)
+        instr = [trace.total_instructions for trace in traces]
         measured_instr = [instr[c] - warm_instr[c] for c in range(n)]
         measured_cycles = [finish[c] - warm_time[c] for c in range(n)]
         m_l1 = [self.l1_misses[c] - warm_l1[c] for c in range(n)]

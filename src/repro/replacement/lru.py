@@ -41,8 +41,7 @@ class LRUPolicy(ReplacementPolicy):
 
     def victim(self, set_idx: int, candidates: Sequence[int]) -> int:
         self._check_candidates(candidates)
-        stamps = self._stamp[set_idx]
-        return min(candidates, key=lambda w: stamps[w])
+        return min(candidates, key=self._stamp[set_idx].__getitem__)
 
     # -- introspection used by insertion-policy subclasses and tests ---------
     def recency_order(self, set_idx: int) -> list:

@@ -740,3 +740,41 @@ class TestConsistencyStorm:
                 assert report.ok, report.to_dict()
 
         run(body())
+
+
+class TestClusterCliSizes:
+    """``repro cluster`` rejects store sizes with one error line and exit 1,
+    as ``repro serve`` does, before any node starts."""
+
+    @pytest.mark.parametrize("subcommand", ["serve", "bench", "smoke", "trace"])
+    def test_tag_capacity_below_data_store_is_an_error_line(self, subcommand):
+        from repro.cluster.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main([subcommand, "--tag-capacity", "10"])
+        message = str(info.value.code)
+        assert message.startswith(f"repro cluster {subcommand}: tag directory")
+        assert "cannot be smaller than the data store" in message
+
+    def test_valid_sizes_pass_the_check(self):
+        from repro.cluster.cli import build_cluster_parser, check_store_sizes
+
+        args = build_cluster_parser().parse_args(["smoke", "--tag-capacity", "4096"])
+        assert check_store_sizes(args) is None
+
+    def test_exit_status_is_one(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "cluster", "smoke", "--refs", "500",
+             "--tag-capacity", "10"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("repro cluster smoke: ")
+        assert "Traceback" not in proc.stderr

@@ -100,7 +100,8 @@ class TestDirectory:
         assert d.is_present(0, 0, 2)
         assert d.sharers(0, 0) == [2]
         d.remove(0, 0, 2)
-        assert not d.in_private_caches(0, 0)
+        assert d.vector(0, 0) == 0
+        assert d.unshared_ways(0) == [0, 1]
 
     def test_set_only(self):
         d = Directory(1, 1, 8)

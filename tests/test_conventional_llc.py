@@ -86,7 +86,7 @@ class TestCoherence:
         wbs = llc.notify_private_eviction(0x10, 2, dirty=False)
         assert wbs == ()
         set_idx, way = llc.tags.lookup(0x10)
-        assert not llc.directory.in_private_caches(set_idx, way)
+        assert way in llc.directory.unshared_ways(set_idx)
 
     def test_dirty_put_absorbed_then_written_back_on_evict(self):
         llc = make(lines=8, assoc=2)

@@ -14,11 +14,20 @@ suite pins that promise two ways:
   simulated number (the registry only mirrors counters at snapshot time and
   the tracer only records, never steers).
 
-Timing methodology: interleaved min-of-N.  Each repetition times baseline
-and no-op back-to-back so CPU frequency drift hits both alike, and the
-minimum over repetitions estimates the noise floor rather than the noise.
+Timing methodology: interleaved pairs, median of the paired ratios.  Each
+repetition times baseline and no-op back to back, alternating which goes
+first, so a change in host speed hits both samples of a pair alike; the
+median over pairs ignores the few pairs a change of speed splits.  A
+shared host's speed can drop by tens of percent for seconds, which a
+min-of-N over each side on its own mistakes for overhead.  Samples time
+process CPU rather than wall time, and repeat the timed work until each
+lasts :data:`MIN_SAMPLE_S`, however fast the simulator gets.  (The no-op
+test runs the very same code on both sides: ``obs=None`` resolves to the
+disabled bundle.)
 """
 
+import math
+import statistics
 import time
 
 import pytest
@@ -32,7 +41,10 @@ from repro.workloads.mixes import EXAMPLE_MIX, build_workload
 MAX_OVERHEAD = 0.05
 #: absolute slack absorbing timer granularity on very fast runs
 ABS_SLACK_S = 0.010
-REPEATS = 4
+#: CPU seconds each timed sample of the runtime tests lasts at least
+MIN_SAMPLE_S = 0.2
+#: interleaved pairs of timed samples in the runtime tests
+REPEATS = 16
 
 
 def _simulate(obs, n_refs=4000):
@@ -44,24 +56,43 @@ def _simulate(obs, n_refs=4000):
     return System(config, workload, obs=obs).run()
 
 
-def _timed(obs) -> float:
-    start = time.perf_counter()
-    _simulate(obs)
-    return time.perf_counter() - start
+def _cpu_timed(work, runs: int) -> float:
+    """Process CPU seconds of ``runs`` back-to-back calls of ``work``."""
+    start = time.process_time()
+    for _ in range(runs):
+        work()
+    return time.process_time() - start
+
+
+def _paired_overhead(base, other) -> tuple:
+    """Time ``base`` and ``other`` in REPEATS interleaved pairs.
+
+    Returns (median seconds of a ``base`` sample, median relative excess
+    of ``other`` over ``base`` pair by pair).  The two samples of a pair
+    run back to back, alternating which goes first, so a change in host
+    speed between pairs cancels within each; the median ignores the few
+    pairs a change of speed split.
+    """
+    once = _cpu_timed(base, 1)  # also warms caches and imports
+    runs = max(1, math.ceil(MIN_SAMPLE_S / max(once, 1e-3)))
+    base_s, other_s = [], []
+    for rep in range(REPEATS):
+        order = [(base, base_s), (other, other_s)]
+        for work, samples in order if rep % 2 == 0 else order[::-1]:
+            samples.append(_cpu_timed(work, runs))
+    overhead = statistics.median(o / b for b, o in zip(base_s, other_s)) - 1.0
+    return statistics.median(base_s), overhead
 
 
 class TestNoopOverhead:
     def test_disabled_obs_within_five_percent(self):
-        baseline_s = []
-        noop_s = []
-        for _ in range(REPEATS):
-            baseline_s.append(_timed(None))
-            noop_s.append(_timed(Observability.disabled()))
-        base, noop = min(baseline_s), min(noop_s)
-        assert noop <= base * (1.0 + MAX_OVERHEAD) + ABS_SLACK_S, (
-            f"no-op obs run took {noop:.3f}s vs baseline {base:.3f}s "
-            f"({(noop / base - 1.0) * 100:+.1f}%, budget "
-            f"{MAX_OVERHEAD * 100:.0f}% + {ABS_SLACK_S * 1e3:.0f}ms)"
+        noop = Observability.disabled()
+        base, overhead = _paired_overhead(
+            lambda: _simulate(None), lambda: _simulate(noop))
+        assert overhead <= MAX_OVERHEAD + ABS_SLACK_S / base, (
+            f"no-op obs runs took {overhead * 100:+.1f}% over baseline "
+            f"(median of {REPEATS} interleaved pairs, baseline {base:.3f}s; "
+            f"budget {MAX_OVERHEAD * 100:.0f}% + {ABS_SLACK_S * 1e3:.0f}ms)"
         )
 
 
@@ -103,8 +134,8 @@ class TestPhaseTimerOverhead:
 
     ``execute_cell_measured`` wraps coarse regions only (cell, workload
     build, simulate), so even the *enabled* timer must stay within the
-    documented budget of a bare run — same interleaved min-of-N
-    methodology as the no-op test above.
+    documented budget of a bare run — same methodology as the no-op test
+    above.
     """
 
     def test_profiled_cell_within_five_percent(self):
@@ -115,17 +146,14 @@ class TestPhaseTimerOverhead:
                                   seed=11)
         (ref,) = params.workload_refs()
         cell = params.cell(BASELINE_SPEC, ref)
-        bare_s, prof_s = [], []
-        for _ in range(REPEATS):
-            _, bare = execute_cell_measured(cell, profile_phases=False)
-            bare_s.append(bare["wall_s"])
-            _, prof = execute_cell_measured(cell, profile_phases=True)
-            prof_s.append(prof["wall_s"])
-        base, prof = min(bare_s), min(prof_s)
-        assert prof <= base * (1.0 + MAX_OVERHEAD) + ABS_SLACK_S, (
-            f"phase-timed cell took {prof:.3f}s vs bare {base:.3f}s "
-            f"({(prof / base - 1.0) * 100:+.1f}%, budget "
-            f"{MAX_OVERHEAD * 100:.0f}% + {ABS_SLACK_S * 1e3:.0f}ms)"
+
+        base, overhead = _paired_overhead(
+            lambda: execute_cell_measured(cell, profile_phases=False),
+            lambda: execute_cell_measured(cell, profile_phases=True))
+        assert overhead <= MAX_OVERHEAD + ABS_SLACK_S / base, (
+            f"phase-timed cells took {overhead * 100:+.1f}% over bare ones "
+            f"(median of {REPEATS} interleaved pairs, bare {base:.3f}s; "
+            f"budget {MAX_OVERHEAD * 100:.0f}% + {ABS_SLACK_S * 1e3:.0f}ms)"
         )
 
     def test_disabled_phase_site_is_nearly_free(self):

@@ -44,6 +44,35 @@ class TestPrivateCache:
         with pytest.raises(ValueError):
             c.fill(3, False)
 
+    def test_fill_takes_an_invalidated_hole_not_the_lru_way(self):
+        c = PrivateCache(4, 4, "L1")  # one set of 4 ways
+        for a in (0, 1, 2, 3):
+            c.fill(a, False)
+        c.lookup(0)  # LRU order now 1, 2, 3, 0
+        c.invalidate(3)
+        c.invalidate(2)  # holes in ways 2 and 3
+        assert c.fill(8, False) is None  # the set had a hole: no victim
+        assert c.probe(1) == 1 and c.probe(8) == 2  # the lowest hole
+        assert c.fill(9, False) is None
+        assert c.probe(9) == 3
+        # full again: now the LRU way goes
+        assert c.fill(10, False) == (1, False)
+        assert c.probe(10) == 1
+
+    def test_lru_victim_follows_lookup_touches(self):
+        c = PrivateCache(4, 4, "L1")  # one set of 4 ways
+        for a in (0, 1, 2, 3):
+            c.fill(a, False)
+        for a in (0, 2, 1):
+            c.lookup(a)  # LRU order now 3, 0, 2, 1
+        assert c.fill(4, False) == (3, False)
+        assert c.fill(5, False) == (0, False)
+        c.lookup(2)  # LRU order now 1, 4, 5, 2
+        c.probe(1)  # a probe does not touch
+        assert c.is_dirty(1) is False  # nor does a dirty-bit read
+        assert c.fill(6, False) == (1, False)
+        assert c.fill(7, False) == (4, False)
+
 
 @pytest.fixture
 def ph():

@@ -175,6 +175,14 @@ class TestTagReplacement:
 
 
 class TestCoherenceUpcalls:
+    def test_put_on_absent_line_is_inclusion_violation(self):
+        with pytest.raises(KeyError):
+            make().notify_private_eviction(0x40, 0, dirty=False)
+
+    def test_upgrade_on_absent_line_is_protocol_violation(self):
+        with pytest.raises(KeyError):
+            make().upgrade(0x40, 0)
+
     def test_putx_in_tag_only_goes_to_memory(self):
         rc = make()
         rc.access(0x10, 0, True, 0)

@@ -56,6 +56,16 @@ class TestPlacement:
         with pytest.raises(ValueError):
             store.evict(0, 0)
 
+    def test_replace_swaps_the_line_in_place(self, store):
+        store.install(0, 1, 8)
+        assert store.replace(0, 1, 12) == 8
+        assert store.find(0, 8) is None
+        assert store.lookup(12) == (0, 1)
+
+    def test_replace_in_empty_way_rejected(self, store):
+        with pytest.raises(ValueError):
+            store.replace(0, 0, 4)
+
     def test_valid_ways(self, store):
         assert store.valid_ways(3) == []
         store.install(3, 1, 3)

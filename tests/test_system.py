@@ -1,5 +1,7 @@
 """Integration tests for the CMP system simulator."""
 
+import heapq
+
 import pytest
 
 from repro.hierarchy.config import LLCSpec, SystemConfig
@@ -170,3 +172,81 @@ class TestSystemBehaviour:
         system.run()
         for bank in system.banks:
             assert bank.check_pointer_consistency()
+
+
+def reference_order(system):
+    """The order in which a plain heappop/heappush loop over (clock, core)
+    hands each core's references to the private caches (in-order cores).
+
+    Ties on the clock go to the lower core id.  Returns ``(core, addr)``
+    per reference, and drives ``system`` exactly as ``System.run`` does.
+    """
+    traces = system.workload.traces
+    idx = [0] * len(traces)
+    heap = [(0, c) for c, trace in enumerate(traces) if trace.n_refs]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        t, c = heapq.heappop(heap)
+        trace = traces[c]
+        i = idx[c]
+        t += trace.gaps[i]
+        addr, is_write = trace.addrs[i], bool(trace.writes[i])
+        order.append((c, addr))
+        level, needs_upgrade, _ = system.private[c].access(addr, is_write)
+        stall = 0
+        if level != "l1" or needs_upgrade:
+            stall = system._access(c, addr, is_write, t, level, needs_upgrade)
+        t += 1 + stall
+        idx[c] = i + 1
+        if i + 1 < trace.n_refs:
+            heapq.heappush(heap, (t, c))
+    return order
+
+
+def recorded_order(system):
+    """Run ``system``, recording each private-cache access the way the
+    repository benchmark wraps layers: by patching the instance attribute
+    after construction, which ``run`` must pick up."""
+    order = []
+    for c, private in enumerate(system.private):
+        def record(addr, is_write, _c=c, _access=private.access):
+            order.append((_c, addr))
+            return _access(addr, is_write)
+        private.access = record
+    result = system.run()
+    return order, result
+
+
+class TestScheduling:
+    """``System.run`` stays on a core while its (clock, core) is below the
+    heap's head; the interleaving must equal the plain heap loop's."""
+
+    @pytest.mark.parametrize("workload", [
+        # identical hot loops: the clocks tie at nearly every reference
+        synthetic_workload(pattern="hot", n_refs=300),
+        synthetic_workload(pattern="stream", n_refs=300),
+        build_workload(EXAMPLE_MIX, 600, seed=3),
+    ], ids=["hot", "stream", "mix"])
+    @pytest.mark.parametrize("spec", [LLCSpec.conventional(8), LLCSpec.reuse(8, 1)],
+                             ids=["conv", "rc"])
+    def test_access_order_equals_heap_loop(self, workload, spec):
+        order, _ = recorded_order(System(tiny_config(spec), workload))
+        assert len(order) == sum(t.n_refs for t in workload.traces)
+        assert order == reference_order(System(tiny_config(spec), workload))
+
+    def test_ties_go_to_the_lower_core(self):
+        order, _ = recorded_order(
+            System(tiny_config(), synthetic_workload(pattern="hot", n_refs=50)))
+        # every core starts at clock 0 with the same gap
+        assert [c for c, _ in order[:8]] == list(range(8))
+
+    def test_uneven_trace_lengths(self):
+        wl = build_workload(EXAMPLE_MIX, 400, seed=9)
+        short = Workload("uneven", [t.slice(40 * (c + 1)) for c, t in enumerate(wl.traces)])
+        order, result = recorded_order(System(tiny_config(), short))
+        assert order == reference_order(System(tiny_config(), short))
+        assert result.instructions == [
+            t.total_instructions - (sum(t.gaps[:int(0.2 * t.n_refs)]) + int(0.2 * t.n_refs))
+            for t in short.traces
+        ]
