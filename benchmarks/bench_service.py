@@ -2,10 +2,11 @@
 
 Replays one synthetic workload through the asyncio server twice — once with
 the paper's reuse-based admission, once admit-always — at identical data
-capacity, then persists throughput, hit rate and latency quantiles to
+capacity, then persists the hit rates and admission counts to
 ``BENCH_service.json`` at the repo root (the serving-side counterpart of
-``benchmarks/results.txt``).  Scale with ``REPRO_REFS`` / ``REPRO_SCALE``
-like the figure benchmarks.
+``benchmarks/results.txt``).  It records results, not speed: speed
+numbers come from ``bench/run.py``.  Scale with ``REPRO_REFS`` /
+``REPRO_SCALE`` like the figure benchmarks.
 """
 
 import json
@@ -35,5 +36,3 @@ def test_service_admission_comparison(benchmark, params, report):
     # the acceptance bar: at equal (downsized) data capacity, selective
     # allocation must deliver more hits per byte than admit-always
     assert result["hit_rate_per_mb_gain"] > 0
-    assert result["reuse"]["throughput_rps"] > 0
-    assert result["reuse"]["p99_ms"] > 0

@@ -44,12 +44,10 @@ trace export and the continuous-telemetry tools, dispatched to
     python -m repro obs alert-replay --seed 2013 --json replay.json
     python -m repro explain --key storm:0 cluster-trace.json
 
-Performance baselines (see ``docs/perf.md``) dispatch to
-:mod:`repro.perf.cli`::
+The benchmark gate (see ``docs/perf.md``) dispatches to
+:mod:`repro.perf.cli`; its inputs are ``bench/run.py --json`` files::
 
-    python -m repro perf record --suite smoke --out BENCH_perf.json
-    python -m repro perf compare --baseline BENCH_perf.json
-    python -m repro perf trend --history-dir .repro-perf
+    python -m repro perf compare --parent parent.json --change change.json
 
 Cluster mode (see ``docs/cluster.md``) dispatches to
 :mod:`repro.cluster.cli`::
@@ -304,7 +302,7 @@ def _print_command_groups(stream) -> None:
         ("serving", service_cli.SERVICE_COMMANDS, "repro serve --help"),
         ("static checks", devtools_cli.DEVTOOLS_COMMANDS, "repro lint --help"),
         ("observability", obs_cli.OBS_COMMANDS, "repro obs --help"),
-        ("performance baselines", perf_cli.PERF_COMMANDS, "repro perf --help"),
+        ("benchmark gate", perf_cli.PERF_COMMANDS, "repro perf --help"),
         ("cluster mode", cluster_cli.CLUSTER_COMMANDS, "repro cluster --help"),
     )
     print("usage: repro <command> [options]", file=stream)

@@ -314,6 +314,9 @@ LAYERS = {
     # because layer_package() returns the first match
     "repro.obs.cli": 5,
     "repro.obs": 1,
+    # perf compares bench/run.py result files and imports nothing from
+    # repro, so it sits with the leaf packages
+    "repro.perf": 1,
     "repro.coherence": 1,
     "repro.replacement": 1,
     "repro.workloads": 1,
@@ -331,10 +334,7 @@ LAYERS = {
     "repro.cluster": 5,
     "repro.experiments": 5,
     "repro.devtools": 5,
-    # perf records *suites of experiments* into baselines, so it sits
-    # above the experiment registry; only the CLI shell outranks it
-    "repro.perf": 6,
-    "repro.__main__": 7,
+    "repro.__main__": 6,
 }
 
 #: same-layer cross-package imports that are explicitly allowed: the
@@ -527,10 +527,8 @@ class UnaccountedHostTimingRule(Rule):
     ``repro.obs.prof.clock`` / ``cpu_clock`` are the sanctioned access
     points for ``time.perf_counter`` / ``time.process_time``: timing that
     goes through them can be phase-attributed, land in the obs registry
-    and show up in ``BENCH_perf.json`` baselines.  A direct clock read
-    anywhere else produces a number no dashboard or baseline will ever
-    see — invisible performance work is exactly what the perf observatory
-    exists to eliminate.  :mod:`repro.obs` and :mod:`repro.runner` host
+    and show up in the runner's per-cell accounts.  A direct clock read
+    anywhere else produces a number no dashboard will ever see.  :mod:`repro.obs` and :mod:`repro.runner` host
     the wrappers and the per-cell measurement loop, so they are exempt;
     a rare justified site elsewhere opts out with
     ``# repro: noqa=REP011``.

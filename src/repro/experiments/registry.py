@@ -41,7 +41,6 @@ from . import mlp as _mlp
 from . import opt_bound as _opt_bound
 from . import prefetch as _prefetch
 from . import robustness as _robustness
-from . import service_wire as _service_wire
 from . import tables as _tables
 from . import traffic as _traffic
 from . import zoo as _zoo
@@ -209,15 +208,6 @@ def _register_all() -> None:
     ]
     for name, title, run, fmt in extensions:
         register(ExperimentSpec(name, title, run, fmt, tags=("extension",)))
-
-    register(ExperimentSpec(
-        "service-wire",
-        "Serving-layer wire framing: v1 text vs v2 binary at matched "
-        "batched workloads",
-        _service_wire.run_service_wire,
-        _service_wire.format_service_wire,
-        tags=("extension", "service"),
-    ))
 
     register(ExperimentSpec(
         "cluster-scaling",

@@ -63,12 +63,8 @@ from .flight import FlightRecorder, load_flight, render_flight
 from .http import ObsHTTPServer
 from .prof import (
     NULL_PHASE_TIMER,
-    DeterministicSampler,
     PhaseTimer,
-    ProfileSession,
-    merge_phase_tables,
     phase_shape,
-    profile_collapsed,
 )
 from .registry import (
     LATENCY_BOUNDS_S,
@@ -113,11 +109,7 @@ __all__ = [
     "NULL_TRACER",
     "PhaseTimer",
     "NULL_PHASE_TIMER",
-    "DeterministicSampler",
-    "ProfileSession",
-    "merge_phase_tables",
     "phase_shape",
-    "profile_collapsed",
     "diff_snapshots",
     "merge_registry_snapshots",
     "format_prometheus",

@@ -1,6 +1,4 @@
-"""Deterministic, zero-dependency profiling for simulator and service code.
-
-Three instruments, all opt-in and none able to change a result:
+"""Zero-dependency host timing for simulator and service code.
 
 * **phase timers** — ``with prof.phase("simulate")`` wraps a coarse region
   (building a workload, running a cell, serving a request).  Phases nest;
@@ -9,30 +7,20 @@ Three instruments, all opt-in and none able to change a result:
   when a registry is attached, into the labelled histogram
   ``repro_phase_seconds{phase=...}``.  The disabled timer hands out one
   shared no-op context manager, so instrumented code needs no guards and
-  the cost of an inactive site is a method call;
-* **deterministic sampling profiler** — :class:`DeterministicSampler`
-  drives ``sys.setprofile`` and samples every Nth Python *call event*
-  rather than every T milliseconds.  Because the trigger is a call count,
-  two identical runs sample identical stacks: the collapsed-stack output
-  (``a;b;c 42`` lines, the flamegraph.pl / speedscope interchange format)
-  is byte-reproducible, which makes flamegraphs diffable across commits;
-* **cProfile wrapper** — :class:`ProfileSession` runs a callable under the
-  stdlib's deterministic tracer and exports ``pstats`` rows as JSON for
-  machine consumption (``repro perf`` attaches it on demand).
+  the cost of an inactive site is a method call.  Timers are opt-in and
+  cannot change a result.
 
 This module is also the repo's sanctioned host-clock access point:
 :func:`clock` and :func:`cpu_clock` wrap ``time.perf_counter`` /
 ``time.process_time`` so that lint rule REP011 can ban direct calls
 everywhere outside :mod:`repro.obs` and :mod:`repro.runner` — host timing
-that does not flow through here cannot land in the registry or in
-``BENCH_perf.json``.  Simulated time is unaffected: it comes from model
-cycle counters (REP002), never from these clocks.
+that does not flow through here cannot land in the registry or in the
+runner's per-cell accounts.  Simulated time is unaffected: it comes from
+model cycle counters (REP002), never from these clocks.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import sys
 import time
 
@@ -63,7 +51,7 @@ def peak_rss_kb() -> int:
     """Peak resident set size of this process in KiB (0 where unknown).
 
     ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; normalise to
-    KiB so baselines recorded on either are comparable.
+    KiB so accounts recorded on either are comparable.
     """
     if _resource is None:
         return 0
@@ -78,7 +66,7 @@ def process_resources() -> dict:
 
     ``cpu_s`` is cumulative process CPU time, ``peak_rss_kb`` the
     high-water resident set — the pair every resource account in the repo
-    (runner cells, service STATS, perf baselines) is built from.
+    (runner cells, service STATS) is built from.
     """
     return {"cpu_s": cpu_clock(), "peak_rss_kb": peak_rss_kb()}
 
@@ -217,178 +205,3 @@ def phase_shape(tree: dict) -> dict:
                "children": phase_shape(node["children"])}
         for name, node in tree.items()
     }
-
-
-def merge_phase_tables(tables) -> dict:
-    """Sum flat phase tables (e.g. one per cell) path-by-path."""
-    out: dict = {}
-    for table in tables:
-        for path, row in table.items():
-            slot = out.setdefault(path, {"count": 0, "seconds": 0.0})
-            slot["count"] += row["count"]
-            slot["seconds"] += row["seconds"]
-    return out
-
-
-# -- deterministic sampling profiler ------------------------------------------
-
-
-class DeterministicSampler:
-    """Count-triggered stack sampler with reproducible output.
-
-    Installs a ``sys.setprofile`` hook and captures the Python stack on
-    every ``period``-th *call event*.  Sampling on a call count instead of
-    a timer means an identical run produces identical samples — the
-    collapsed-stack output diffs cleanly between commits, at the price of
-    over-weighting call-heavy regions relative to tight loops (the right
-    trade for regression hunting; use :class:`ProfileSession` for exact
-    per-function times).
-
-    The profile hook itself costs one integer increment per Python call,
-    plus a stack walk on the sampled ones, so keep it out of measured
-    baselines: ``repro perf record`` runs it on a separate pass.
-    """
-
-    #: frames above this depth are truncated (guards pathological recursion)
-    MAX_DEPTH = 64
-
-    def __init__(self, period: int = 997):
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        self.period = period
-        self.calls = 0
-        self.samples = 0
-        self._counts: dict = {}
-        self._active = False
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> None:
-        """Install the profile hook (refuses to stack on another hook)."""
-        if self._active:
-            raise RuntimeError("sampler already started")
-        if sys.getprofile() is not None:
-            raise RuntimeError("another sys.setprofile hook is installed")
-        self._active = True
-        sys.setprofile(self._hook)
-
-    def stop(self) -> None:
-        """Remove the profile hook."""
-        if self._active:
-            sys.setprofile(None)
-            self._active = False
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
-
-    # -- the hook --------------------------------------------------------------
-
-    def _hook(self, frame, event, arg) -> None:
-        if event != "call":
-            return
-        self.calls += 1
-        if self.calls % self.period:
-            return
-        stack = []
-        depth = 0
-        while frame is not None and depth < self.MAX_DEPTH:
-            code = frame.f_code
-            module = frame.f_globals.get("__name__", "?")
-            if module != __name__:  # the sampler never profiles itself
-                stack.append(f"{module}:{code.co_name}")
-            frame = frame.f_back
-            depth += 1
-        stack.reverse()
-        key = ";".join(stack)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self.samples += 1
-
-    # -- output ----------------------------------------------------------------
-
-    def collapsed(self) -> str:
-        """Collapsed-stack text (``root;child;leaf count`` per line).
-
-        Sorted by stack string so identical runs emit identical bytes;
-        render with flamegraph.pl, speedscope or any flamegraph viewer.
-        """
-        lines = [
-            f"{stack} {count}"
-            for stack, count in sorted(self._counts.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def counts(self) -> dict:
-        """Raw ``stack -> samples`` mapping (a copy)."""
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        """Reset call and sample state."""
-        self.calls = 0
-        self.samples = 0
-        self._counts.clear()
-
-
-def profile_collapsed(fn, period: int = 997) -> tuple:
-    """Run ``fn()`` under a :class:`DeterministicSampler`.
-
-    Returns ``(fn's result, collapsed-stack text)``.
-    """
-    sampler = DeterministicSampler(period=period)
-    with sampler:
-        result = fn()
-    return result, sampler.collapsed()
-
-
-# -- cProfile wrapper ----------------------------------------------------------
-
-
-class ProfileSession:
-    """Self-profiling ``cProfile`` run with pstats→JSON export.
-
-    Exact deterministic per-function timing counts (every call traced, no
-    sampling), for the cases where the collapsed-stack view is too coarse::
-
-        session = ProfileSession()
-        result = session.run(spec.execute, params)
-        session.write_json("profile.json", top=50)
-    """
-
-    def __init__(self):
-        self._profile = cProfile.Profile()
-        self.ran = False
-
-    def run(self, fn, *args, **kwargs):
-        """Execute ``fn(*args, **kwargs)`` under the profiler."""
-        self.ran = True
-        return self._profile.runcall(fn, *args, **kwargs)
-
-    def rows(self, top: int | None = None) -> list:
-        """pstats rows as dicts, heaviest cumulative time first."""
-        stats = pstats.Stats(self._profile)
-        rows = []
-        for (filename, line, name), (cc, nc, tt, ct, _callers) in (
-            stats.stats.items()
-        ):
-            rows.append(
-                {
-                    "function": f"{filename}:{line}({name})",
-                    "ncalls": nc,
-                    "primitive_calls": cc,
-                    "tottime_s": tt,
-                    "cumtime_s": ct,
-                }
-            )
-        rows.sort(key=lambda r: (-r["cumtime_s"], r["function"]))
-        return rows[:top] if top else rows
-
-    def write_json(self, path, top: int | None = 50) -> None:
-        """Dump the heaviest ``top`` rows as an indented JSON document."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"schema": 1, "rows": self.rows(top)}, fh, indent=2)

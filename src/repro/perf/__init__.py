@@ -1,49 +1,17 @@
-"""repro.perf — the performance observatory's front door.
+"""repro.perf — the gate on the repository benchmark.
 
-The paper's claim is quantitative, so the reproduction needs a performance
-record as trustworthy as its correctness record.  This package turns the
-raw measurements the rest of the repo produces — per-cell wall/CPU/RSS
-accounting from :mod:`repro.runner`, phase timings and collapsed stacks
-from :mod:`repro.obs.prof` — into *baselines*: schema-versioned
-``BENCH_perf.json`` documents that are recorded on one commit, committed
-next to the code, and machine-checked against later commits.
+``bench/run.py`` (described by ``BENCHMARK.json``) is the one source of
+speed numbers.  This package compares its ``--json`` runs of a change
+with runs of the parent commit, on the same host, at the per-metric bounds
+of ``BENCHMARK.json``:
 
-* :mod:`repro.perf.suites` — named suites of registry experiments with
-  pinned :class:`~repro.experiments.common.ExperimentParams`, so every
-  recording of ``smoke`` measures exactly the same cells;
-* :mod:`repro.perf.baseline` — record a suite into a baseline document
-  (machine fingerprint, code fingerprint, per-cell resources, per-phase
-  timings) and compare two documents with noise-aware thresholds;
-* :mod:`repro.perf.cli` — ``repro perf record | compare | trend``; compare
-  exits nonzero on regression, which is what the CI ``perf-smoke`` job
-  gates on.
-
-Recordings never use the result cache: a replayed cell costs milliseconds
-and would report the *cache's* performance, not the simulator's.
+* :mod:`repro.perf.compare` — load run files, take medians, apply bounds;
+* :mod:`repro.perf.cli` — ``repro perf compare --parent … --change …``,
+  exit 1 on a regression; the CI ``bench-gate`` job runs it.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    PERF_SCHEMA,
-    compare_baselines,
-    format_comparison,
-    load_baseline,
-    machine_fingerprint,
-    record_suite,
-    write_baseline,
-)
-from .suites import PerfSuite, get_suite, suite_names
+from .compare import compare_runs, format_report, load_runs, load_spec
 
-__all__ = [
-    "PERF_SCHEMA",
-    "PerfSuite",
-    "get_suite",
-    "suite_names",
-    "machine_fingerprint",
-    "record_suite",
-    "write_baseline",
-    "load_baseline",
-    "compare_baselines",
-    "format_comparison",
-]
+__all__ = ["compare_runs", "format_report", "load_runs", "load_spec"]

@@ -1,226 +1,63 @@
-"""``repro perf`` — record, compare and trend performance baselines.
+"""``repro perf compare`` — gate a change's benchmark runs on its parent's.
 
-Three subcommands::
+::
 
-    repro perf record  --suite smoke --out BENCH_perf.json
-    repro perf compare --baseline BENCH_perf.json      # exit 1 on regression
-    repro perf trend   --history-dir .repro-perf
+    python3 bench/run.py --workload sim-llc svc-get-set --seconds 3 --json p1.json
+    ...                                     # the same on the change: c1.json
+    repro perf compare --parent p1.json p2.json --change c1.json c2.json
 
-``record`` runs a named suite (see :mod:`repro.perf.suites`) uncached and
-writes the baseline document; ``--flame`` adds a separate, untimed pass
-under the deterministic sampler and ``--cprofile`` one under cProfile, so
-the profilers never pollute the recorded numbers.  ``compare`` records the
-current checkout (or takes ``--current FILE``) and diffs it against the
-committed baseline with noise-aware thresholds — its exit code is the CI
-gate.  ``trend`` tabulates a history directory of recordings over time.
+Every file is ``bench/run.py --json`` output, a one-run record or a
+``--repeat`` document; the bounds are read from ``BENCHMARK.json`` in the
+current directory.  Exit status: 0 when the change passes, 1 when it fails
+a bound or a check (see :mod:`repro.perf.compare`), 2 when an input is
+missing or unreadable.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import os
 import sys
 
-from ..obs.prof import DeterministicSampler, ProfileSession
-from .baseline import (
-    ABS_FLOOR_S,
-    REL_THRESHOLD,
-    compare_baselines,
-    format_comparison,
-    load_baseline,
-    record_suite,
-    write_baseline,
-)
-from .suites import get_suite, suite_names
+from .compare import compare_runs, format_report, load_runs, load_spec
 
 #: first-word spellings dispatched here by ``repro.__main__``
 PERF_COMMANDS = ("perf",)
 
-DEFAULT_BASELINE = "BENCH_perf.json"
-DEFAULT_HISTORY_DIR = ".repro-perf"
+SPEC_FILE = "BENCHMARK.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Argument parser for ``repro perf``."""
     parser = argparse.ArgumentParser(
         prog="repro perf",
-        description="Performance baselines: record, compare, trend.",
+        description="Gate a change's bench/run.py runs on its parent's.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    rec = sub.add_parser("record", help="record a suite into a baseline")
-    rec.add_argument("--suite", default="smoke", choices=suite_names(),
-                     help="named suite to record (default: smoke)")
-    rec.add_argument("--out", default=DEFAULT_BASELINE, metavar="FILE",
-                     help=f"baseline file to write (default: "
-                          f"{DEFAULT_BASELINE})")
-    rec.add_argument("--parallel", type=int, default=0, metavar="N",
-                     help="worker processes for the recording run")
-    rec.add_argument("--flame", metavar="FILE",
-                     help="also write collapsed stacks from a separate "
-                          "deterministic-sampler pass")
-    rec.add_argument("--sample-period", type=int, default=997,
-                     help="sampler trigger: one sample per N call events")
-    rec.add_argument("--cprofile", metavar="FILE",
-                     help="also write pstats rows (JSON) from a separate "
-                          "cProfile pass")
-    rec.add_argument("--history-dir", metavar="DIR", default=None,
-                     help="also append the recording to DIR as "
-                          "perf-NNNN.json (for 'repro perf trend')")
-
-    cmp_ = sub.add_parser("compare",
-                          help="compare current performance to a baseline")
-    cmp_.add_argument("--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-                      help=f"committed baseline (default: {DEFAULT_BASELINE})")
-    cmp_.add_argument("--current", metavar="FILE", default=None,
-                      help="compare this recording instead of recording "
-                           "the current checkout now")
-    cmp_.add_argument("--parallel", type=int, default=0, metavar="N",
-                      help="worker processes for the fresh recording")
-    cmp_.add_argument("--rel-threshold", type=float, default=REL_THRESHOLD,
-                      metavar="FRAC",
-                      help="relative slowdown tolerated before a cell "
-                           "regresses (default: %(default)s)")
-    cmp_.add_argument("--abs-floor-s", type=float, default=ABS_FLOOR_S,
-                      metavar="SECONDS",
-                      help="absolute slowdown a regression must also exceed "
-                           "(default: %(default)s)")
-
-    trend = sub.add_parser("trend",
-                           help="tabulate recordings in a history directory")
-    trend.add_argument("--history-dir", default=DEFAULT_HISTORY_DIR,
-                       metavar="DIR",
-                       help=f"directory of perf-NNNN.json recordings "
-                            f"(default: {DEFAULT_HISTORY_DIR})")
+    cmp_ = sub.add_parser(
+        "compare",
+        help="compare bench/run.py --json runs at the BENCHMARK.json bounds")
+    cmp_.add_argument("--parent", nargs="+", required=True, metavar="P.json",
+                      help="runs of the parent commit")
+    cmp_.add_argument("--change", nargs="+", required=True, metavar="C.json",
+                      help="runs of the change")
     return parser
-
-
-# -- record -------------------------------------------------------------------
-
-
-def _next_history_path(history_dir: str) -> str:
-    existing = glob.glob(os.path.join(history_dir, "perf-*.json"))
-    return os.path.join(history_dir, f"perf-{len(existing):04d}.json")
-
-
-def _progress(done, total, cell, status, seconds):
-    print(f"  [{done}/{total}] {cell.label} ({status}, {seconds:.2f}s)",
-          file=sys.stderr)
-
-
-def cmd_record(args) -> int:
-    suite = get_suite(args.suite)
-    print(f"recording suite {suite.name!r}: {suite.title}", file=sys.stderr)
-    baseline = record_suite(suite, parallel=args.parallel,
-                            progress=_progress)
-    write_baseline(args.out, baseline)
-    totals = baseline["totals"]
-    print(f"wrote {args.out}: {len(baseline['experiments'])} experiment(s), "
-          f"{totals['wall_s']:.2f}s wall, "
-          f"{totals['refs_per_s']:.0f} refs/s")
-    if args.history_dir:
-        os.makedirs(args.history_dir, exist_ok=True)
-        history_path = _next_history_path(args.history_dir)
-        write_baseline(history_path, baseline)
-        print(f"wrote {history_path}")
-    if args.flame:
-        _write_flame(suite, args.flame, args.sample_period)
-    if args.cprofile:
-        _write_cprofile(suite, args.cprofile)
-    return 0
-
-
-def _run_suite_inline(suite) -> None:
-    """One serial, uncached, unmeasured pass over the suite (profiler food)."""
-    from ..runner import Runner
-
-    for spec in suite.specs():
-        spec.execute(suite.params, runner=Runner(parallel=0, cache=None))
-
-
-def _write_flame(suite, path: str, period: int) -> None:
-    """Separate sampler pass: the hook must not taint the recorded numbers."""
-    sampler = DeterministicSampler(period=period)
-    with sampler:
-        _run_suite_inline(suite)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sampler.collapsed())
-    print(f"wrote {path}: {sampler.samples} sample(s) "
-          f"({sampler.calls} call events, period {period})")
-
-
-def _write_cprofile(suite, path: str) -> None:
-    session = ProfileSession()
-    session.run(_run_suite_inline, suite)
-    session.write_json(path)
-    print(f"wrote {path}")
-
-
-# -- compare ------------------------------------------------------------------
-
-
-def cmd_compare(args) -> int:
-    try:
-        base = load_baseline(args.baseline)
-    except FileNotFoundError:
-        print(f"no baseline at {args.baseline!r}; record one with "
-              f"'repro perf record --out {args.baseline}'", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"bad baseline: {exc}", file=sys.stderr)
-        return 2
-    if args.current:
-        try:
-            current = load_baseline(args.current)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"bad --current recording: {exc}", file=sys.stderr)
-            return 2
-    else:
-        suite = get_suite(base["suite"])
-        print(f"recording current checkout (suite {suite.name!r})...",
-              file=sys.stderr)
-        current = record_suite(suite, parallel=args.parallel,
-                               progress=_progress)
-    report = compare_baselines(
-        base, current,
-        rel_threshold=args.rel_threshold,
-        abs_floor_s=args.abs_floor_s,
-    )
-    print(format_comparison(report))
-    return 0 if report["ok"] else 1
-
-
-# -- trend --------------------------------------------------------------------
-
-
-def cmd_trend(args) -> int:
-    paths = sorted(glob.glob(os.path.join(args.history_dir, "perf-*.json")))
-    if not paths:
-        print(f"no recordings under {args.history_dir!r}; record some with "
-              f"'repro perf record --history-dir {args.history_dir}'",
-              file=sys.stderr)
-        return 2
-    print(f"{'recording':<16} {'suite':<8} {'code':<10} "
-          f"{'wall_s':>8} {'cpu_s':>8} {'refs/s':>10} {'rss_kb':>9}")
-    for path in paths:
-        try:
-            doc = load_baseline(path)
-        except ValueError as exc:
-            print(f"{os.path.basename(path):<16} skipped: {exc}")
-            continue
-        totals = doc["totals"]
-        print(f"{os.path.basename(path):<16} {doc['suite']:<8} "
-              f"{doc['code_fingerprint'][:10]:<10} "
-              f"{totals['wall_s']:>8.2f} {totals['cpu_s']:>8.2f} "
-              f"{totals['refs_per_s']:>10.0f} {totals['peak_rss_kb']:>9d}")
-    return 0
 
 
 def main(argv) -> int:
     """Entry point for the ``perf`` subcommand family."""
     args = build_parser().parse_args(argv[1:])
-    if args.command == "record":
-        return cmd_record(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-    return cmd_trend(args)
+    try:
+        spec = load_spec(SPEC_FILE)
+    except (OSError, ValueError) as exc:
+        print(f"repro perf compare: cannot read {SPEC_FILE} in the current "
+              f"directory: {exc}", file=sys.stderr)
+        return 2
+    try:
+        parent = [run for path in args.parent for run in load_runs(path)]
+        change = [run for path in args.change for run in load_runs(path)]
+    except (OSError, ValueError) as exc:
+        print(f"repro perf compare: {exc}", file=sys.stderr)
+        return 2
+    report = compare_runs(spec, parent, change)
+    print(format_report(report, len(parent), len(change)))
+    return 0 if report["ok"] else 1

@@ -21,11 +21,11 @@ callback per finished cell (the ``repro run`` CLI renders these).
 
 Resource accounting: every executed cell is measured *inside the process
 that runs it* — wall seconds, CPU seconds, the process's peak RSS at cell
-end and references simulated per second, plus a phase table when
-``profile_phases`` is on.  Measurements live in :class:`RunnerStats`
-(``stats.cells``) and in the result cache's entry envelope, never inside
-the :class:`RunResult` itself, so the engine's byte-identical guarantee
-(serial == parallel == cache replay) is untouched by instrumentation.
+end and references simulated per second.  Measurements live in
+:class:`RunnerStats` (``stats.cells``) and in the result cache's entry
+envelope, never inside the :class:`RunResult` itself, so the engine's
+byte-identical guarantee (serial == parallel == cache replay) is
+untouched by instrumentation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from ..hierarchy.system import RunResult, System
 from ..obs import Observability
 from ..obs.logging import get_logger
-from ..obs.prof import PhaseTimer, peak_rss_kb
+from ..obs.prof import peak_rss_kb
 from .cache import ResultCache, cell_key
 from .cells import Cell
 from .fingerprint import code_fingerprint
@@ -60,31 +60,25 @@ def execute_cell(cell: Cell) -> RunResult:
     return execute_cell_measured(cell)[0]
 
 
-def execute_cell_measured(cell: Cell, profile_phases: bool = False) -> tuple:
+def execute_cell_measured(cell: Cell) -> tuple:
     """Run one cell and account its resources (the worker entry point).
 
     Returns ``(result, resources)`` where ``resources`` holds ``wall_s``,
     ``cpu_s``, ``peak_rss_kb`` (the executing process's high-water RSS at
-    cell end), ``refs`` / ``refs_per_s``, and — when ``profile_phases`` is
-    set — a ``phases`` table from a per-cell
-    :class:`~repro.obs.prof.PhaseTimer` wrapping workload construction and
-    simulation.  The result object itself is never touched by the
-    measurement, so instrumented and bare runs stay byte-identical.
+    cell end) and ``refs`` / ``refs_per_s``.  The result object itself is
+    never touched by the measurement, so measured and bare runs stay
+    byte-identical.
     """
-    prof = PhaseTimer(enabled=profile_phases)
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    with prof.phase("cell"):
-        with prof.phase("build_workload"):
-            workload = cell.workload.build()
-        system = System(
-            cell.config,
-            workload,
-            record_generations=cell.record_generations,
-            capture_llc_trace=cell.capture_llc_trace,
-        )
-        with prof.phase("simulate"):
-            result = system.run(warmup_frac=cell.warmup_frac)
+    workload = cell.workload.build()
+    system = System(
+        cell.config,
+        workload,
+        record_generations=cell.record_generations,
+        capture_llc_trace=cell.capture_llc_trace,
+    )
+    result = system.run(warmup_frac=cell.warmup_frac)
     if cell.capture_llc_trace:
         result.extra["llc_trace"] = system.llc_trace
     wall_s = time.perf_counter() - wall_start
@@ -96,8 +90,6 @@ def execute_cell_measured(cell: Cell, profile_phases: bool = False) -> tuple:
         "refs": refs,
         "refs_per_s": refs / wall_s if wall_s > 0 else 0.0,
     }
-    if profile_phases:
-        resources["phases"] = prof.table()
     return result, resources
 
 
@@ -178,16 +170,12 @@ class Runner:
         force: bool = False,
         obs: Observability | None = None,
         progress=None,
-        profile_phases: bool = False,
     ):
         self.parallel = parallel
         self.cache = cache
         self.force = force
         self.obs = obs if obs is not None else Observability.disabled()
         self.progress = progress
-        #: measure per-cell phase timings (build_workload / simulate) in
-        #: whichever process executes the cell; results are unaffected
-        self.profile_phases = profile_phases
         self.stats = RunnerStats()
         # one fingerprint per runner: cells of a batch must share a key basis
         self._fingerprint = code_fingerprint() if cache is not None else None
@@ -252,9 +240,7 @@ class Runner:
     def _run_serial(self, pending, results, batch, total) -> None:
         for i, cell, key in pending:
             try:
-                result, resources = execute_cell_measured(
-                    cell, self.profile_phases
-                )
+                result, resources = execute_cell_measured(cell)
             except Exception as exc:
                 self._fail(cell, batch, exc)
             self._commit(i, cell, key, result, results, batch, resources,
@@ -267,9 +253,7 @@ class Runner:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {}
             for i, cell, key in pending:
-                future = pool.submit(
-                    execute_cell_measured, cell, self.profile_phases
-                )
+                future = pool.submit(execute_cell_measured, cell)
                 futures[future] = (i, cell, key)
             outstanding = set(futures)
             while outstanding:

@@ -4,12 +4,10 @@ A cached :class:`~repro.hierarchy.system.RunResult` is only valid while the
 simulator that produced it is unchanged, so the cache key includes a
 SHA-256 over the source of every module that can influence a simulation:
 the whole ``repro`` package except the serving stack (``repro.service``),
-the static-analysis tooling (``repro.devtools``) and the perf-baseline
-tooling (``repro.perf``), none of which is importable from a simulation
-path (enforced by the REP008 layering rule).  Keeping ``repro.perf`` out
-matters doubly: its baselines embed this fingerprint, so excluding it
-means editing the measurement tooling never masquerades as a simulator
-change in ``repro perf compare``.
+the static-analysis tooling (``repro.devtools``) and the benchmark gate
+(``repro.perf``, which only reads ``bench/run.py`` result files), none of
+which is importable from a simulation path (enforced by the REP008
+layering rule).
 
 Over-approximating the dependency set (e.g. hashing ``repro.obs`` even
 though observability is off by default) only costs spurious recomputation

@@ -16,7 +16,7 @@ Typical use::
         if value is None:                       # miss: read through
             value = await fetch_from_backend()
             await client.set("user:42", value)  # admitted only on reuse
-        hot = await client.mget(["user:42", "user:43"])  # one round trip on v2
+        hot = await client.mget(["user:42", "user:43"])  # one round trip (v2 only)
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class CacheClient:
     async def mget(self, keys, trace=None) -> list:
         """Batch get: one ``bytes | None`` per key, in key order.
 
-        One round trip on v2; emulated as sequential GETs over v1, so the
-        observable store behaviour is framing-independent.
+        One round trip.  The batch verbs are v2-only: over a v1
+        connection they raise :class:`ServerError` and send nothing.
         """
         keys = list(keys)
         if not keys:

@@ -253,10 +253,8 @@ async def _replay_addrs_batched(
     """Issue one address stream as MGET/MSET batches of ``batch`` refs.
 
     Each chunk is one MGET for the keys followed by one MSET offering
-    values for the misses (read-through).  The store sees exactly the
-    sequential op order of :func:`_replay_addrs` chunk by chunk — v1
-    transports expand the batches to the same singles — so hit rates are
-    framing-independent while round trips drop by ~``batch``×.
+    values for the misses (read-through), so round trips drop by
+    ~``batch``×.  The batch verbs need a v2 connection.
     """
     for start in range(0, len(addrs), batch):
         chunk = addrs[start:start + batch]
@@ -282,44 +280,6 @@ async def _replay_addrs_batched(
         result.sets_tagged += len(misses) - stored
 
 
-def _interleaved_addrs(workload: Workload) -> list:
-    """The workload's refs in deterministic round-robin arrival order."""
-    streams = [(t.addrs, len(t.addrs)) for t in workload.traces]
-    longest = max(n for _, n in streams)
-    out = []
-    for i in range(longest):
-        for addrs, n in streams:
-            if i < n:
-                out.append(addrs[i])
-    return out
-
-
-async def replay_batched(
-    client,
-    workload: Workload,
-    value_bytes: int = VALUE_BYTES,
-    batch: int = 64,
-    sample_every: int = 1,
-) -> LoadResult:
-    """Replay ``workload`` as batch verbs in deterministic arrival order.
-
-    The batched twin of :func:`replay_interleaved`: one worker walks the
-    round-robin interleaved ref stream in MGET/MSET chunks of ``batch``.
-    Because the op order is pinned and batch emulation over v1 issues the
-    identical singles sequence, a v1 and a v2 run of this function report
-    *the same hit rate* — the parity gate ``bench-service`` relies on when
-    it quotes the v2 speedup.  The caller keeps ownership of the client.
-    """
-    result = LoadResult(name=workload.name)
-    start = clock()
-    await _replay_addrs_batched(
-        client, _interleaved_addrs(workload), result, value_bytes, batch,
-        sample_every,
-    )
-    result.wall_s = clock() - start
-    return result
-
-
 async def run_load(
     host: str,
     port: int,
@@ -343,8 +303,8 @@ async def run_load(
     ``pipeline`` splits each trace over N concurrent workers sharing the
     trace's client (on v2 they multiplex one framed connection — many
     requests in flight per socket); ``batch`` > 1 chunks each worker's
-    refs into MGET/MSET batch verbs; ``protocol`` pins the wire framing
-    (``auto``/``v1``/``v2``).
+    refs into MGET/MSET batch verbs (v2 only); ``protocol`` pins the wire
+    framing (``auto``/``v1``/``v2``).
     """
     result = LoadResult(name=workload.name)
     log.debug(

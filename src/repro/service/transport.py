@@ -19,11 +19,10 @@ framing; forced v2 against a v1-only server raises
 :class:`ConnectionError` instead of falling back.
 
 The v1 line framing is derived from the codec's ``REQUEST_FIELDS``
-(:func:`_v1_payload`), so the transport keeps no per-verb table.  Batch
-verbs (``MGET``/``MSET``/``MDEL``) are emulated over v1 as sequential
-singles, so callers get one behaviour — and identical operation order,
-which is what the bench's hit-rate parity gate relies on — regardless of
-the negotiated framing.
+(:func:`_v1_payload`), so the transport keeps no per-verb table.  v1 is
+the singles-only codec: a verb without a v1 spelling (the batch verbs
+``MGET``/``MSET``/``MDEL``) fails closed on a v1 connection, before any
+byte is written.
 """
 
 from __future__ import annotations
@@ -49,12 +48,8 @@ from .protocol import (
     read_frame,
 )
 
-#: batch verbs emulated as sequential singles over v1 text
-BATCH_VERBS = ("MGET", "MSET", "MDEL")
-
-
 class ServerError(Exception):
-    """The server answered ``ERR <reason>`` (not retried)."""
+    """An ``ERR`` answer, or a verb v1 cannot carry (not retried)."""
 
 
 class _MuxConn:
@@ -272,7 +267,8 @@ class Transport:
 
         Negotiates the protocol on first use, frames the request for the
         negotiated version, retries transient transport failures, and
-        raises :class:`ServerError` on an ``ERR`` answer.  ``trace`` is a
+        raises :class:`ServerError` on an ``ERR`` answer, or without
+        sending anything for a v2-only verb over v1.  ``trace`` is a
         :class:`~repro.obs.dist.TraceContext` carried as the typed trace
         frame field (v2) or the trailing ``T=`` text field (v1).
         """
@@ -280,8 +276,10 @@ class Transport:
             raise RuntimeError("client is closed")
         if self.version is None:
             await self._negotiate()
-        if verb in BATCH_VERBS and self.version == 1:
-            return await self._emulate_batch(verb, fields[0], trace)
+        if self.version == 1 and verb not in V1_VERBS:
+            raise ServerError(
+                f"{verb} needs wire protocol v2; this connection speaks v1"
+            )
         token = wire_token(trace) if trace is not None else None
         attempt = 0
         while True:
@@ -304,31 +302,6 @@ class Transport:
                         f"request failed after {attempt} attempts: {exc}"
                     ) from exc
                 await asyncio.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    async def _emulate_batch(self, verb: str, items, trace) -> Reply:
-        """Run a batch verb as sequential singles over a v1 connection.
-
-        Sequential on purpose: the operations hit the store in exactly
-        the order a v2 server applies a batch frame, so admission
-        decisions (and therefore hit rates) are framing-independent.
-        """
-        if verb == "MGET":
-            values = []
-            for key in items:
-                reply = await self.call("GET", key, trace=trace)
-                values.append(reply.body if reply.status == "VALUE" else None)
-            return Reply("VALUES", values=values)
-        if verb == "MSET":
-            flags = []
-            for key, value in items:
-                reply = await self.call("SET", key, value, trace=trace)
-                flags.append(reply.status == "STORED")
-            return Reply("STATUSES", values=flags)
-        flags = []
-        for key in items:
-            reply = await self.call("DEL", key, trace=trace)
-            flags.append(reply.status == "DELETED")
-        return Reply("STATUSES", values=flags)
 
     def _reply_v2(self, frame) -> Reply:
         status = STATUS_NAMES.get(frame.verb_id)
@@ -476,8 +449,6 @@ def _v1_payload(verb: str, fields, token) -> bytes:
     One token per ``REQUEST_FIELDS`` entry; a ``value`` field is sent as
     its byte length on the line and as the body after it.
     """
-    if verb not in V1_VERBS:
-        raise ServerError(f"verb {verb} has no v1 spelling")
     body = None
     args = [verb]
     for kind, field in zip(REQUEST_FIELDS[verb], fields):

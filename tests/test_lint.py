@@ -675,18 +675,18 @@ class TestUnaccountedHostTiming:
             module="repro.service.loadgen",
         ) == []
 
-    def test_perf_layer_sits_above_experiments(self):
-        assert LAYERS["repro.perf"] > LAYERS["repro.experiments"]
+    def test_perf_layer_sits_below_experiments(self):
+        # the benchmark gate reads result files and drives nothing
+        assert LAYERS["repro.perf"] < LAYERS["repro.experiments"]
         assert LAYERS["repro.__main__"] > LAYERS["repro.perf"]
-        # perf importing the registry is legal...
         assert lint_snippet(
-            "from repro.experiments import registry\n",
-            module="repro.perf.suites",
+            "from repro.perf import compare_runs\n",
+            module="repro.__main__",
         ) == []
-        # ...but the reverse direction is an architecture violation
+        # the gate reaching up into the experiment registry is a violation
         assert codes(lint_snippet(
-            "from repro.perf import record_suite\n",
-            module="repro.experiments.fig5",
+            "from repro.experiments import registry\n",
+            module="repro.perf.compare",
         )) == ["REP008"]
 
 

@@ -1,31 +1,20 @@
-"""Tests for repro.obs.prof: phase timers, the deterministic sampler and
-the cProfile wrapper — including the determinism guarantees the perf
-observatory rests on (identical runs → identical phase trees and identical
-collapsed stacks; profilers off → byte-identical results)."""
+"""Tests for repro.obs.prof: the sanctioned clocks, resource snapshots and
+phase timers (identical runs → identical phase trees)."""
 
-import json
-import pickle
 import sys
 
 import pytest
 
-from repro.experiments.common import ExperimentParams
 from repro.obs import Observability
 from repro.obs.prof import (
     NULL_PHASE_TIMER,
-    DeterministicSampler,
     PhaseTimer,
-    ProfileSession,
     clock,
     cpu_clock,
-    merge_phase_tables,
     peak_rss_kb,
     phase_shape,
     process_resources,
-    profile_collapsed,
 )
-from repro.runner import Runner
-from repro.runner.engine import execute_cell_measured
 
 
 # -- clocks and resources ----------------------------------------------------
@@ -125,14 +114,6 @@ class TestPhaseTimer:
         prof.clear()
         assert prof.table() == {}
 
-    def test_merge_phase_tables(self):
-        a = {"cell": {"count": 1, "seconds": 1.0}}
-        b = {"cell": {"count": 2, "seconds": 0.5},
-             "cell/sim": {"count": 2, "seconds": 0.25}}
-        merged = merge_phase_tables([a, b])
-        assert merged["cell"] == {"count": 3, "seconds": 1.5}
-        assert merged["cell/sim"]["count"] == 2
-
     def test_exception_still_records_and_unwinds(self):
         prof = PhaseTimer()
         with pytest.raises(ValueError):
@@ -144,120 +125,3 @@ class TestPhaseTimer:
         with prof.phase("after"):
             pass
         assert "after" in prof.table()
-
-
-# -- deterministic sampler ---------------------------------------------------
-
-
-def _busy(n=40):
-    def leaf(i):
-        return i * i
-
-    return sum(leaf(i) for i in range(n))
-
-
-class TestDeterministicSampler:
-    def test_identical_runs_identical_collapsed_stacks(self):
-        _, first = profile_collapsed(lambda: _busy(2000), period=7)
-        _, second = profile_collapsed(lambda: _busy(2000), period=7)
-        assert first == second
-        assert first  # non-empty: the workload makes >7 calls
-
-    def test_collapsed_format(self):
-        _, text = profile_collapsed(lambda: _busy(500), period=5)
-        assert text.endswith("\n")
-        for line in text.strip().split("\n"):
-            stack, count = line.rsplit(" ", 1)
-            assert int(count) >= 1
-            assert ";" in stack or ":" in stack
-
-    def test_sampler_excludes_itself(self):
-        _, text = profile_collapsed(lambda: _busy(500), period=3)
-        assert "repro.obs.prof" not in text
-
-    def test_period_validation(self):
-        with pytest.raises(ValueError, match="period"):
-            DeterministicSampler(period=0)
-
-    def test_refuses_to_stack_hooks(self):
-        outer = DeterministicSampler()
-        inner = DeterministicSampler()
-        with outer:
-            with pytest.raises(RuntimeError, match="hook"):
-                inner.start()
-        assert sys.getprofile() is None
-
-    def test_clear_resets_counts(self):
-        sampler = DeterministicSampler(period=3)
-        with sampler:
-            _busy(200)
-        assert sampler.samples > 0
-        sampler.clear()
-        assert sampler.samples == 0 and sampler.collapsed() == ""
-
-    def test_result_passthrough(self):
-        result, _ = profile_collapsed(lambda: 41 + 1, period=1000)
-        assert result == 42
-
-
-# -- cProfile wrapper --------------------------------------------------------
-
-
-class TestProfileSession:
-    def test_rows_sorted_by_cumtime(self):
-        session = ProfileSession()
-        assert session.run(_busy, 500) == _busy(500)
-        rows = session.rows(top=10)
-        assert rows
-        assert all(
-            rows[i]["cumtime_s"] >= rows[i + 1]["cumtime_s"]
-            for i in range(len(rows) - 1)
-        )
-        assert {"function", "ncalls", "tottime_s", "cumtime_s"} <= set(rows[0])
-
-    def test_write_json(self, tmp_path):
-        session = ProfileSession()
-        session.run(_busy, 100)
-        out = tmp_path / "profile.json"
-        session.write_json(out, top=5)
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
-        assert 0 < len(doc["rows"]) <= 5
-
-
-# -- profiling never changes simulation results ------------------------------
-
-
-def _cells():
-    from repro.experiments.common import BASELINE_SPEC
-
-    params = ExperimentParams(n_workloads=1, n_refs=800, scale=32, seed=7)
-    return [params.cell(BASELINE_SPEC, ref)
-            for ref in params.workload_refs()]
-
-
-class TestProfilingDoesNotPerturbResults:
-    def test_profiled_run_byte_identical_to_bare_run(self):
-        cells = _cells()
-        bare = Runner(parallel=0).run_cells(cells)
-        profiled = Runner(parallel=0, profile_phases=True).run_cells(cells)
-        assert pickle.dumps(bare) == pickle.dumps(profiled)
-
-    def test_profiled_runs_have_identical_phase_shapes(self):
-        cell = _cells()[0]
-        _, first = execute_cell_measured(cell, profile_phases=True)
-        _, second = execute_cell_measured(cell, profile_phases=True)
-        shape = {p: row["count"] for p, row in first["phases"].items()}
-        assert shape == {
-            p: row["count"] for p, row in second["phases"].items()
-        }
-        assert "cell/simulate" in first["phases"]
-
-    def test_sampled_simulation_has_identical_collapsed_stacks(self):
-        cell = _cells()[0]
-        from repro.runner.engine import execute_cell
-
-        _, first = profile_collapsed(lambda: execute_cell(cell), period=101)
-        _, second = profile_collapsed(lambda: execute_cell(cell), period=101)
-        assert first == second
-        assert "repro.hierarchy" in first

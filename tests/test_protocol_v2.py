@@ -389,13 +389,12 @@ class TestPipelining:
 
 
 class TestBatchVerbs:
-    @pytest.mark.parametrize("protocol", ["v2", "v1"])
-    def test_mset_mget_mdel_roundtrip(self, protocol):
+    def test_mset_mget_mdel_roundtrip(self):
         async def body():
             server = await _started_server(num_shards=2, data_capacity=1024,
                                            admission="always")
             try:
-                c = CacheClient("127.0.0.1", server.port, protocol=protocol)
+                c = CacheClient("127.0.0.1", server.port, protocol="v2")
                 try:
                     flags = await c.mset([("a", b"1"), ("b", b"2")])
                     assert flags == [True, True]
@@ -403,6 +402,33 @@ class TestBatchVerbs:
                         [b"1", None, b"2"]
                     assert await c.mdel(["a", "missing"]) == [True, False]
                     assert await c.mget(["a", "b"]) == [None, b"2"]
+                finally:
+                    await c.close()
+            finally:
+                await server.stop()
+        run(body())
+
+    def test_batch_verbs_over_v1_fail_closed(self):
+        # v1 is the singles-only codec: a batch verb names protocol v2 in
+        # its error and puts no byte on the wire
+        async def body():
+            server = await _started_server(admission="always")
+            try:
+                c = CacheClient("127.0.0.1", server.port, protocol="v1")
+                try:
+                    assert await c.set("a", b"1") is True
+                    before = server.store.stats_snapshot()["total"]
+                    for verb, call in (
+                            ("MGET", c.mget(["a"])),
+                            ("MSET", c.mset([("b", b"2")])),
+                            ("MDEL", c.mdel(["a"]))):
+                        with pytest.raises(ServerError,
+                                           match=f"{verb} needs wire "
+                                                 "protocol v2"):
+                            await call
+                    assert server.store.stats_snapshot()["total"] == before
+                    # the pooled connection is still in step
+                    assert await c.get("a") == b"1"
                 finally:
                     await c.close()
             finally:

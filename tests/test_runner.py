@@ -301,11 +301,3 @@ class TestResourceAccounting:
         assert all(r["cpu_s"] > 0 for r in runner.stats.cells)
         assert runner.stats.peak_rss_kb > 0
 
-    def test_phase_profiles_attached_when_enabled(self):
-        runner = Runner(profile_phases=True)
-        runner.run_cells(tiny_cells()[:1])
-        (record,) = runner.stats.cells
-        assert record["phases"]["cell/simulate"]["count"] == 1
-        bare = Runner()
-        bare.run_cells(tiny_cells()[:1])
-        assert "phases" not in bare.stats.cells[0]
