@@ -82,7 +82,9 @@ SPEC = (
     Verb("TRACE", ("service",), "drain the node's trace ring (JSONL batch)"),
     Verb("PING", ("service",), "liveness round-trip"),
     Verb("QUIT", ("service",), "close this connection gracefully"),
-    Verb("REPL", ("cluster",), "owner pushes a versioned replica to a peer"),
+    Verb("REPL", ("cluster",), "owner pushes a versioned replica to a peer; "
+         "replaces an older copy and records the version floor, so it also "
+         "invalidates a holder the write pushes to"),
     Verb("INVAL", ("cluster",), "owner invalidates a peer replica up to a version"),
     Verb("PUTS", ("cluster",), "peer tells the owner it dropped its replica"),
     Verb("RGET", ("cluster",), "read a peer's replica copy"),

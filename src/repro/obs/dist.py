@@ -67,7 +67,8 @@ ADMITTED = "Admitted"
 UPDATED = "Updated"
 #: a DEL removed a stored value (tag dropped too)
 DELETED = "Deleted"
-#: a peer dropped its replica on an owner's INVAL
+#: a peer lost an old replica: an owner's INVAL dropped it, or a newer
+#: REPL push replaced it
 REPLICA_INVALIDATED = "ReplicaInvalidated"
 
 #: store decision kind -> audit event name (see ReuseStore.decision_listener)
@@ -402,7 +403,8 @@ _EXPLAIN_GLOSS = {
     DELETED: "stored value dropped by DEL",
     DATA_REPL: "data-array eviction, tag kept with history (S -> TO)",
     TAG_REPL: "tag eviction: everything dropped (* -> I)",
-    REPLICA_INVALIDATED: "replica holder dropped its copy on the owner's INVAL",
+    REPLICA_INVALIDATED: ("replica holder lost its old copy: the owner's INVAL "
+                          "dropped it or a newer REPL replaced it"),
 }
 
 

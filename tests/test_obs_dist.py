@@ -491,6 +491,35 @@ class TestTraceDeterminism:
         run(body())
 
 
+class TestMergedPushAudit:
+    def test_replaced_replica_leaves_under_the_repl_fanout(self):
+        async def body():
+            cluster = _traced_cluster(num_nodes=2, admission="always")
+            async with cluster:
+                client = cluster.client()
+                await client.set("hot", b"v1")
+                await client.set("hot", b"v2")  # one REPL replaces v1
+            node_events = {
+                name: node.obs.tracer.to_chrome()["traceEvents"]
+                for name, node in cluster.nodes.items()
+            }
+            return merge_node_traces(node_events, time_unit="s")
+
+        doc = run(body())
+        assert validate_chrome_trace(doc, causal=True) == []
+        topo = trace_topology(doc)
+        assert not any(p.startswith("ORPHAN/") for p in topo)
+        # the old copy leaves under the owner's REPL fan-out span, and no
+        # INVAL is sent for it
+        dropped = [p for p in topo
+                   if p.endswith(f":{REPLICA_INVALIDATED}:hot")]
+        assert len(dropped) == 1
+        assert dropped[0].count(":REPL:hot") == 2  # fan-out, peer request
+        assert not any(":INVAL:" in p for p in topo)
+        names = [r["name"] for r in explain_key(doc, "hot")]
+        assert names.count(REPLICA_INVALIDATED) == 1
+
+
 # ---------------------------------------------------------------------------
 # CLI surface: obs collect / explain round trip
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ SERVICE_METRICS_SHA256 = (
 
 #: sha256 of each cluster node's registry text for the sequence below
 CLUSTER_METRICS_SHA256 = {
-    "node0": "aeb092e880cabf38c1aec158a230a468b742e9c47dbd033567bfb6c0107bab78",
-    "node1": "86bf95ec93573f8405ea23bf9b146b5585f73c804d754b9d3c3071ce18245d0e",
+    "node0": "5ad8c0ac5d1225ef01231ed1a7417617139dff9e7f993d13872dd5309945a972",
+    "node1": "e1a3e93634d195593a5eae5cc9a0f8b88ddcd5505c2ad954c54d2031c4f469b9",
 }
 
 
@@ -102,5 +102,12 @@ def test_cluster_metrics_text_is_pinned(tick_clock):
             in texts["node0"].splitlines())
     assert ('repro_cluster_requests_total{cmd="REPL",node="node1"} 5'
             in texts["node1"].splitlines())
+    # the overwrite of k0 invalidates node0's replica with its REPL push:
+    # node1 fans out no INVAL for it, node0 receives none
+    assert ('repro_cluster_replications_total{accepted="true",node="node1"} 2'
+            in texts["node1"].splitlines())
+    assert "repro_cluster_invalidations_total" not in texts["node1"]
+    assert "repro_cluster_invals_received_total" not in texts["node0"]
+    assert 'cmd="INVAL"' not in texts["node0"]
     assert {name: _digest(text) for name, text in texts.items()} \
         == CLUSTER_METRICS_SHA256, texts
