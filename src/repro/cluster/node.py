@@ -282,9 +282,10 @@ class ClusterServer(CacheServer):
     """The service verb table plus the cluster's peer verbs, bound to one node.
 
     SET and DEL (singles and batches) keep the base handlers: they route
-    through the :meth:`_apply_set` / :meth:`_apply_delete` hooks below,
-    so every write on a cluster node runs the full invalidate-before-ack
-    owner path, whichever framing carried it.
+    through the :meth:`_apply_set` / :meth:`_apply_sets` /
+    :meth:`_apply_delete` hooks below, so every write on a cluster node
+    runs the full invalidate-before-ack owner path, whichever framing
+    carried it.
     """
 
     def __init__(self, node: "ClusterNode", store, **kwargs):
@@ -329,6 +330,11 @@ class ClusterServer(CacheServer):
     async def _apply_set(self, key: str, value: bytes) -> bool:
         """Writes go through the owner write path, fan-out included."""
         return await self.node.handle_set(key, value)
+
+    async def _apply_sets(self, items: list) -> list:
+        """An MSET runs the owner write path item by item, in order."""
+        return [await self.node.handle_set(key, value)
+                for key, value in items]
 
     async def _apply_delete(self, key: str) -> bool:
         """Deletes run the same invalidate-before-ack path as writes."""

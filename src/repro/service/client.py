@@ -125,9 +125,7 @@ class CacheClient:
         if not keys:
             return []
         reply = await self.transport.call("MGET", keys, trace=trace)
-        if reply.status != "VALUES":
-            raise ServerError(f"unexpected response {reply.status!r}")
-        return reply.values
+        return _batch_reply(reply, "VALUES", len(keys))
 
     async def mset(self, items, trace=None) -> list:
         """Batch set of ``(key, value)`` pairs: one stored-bool per item."""
@@ -135,9 +133,7 @@ class CacheClient:
         if not items:
             return []
         reply = await self.transport.call("MSET", items, trace=trace)
-        if reply.status != "STATUSES":
-            raise ServerError(f"unexpected response {reply.status!r}")
-        return reply.values
+        return _batch_reply(reply, "STATUSES", len(items))
 
     async def mdel(self, keys, trace=None) -> list:
         """Batch delete: one removed-bool per key, in key order."""
@@ -145,9 +141,7 @@ class CacheClient:
         if not keys:
             return []
         reply = await self.transport.call("MDEL", keys, trace=trace)
-        if reply.status != "STATUSES":
-            raise ServerError(f"unexpected response {reply.status!r}")
-        return reply.values
+        return _batch_reply(reply, "STATUSES", len(keys))
 
     async def stats(self) -> dict:
         """The server's stats snapshot (per shard + aggregate)."""
@@ -192,3 +186,18 @@ class CacheClient:
         """
         reply = await self.transport.call("QUIT")
         return reply.status == "BYE"
+
+
+def _batch_reply(reply: Reply, status: str, count: int) -> list:
+    """A batch reply's values, checked to hold one entry per item.
+
+    A reply of another length raises :class:`ServerError`: a short one
+    would otherwise pass the missing items off as misses.
+    """
+    if reply.status != status:
+        raise ServerError(f"unexpected response {reply.status!r}")
+    if len(reply.values) != count:
+        raise ServerError(
+            f"batch of {count} items answered with {len(reply.values)}"
+        )
+    return reply.values

@@ -536,13 +536,11 @@ class CacheServer:
 
     @wire_verb("MGET")
     async def _verb_mget(self, keys: list) -> Reply:
-        return Reply("VALUES", values=[self.store.get(key) for key in keys])
+        return Reply("VALUES", values=self.store.get_many(keys))
 
     @wire_verb("MSET")
     async def _verb_mset(self, items: list) -> Reply:
-        return Reply("STATUSES", values=[
-            await self._apply_set(key, value) for key, value in items
-        ])
+        return Reply("STATUSES", values=await self._apply_sets(items))
 
     @wire_verb("MDEL")
     async def _verb_mdel(self, keys: list) -> Reply:
@@ -576,6 +574,10 @@ class CacheServer:
     async def _apply_set(self, key: str, value: bytes) -> bool:
         """Apply one SET; subclasses add cross-node invalidation."""
         return self.store.set(key, value)
+
+    async def _apply_sets(self, items: list) -> list:
+        """Apply one MSET's items in order; one stored-bool per item."""
+        return self.store.set_many(items)
 
     async def _apply_delete(self, key: str) -> bool:
         """Apply one DEL; subclasses add cross-node invalidation."""

@@ -82,6 +82,37 @@ class ShardedStore:
         """Offer ``value`` on the owning shard; True iff stored."""
         return self.shard_for(key).set(key, value)
 
+    def get_many(self, keys) -> list:
+        """:meth:`get` of every key in ``keys``; one result per key.
+
+        Each key is hashed once, for its shard and its tag set both, and
+        served in request order, never regrouped by shard: every shard
+        sees the same operations in the same order as from singles.
+        """
+        shards, num_shards = self.shards, self.num_shards
+        out = []
+        append = out.append
+        for key in keys:
+            key_hash = stable_hash(key)
+            append(shards[(key_hash & 0xFFFFFFFF) % num_shards]
+                   .get(key, key_hash))
+        return out
+
+    def set_many(self, items) -> list:
+        """:meth:`set` of every ``(key, value)`` pair; one stored-bool each.
+
+        Hashed once per key and served in request order, as
+        :meth:`get_many`.
+        """
+        shards, num_shards = self.shards, self.num_shards
+        out = []
+        append = out.append
+        for key, value in items:
+            key_hash = stable_hash(key)
+            append(shards[(key_hash & 0xFFFFFFFF) % num_shards]
+                   .set(key, value, key_hash))
+        return out
+
     def delete(self, key: str) -> bool:
         """Remove ``key`` from its shard; True iff a value was held."""
         return self.shard_for(key).delete(key)

@@ -135,18 +135,20 @@ class ReuseStore:
 
     # -- public API ----------------------------------------------------------
 
-    def get(self, key: str):
+    def get(self, key: str, key_hash: int | None = None):
         """Look up ``key``; returns the value bytes or ``None`` on a miss.
 
         A miss on an untracked key allocates a tag-only entry (first access);
         a miss on a tracked key marks it reused, arming admission for the
-        next SET (second access — the paper's ``TO`` hit).
+        next SET (second access — the paper's ``TO`` hit).  ``key_hash`` is
+        ``stable_hash(key)`` when the caller already has it (computed here
+        otherwise, and only on a tag miss).
         """
         with self._lock:
             loc = self._index.get(key)
             if loc is None:
                 self.stats.record_miss()
-                self._alloc_tag(key)
+                self._alloc_tag(key, key_hash)
                 return None
             set_idx, way = loc
             dway = self._fwd[set_idx][way]
@@ -160,15 +162,17 @@ class ReuseStore:
                 self.decision_listener(key, "reuse")
             return None
 
-    def set(self, key: str, value: bytes) -> bool:
+    def set(self, key: str, value: bytes, key_hash: int | None = None) -> bool:
         """Offer ``value`` for ``key``; returns True iff the value was stored.
 
         Stored when the key already holds a value (update in place), when its
         tag shows observed reuse, or when ``admission == "always"``.
         Declined offers still tag the key, so the *next* GET+SET pair admits.
+        ``key_hash`` is as for :meth:`get`.
         """
         with self._lock:
-            set_idx, way = self._index.get(key) or self._alloc_tag(key)
+            set_idx, way = (self._index.get(key)
+                            or self._alloc_tag(key, key_hash))
             dway = self._fwd[set_idx][way]
             if dway >= 0:  # update in place
                 self.stats.record_update(len(value), len(self._values[dway]))
@@ -257,12 +261,14 @@ class ReuseStore:
 
     # -- internals -----------------------------------------------------------
 
-    def _alloc_tag(self, key: str):
+    def _alloc_tag(self, key: str, key_hash: int | None = None):
         """Tag ``key`` (I -> TO); returns its (set, way).  A full set evicts
         a tag and any value it holds (paper: * -> I)."""
+        if key_hash is None:
+            key_hash = stable_hash(key)
         # decorrelate from the shard map, which uses the low bits of the
         # same hash: take the set index from the high half
-        set_idx = (stable_hash(key) >> 32) % self.num_tag_sets
+        set_idx = (key_hash >> 32) % self.num_tag_sets
         way, victim, victim_dway = self.rdir.alloc_tag(
             key, set_idx, self._valueless_ways
         )

@@ -310,14 +310,11 @@ class Transport:
         if status == "ERR":
             raise ServerError(frame.payload.decode("utf-8", "replace"))
         if status == "VALUES":
-            rd = PayloadReader(frame.payload)
-            values = [rd.value() if rd.u8() else None
-                      for _ in range(rd.u32())]
-            return Reply(status, values=values)
+            return Reply(status,
+                         values=PayloadReader(frame.payload).batch_values())
         if status == "STATUSES":
-            rd = PayloadReader(frame.payload)
-            values = [bool(rd.u8()) for _ in range(rd.u32())]
-            return Reply(status, values=values)
+            return Reply(status,
+                         values=PayloadReader(frame.payload).batch_flags())
         return Reply(status, body=frame.payload if frame.payload else None)
 
     # -- v2 connection management ---------------------------------------------

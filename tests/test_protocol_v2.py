@@ -13,17 +13,22 @@ from repro.service.protocol import (
     MAGIC,
     MAX_BATCH_ITEMS,
     MAX_FRAME_PAYLOAD,
+    MAX_VALUE_BYTES,
     REQUEST_FIELDS,
     STATUS_IDS,
     STATUS_NAMES,
     VERB_IDS,
+    VERB_NAMES,
     VERSION,
     FieldError,
+    Frame,
     FrameEncoder,
     FrameError,
     PayloadReader,
+    Reply,
     decode_request_fields,
     decode_trace,
+    encode_reply,
     encode_request,
     read_frame,
 )
@@ -190,6 +195,48 @@ class TestFramingErrors:
                 enc, "MGET", [["k"] * (MAX_BATCH_ITEMS + 1)], seq=1
             )
 
+    @pytest.mark.parametrize("verb, field", [
+        ("MGET", ["a", "", "line:\u00e9"]),
+        ("MSET", [("a", b"1"), ("", b""), ("line:\u00e9", b"xyz")]),
+    ])
+    def test_every_truncation_of_a_batch_request_is_field_error(
+            self, verb, field):
+        payload = encode_request(FrameEncoder(), verb, [field], 1)[HEADER_SIZE:]
+        assert decode_request_fields(verb, PayloadReader(payload)) == [field]
+        for cut in range(len(payload)):
+            with pytest.raises(FieldError):
+                decode_request_fields(verb, PayloadReader(payload[:cut]))
+
+    @pytest.mark.parametrize("reply", [
+        Reply("VALUES", values=[b"1", None, b"", b"xyz"]),
+        Reply("STATUSES", values=[True, False, True]),
+    ])
+    def test_every_truncation_of_a_batch_reply_is_field_error(self, reply):
+        raw = encode_reply(FrameEncoder(), reply, 1)
+        status_id, payload = raw[2], raw[HEADER_SIZE:]
+        transport = Transport()
+        got = transport._reply_v2(Frame(status_id, 0, 1, payload))
+        assert got.values == reply.values
+        for cut in range(len(payload)):
+            with pytest.raises(FieldError):
+                transport._reply_v2(Frame(status_id, 0, 1, payload[:cut]))
+
+    def test_non_utf8_key_in_a_batch_is_field_error(self):
+        bad = struct.pack(">H", 2) + b"\xff\xfe"
+        mget = struct.pack(">I", 2) + struct.pack(">H", 1) + b"a" + bad
+        with pytest.raises(FieldError, match="utf-8"):
+            decode_request_fields("MGET", PayloadReader(mget))
+        mset = struct.pack(">I", 1) + bad + struct.pack(">I", 1) + b"v"
+        with pytest.raises(FieldError, match="utf-8"):
+            decode_request_fields("MSET", PayloadReader(mset))
+
+    def test_over_cap_reply_value_is_rejected_before_reading_it(self):
+        # the length alone decides: no value bytes follow it
+        payload = struct.pack(">IBI", 1, 1, MAX_VALUE_BYTES + 1)
+        frame = Frame(STATUS_IDS["VALUES"], 0, 1, payload)
+        with pytest.raises(FieldError, match="value too large"):
+            Transport()._reply_v2(frame)
+
     def test_pipelined_frames_split_across_reads(self):
         async def body():
             enc = FrameEncoder()
@@ -229,6 +276,25 @@ class TestPayloadReader:
         rd = PayloadReader(struct.pack(">H", 2) + b"\xff\xfe")
         with pytest.raises(FieldError, match="utf-8"):
             rd.string()
+
+    def test_batch_reads_continue_where_they_stop(self):
+        enc = FrameEncoder()
+        enc.begin(0, 0)
+        enc.put_keys(["a", "bc"])
+        enc.put_items([("d", b"e")])
+        enc.put_u64(9)
+        rd = PayloadReader(enc.finish()[HEADER_SIZE:])
+        assert rd.batch_keys() == ["a", "bc"]
+        assert rd.batch_items() == [("d", b"e")]
+        assert rd.u64() == 9
+        assert rd.exhausted
+
+    def test_batch_count_over_cap_is_field_error(self):
+        over = struct.pack(">I", MAX_BATCH_ITEMS + 1)
+        for read in ("batch_keys", "batch_items", "batch_values",
+                     "batch_flags"):
+            with pytest.raises(FieldError, match="batch too large"):
+                getattr(PayloadReader(over), read)()
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +539,54 @@ class TestBatchVerbs:
                     assert await c.mget(["k"]) == [b""]
             finally:
                 await server.stop()
+        run(body())
+
+
+async def _short_reply_server():
+    """A v2 server answering every batch with one entry, whatever its size."""
+
+    async def handle(reader, writer):
+        enc = FrameEncoder()
+        while True:
+            try:
+                frame = await read_frame(reader)
+            except (ConnectionError, FrameError):
+                break
+            if frame is None:
+                break
+            verb = VERB_NAMES[frame.verb_id]
+            if verb == "HELLO":
+                reply = Reply("HELLO", b"v2")
+            elif verb == "MGET":
+                reply = Reply("VALUES", values=[b"x"])
+            else:
+                reply = Reply("STATUSES", values=[True])
+            writer.write(encode_reply(enc, reply, frame.seq))
+            await writer.drain()
+        writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+class TestBatchReplyLength:
+    def test_a_short_batch_reply_is_a_server_error(self):
+        async def body():
+            server, port = await _short_reply_server()
+            try:
+                async with CacheClient("127.0.0.1", port) as c:
+                    with pytest.raises(ServerError, match="of 3 items"):
+                        await c.mget(["a", "b", "c"])
+                    with pytest.raises(ServerError, match="of 2 items"):
+                        await c.mset([("a", b"1"), ("b", b"2")])
+                    with pytest.raises(ServerError, match="of 2 items"):
+                        await c.mdel(["a", "b"])
+                    # a reply of the right length still passes
+                    assert await c.mget(["a"]) == [b"x"]
+                    assert c.protocol_version == 2
+            finally:
+                server.close()
+                await server.wait_closed()
         run(body())
 
 

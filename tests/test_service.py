@@ -4,6 +4,7 @@ graceful shutdown, load generation)."""
 
 import asyncio
 import json
+import random
 
 import pytest
 
@@ -185,6 +186,49 @@ class TestSharding:
     def test_capacity_split_validated(self):
         with pytest.raises(ValueError):
             ShardedStore(num_shards=8, data_capacity=4)
+
+
+class TestBatchMatchesSingles:
+    """``get_many``/``set_many`` serve a batch exactly as its singles."""
+
+    @staticmethod
+    def _logged_store(admission):
+        # 4 data entries and 8 two-way tag sets per shard: the stream
+        # below overflows both, so data and tag evictions both happen
+        store = ShardedStore(num_shards=4, data_capacity=16, tag_capacity=64,
+                             tag_assoc=2, admission=admission, seed=5)
+        log = []
+        store.set_decision_listener(lambda k, d: log.append(("decide", k, d)))
+        store.set_evict_listener(lambda k, kind: log.append(("evict", k, kind)))
+        return store, log
+
+    @pytest.mark.parametrize("admission", ["reuse", "always"])
+    def test_batches_equal_singles(self, admission):
+        rng = random.Random(2013)
+        batched, batched_log = self._logged_store(admission)
+        single, single_log = self._logged_store(admission)
+        for _ in range(300):
+            keys = [f"k{rng.randrange(120)}" for _ in range(rng.randrange(1, 24))]
+            got = batched.get_many(keys)
+            assert got == [single.get(key) for key in keys]
+            items = [(key, f"{key}@{rng.randrange(4)}".encode())
+                     for key, value in zip(keys, got)
+                     if value is None or rng.random() < 0.2]
+            assert batched.set_many(items) == [
+                single.set(key, value) for key, value in items
+            ]
+        assert batched_log == single_log
+        total = batched.stats_snapshot()["total"]
+        assert total["data_evictions"] > 0 and total["tag_evictions"] > 0
+        assert batched.stats_snapshot() == single.stats_snapshot()
+
+    def test_a_batch_is_served_in_request_order(self):
+        # regrouping a batch by shard would reorder these decisions
+        store, log = self._logged_store("reuse")
+        keys = [f"k{i}" for i in range(12)]
+        assert len({store.shard_of(key) for key in keys}) > 1
+        store.get_many(keys)
+        assert [k for _, k, d in log if d == "tag_alloc"] == keys
 
 
 # ---------------------------------------------------------------------------
