@@ -362,6 +362,26 @@ class TestReplication:
 
         run(body())
 
+    def test_batched_writes_run_the_owner_write_path(self):
+        # an MSET item replicates and re-pushes exactly as a SET does
+        async def body():
+            async with LocalCluster(3, admission="always", replicas=2,
+                                    data_capacity_per_node=64) as cluster:
+                client = cluster.client()
+                keys = [f"bk{i}" for i in range(8)]
+                assert await client.mset([(k, b"v1") for k in keys]) == \
+                    [True] * len(keys)
+                assert await client.mset([(k, b"v2") for k in keys]) == \
+                    [True] * len(keys)
+                for key in keys:
+                    owner_name, holder_name = cluster.ring.preference(key, 2)
+                    assert cluster.nodes[owner_name].versions[key] == 2
+                    holder = cluster.nodes[holder_name]
+                    assert holder.replica_store.get(key) in (b"v2", None)
+                assert await client.mget(keys) == [b"v2"] * len(keys)
+
+        run(body())
+
     def test_replica_read_path_serves_current_value(self):
         async def body():
             async with LocalCluster(3, admission="always", replicas=2,
