@@ -2,7 +2,7 @@
 """Serving mode end-to-end: server + client + load generator in one process.
 
 Starts a sharded reuse-admission cache server on an ephemeral port, walks
-one key through the paper's admission state machine with a pooled client
+one key through the paper's admission state machine with a client
 (first touch tags, second touch admits), then replays a synthetic workload
 through the load generator and prints the per-shard STATS the server
 exposes — the serving-stack face of the reuse cache's selective allocation.

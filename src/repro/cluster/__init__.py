@@ -16,8 +16,8 @@ Layer map:
 * :mod:`~repro.cluster.node` — one cluster member: the wire verbs
   (``REPL``/``INVAL``/``PUTS``/``RGET``/``CSTATUS``/``DRAIN``), the
   replica directory, the versioned replica store;
-* :mod:`~repro.cluster.client` — ring-routing client with per-node
-  pools, replica-spread reads and down-node failover;
+* :mod:`~repro.cluster.client` — ring-routing client with one
+  connection per node, replica-spread reads and down-node failover;
 * :mod:`~repro.cluster.local` — boot/join/leave/drain an N-node cluster
   in one process (the harness behind ``repro cluster ...``);
 * :mod:`~repro.cluster.consistency` — the invalidation-storm checker

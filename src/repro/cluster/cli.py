@@ -287,7 +287,7 @@ async def _bench_one(num_nodes: int, workload, args) -> dict:
         seed=args.seed,
     )
     async with cluster:
-        client = cluster.client(pool_size=2)
+        client = cluster.client()
         # deterministic interleave: the sweep compares hit rates across
         # topologies, so the arrival order must not vary with node count
         result = await replay_interleaved(

@@ -2,7 +2,7 @@
 
 :class:`ClusterClient` is the cluster twin of
 :class:`~repro.service.client.CacheClient`: it owns (or shares) a
-:class:`~repro.cluster.ring.HashRing`, keeps one pooled connection set per
+:class:`~repro.cluster.ring.HashRing`, keeps one client connection per
 node, and routes every operation to the key's owner — the same "compute
 the placement locally, never ask" discipline the sharded store uses one
 level down.
@@ -60,6 +60,8 @@ class ClusterClient:
         Pass the cluster's own ``ring`` to share placement updates (node
         join/leave) in-process; otherwise a ring is built from the node
         names with ``seed`` and must match the server side's.
+        ``pool_size`` is ignored: it remains only because the benchmark
+        harness (``bench/svcwork.py``) passes it.
         """
         if not nodes:
             raise ClusterError("a cluster client needs at least one node")
@@ -67,7 +69,7 @@ class ClusterClient:
         self.replicas = replicas
         self.read_replicas = read_replicas
         self._clients = {
-            name: PeerClient(host, port, pool_size=pool_size, timeout=timeout)
+            name: PeerClient(host, port, timeout=timeout)
             for name, (host, port) in nodes.items()
         }
         self._failures = {name: 0 for name in nodes}
@@ -77,11 +79,9 @@ class ClusterClient:
     # -- membership (kept in lockstep with the cluster manager) ---------------
 
     def add_node(self, name: str, host: str, port: int,
-                 pool_size: int = 2, timeout: float = 5.0) -> None:
+                 timeout: float = 5.0) -> None:
         """Register a node's address (the ring is updated by its owner)."""
-        self._clients[name] = PeerClient(
-            host, port, pool_size=pool_size, timeout=timeout
-        )
+        self._clients[name] = PeerClient(host, port, timeout=timeout)
         self._failures[name] = 0
         self._down.discard(name)
 

@@ -15,20 +15,19 @@ machinery of :mod:`repro.coherence.distributed`:
   and dropping them on ``INVAL`` or replacing them on a newer ``REPL``.
 
 Wire verbs added on top of the :mod:`repro.service` protocol — handlers
-registered on :class:`ClusterServer`, served by both codecs under the same
-framing rules (v1 spellings below):
+registered on :class:`ClusterServer`, framed like every other verb:
 
-=========================================  =================================
-request                                    response
-=========================================  =================================
-``REPL <key> <version> <len>\\n<bytes>\\n``  ``REPLICATED\\n`` or ``STALE\\n``
-``INVAL <key> <version>\\n``                ``INVALED\\n``
-``PUTS <key> <node>\\n``                    ``OK\\n``
-``RGET <key>\\n``                           ``VALUE <len>\\n<bytes>\\n``/``MISS\\n``
-``CSTATUS\\n``                              ``CSTATUS <len>\\n<json>\\n``
-``DRAIN\\n``                                ``DRAINING\\n`` (node stops
-                                           accepting, drains in-flight)
-=========================================  =================================
+==========================  ==========================================
+request                     response
+==========================  ==========================================
+``REPL key version value``  ``REPLICATED`` or ``STALE``
+``INVAL key version``       ``INVALED``
+``PUTS key node``           ``OK``
+``RGET key``                ``VALUE`` (the replica's bytes) or ``MISS``
+``CSTATUS``                 ``CSTATUS`` (a JSON document)
+``DRAIN``                   ``DRAINING`` (node stops accepting, drains
+                            in-flight)
+==========================  ==========================================
 
 Writes carry a per-key monotonic **version** assigned by the owner.
 ``INVAL`` and an accepted ``REPL`` both establish a *floor*: a peer that
@@ -95,7 +94,7 @@ CLUSTER_VERBS = ("SET", "DEL", "REPL", "INVAL", "PUTS", "RGET", "CSTATUS",
 CAT_CLUSTER = "cluster"
 
 #: seconds a replica-store version floor survives even past the count
-#: bound — long enough to fence any REPL push still in flight (pool
+#: bound — long enough to fence any REPL push still in flight (transport
 #: retries included) when the INVAL that raced ahead of it was applied
 FLOOR_MIN_AGE = 60.0
 
@@ -442,11 +441,9 @@ class ClusterNode:
         """Register (or re-register) a peer's address."""
         old = self._peers.pop(name, None)
         if old is not None:
-            # close asynchronously; the pool may be mid-request elsewhere
+            # close asynchronously; the client may be mid-request elsewhere
             asyncio.ensure_future(old.close())
-        self._peers[name] = PeerClient(
-            host, port, pool_size=2, timeout=self.peer_timeout
-        )
+        self._peers[name] = PeerClient(host, port, timeout=self.peer_timeout)
 
     async def disconnect_peer(self, name: str) -> None:
         peer = self._peers.pop(name, None)
@@ -695,8 +692,8 @@ class ClusterNode:
         with use_context(ctx if ctx is not None else current_context()):
             failed = await self._inval_round(targets, key, version)
             if failed:
-                # one immediate retry: pool contention or a slow peer, not
-                # necessarily a dead one
+                # one immediate retry: a dropped connection or a slow
+                # peer, not necessarily a dead one
                 failed = await self._inval_round(failed, key, version)
         registry = self.obs.registry
         if registry.enabled:

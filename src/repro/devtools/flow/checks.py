@@ -700,7 +700,6 @@ def check_protocol(files, rule) -> list:
         )
 
     documented = spec.documented_verbs()
-    internal = spec.internal_verbs()
     client_trees = [find(suffix) for suffix in spec.CLIENT_FILES]
     clients = [(p, t) for p, t in client_trees if t is not None]
     sent = {}  # verb -> (path, line), first sender wins
@@ -713,7 +712,7 @@ def check_protocol(files, rule) -> list:
         if server_tree is None:
             continue
         handled = extract_handled_verbs(server_tree)
-        declared = spec.verbs_for_layer(layer) - internal
+        declared = spec.verbs_for_layer(layer)
         for verb in sorted(set(handled) - declared):
             report(
                 server_path, handled[verb],

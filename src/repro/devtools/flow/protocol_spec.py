@@ -1,17 +1,17 @@
 """Declarative wire-protocol verb spec — the single source of truth.
 
 FLOW003 (:func:`repro.devtools.flow.checks.check_protocol`) extracts
-each server layer's verb table, the codec's framing tables and the verbs
+each server layer's verb table, the codec's tables and the verbs
 the clients actually send, and diffs all of them against :data:`SPEC`.
 Adding a wire verb therefore takes three edits that must land together
 or CI fails:
 
 1. a :class:`Verb` entry here, naming its layer;
 2. a ``VERB_IDS`` id and a ``REQUEST_FIELDS`` field schema in
-   :data:`CODEC_FILE` — the schema fixes both framings: the v2 payload
-   layout, and whether (and how) the verb is spelled as a v1 text line;
+   :data:`CODEC_FILE` — the schema fixes the verb's frame payload
+   layout (there is one framing, binary v2 frames);
 3. one handler in the layer's server file, registered with
-   ``@wire_verb("VERB")``; it serves both framings.
+   ``@wire_verb("VERB")``.
 
 A client sender — a ``*.call("VERB", ...)`` transport call in one of
 :data:`CLIENT_FILES` — must exist too, or the handler is reported as
@@ -23,20 +23,18 @@ Layers: ``"service"`` is the base cache protocol served by
 server inherits the service table — its SET/DEL run the owner write path
 through the base handlers' write hooks — so each verb has one layer.
 
-``internal=True`` marks verbs the transport layer itself originates and
-answers (today only ``HELLO``, the v2 negotiation probe the v2 codec
-answers before dispatch); they are exempt from the handler and
-client-sender checks but still must appear in the codec tables.
+Every verb is an ordinary one: the transport originates no verb of its
+own, so each needs a handler and a client sender.
 
 Every request additionally accepts one optional trace field
-``T=<trace-id>/<span-id>`` (:mod:`repro.obs.dist`) — trailing token on a
-v1 line, flagged header field in a v2 frame — stripped before dispatch;
-it is a field, not a verb, so it has no :class:`Verb` entry.
+``T=<trace-id>/<span-id>`` (:mod:`repro.obs.dist`), flagged in the frame
+header and decoded before dispatch; it is a field, not a verb, so it has
+no :class:`Verb` entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: layer name -> repo-relative server file whose handlers define the layer
 SERVER_FILES = {
@@ -65,12 +63,9 @@ class Verb:
     name: str
     layers: tuple
     summary: str
-    internal: bool = field(default=False, compare=False)
 
 
 SPEC = (
-    Verb("HELLO", ("service",), "v2 negotiation probe (transport-internal)",
-         internal=True),
     Verb("GET", ("service",), "read a value by key"),
     Verb("SET", ("service",), "store a value (cluster: owner write path)"),
     Verb("DEL", ("service",), "delete a key (cluster: owner write path)"),
@@ -96,11 +91,6 @@ SPEC = (
 def verbs_for_layer(layer: str) -> set:
     """Names of the verbs declared for ``layer``."""
     return {verb.name for verb in SPEC if layer in verb.layers}
-
-
-def internal_verbs() -> set:
-    """Verbs the transport originates itself (handler/sender-exempt)."""
-    return {verb.name for verb in SPEC if verb.internal}
 
 
 def documented_verbs() -> set:

@@ -590,7 +590,7 @@ class UnaccountedHostTimingRule(Rule):
 class RawTransportRule(Rule):
     """Network transport belongs to :mod:`repro.service` / :mod:`repro.cluster`.
 
-    The serving stack owns the wire: its framing enforces value/line size
+    The serving stack owns the wire: its framing enforces value/frame size
     limits, its connections are counted and drained on shutdown, and its
     requests land in the obs registry and trace lanes.  A stray ``socket``
     or ``asyncio.start_server`` elsewhere opens a transport endpoint none

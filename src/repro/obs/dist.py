@@ -3,7 +3,7 @@
 PR 6 made the cache multi-node; this module makes a multi-node operation
 *one* observable object.  A SET that fans INVALs out to two peers used to
 appear as three unrelated span fragments in three per-node ring buffers —
-now every wire request can carry an optional trailing trace field
+now every wire request can carry an optional trace field
 (``T=<trace-id>/<span-id>``, see :func:`wire_token`), each server opens a
 child span under it, and the merged Chrome trace renders owner-write →
 INVAL-fan-out → peer-ack as a single causal tree with cross-node flow
@@ -15,9 +15,9 @@ The pieces, bottom up:
   allocated from a per-node counter (``node0.17``), never from a clock or
   RNG: deterministic replays produce deterministic trees (and REP001 bans
   unseeded randomness anyway);
-* :func:`wire_token` / :func:`pop_trace_token` — the optional trailing
-  request-line field.  Absent token costs one ``startswith`` per request,
-  which keeps the obs-off path inside the <5% overhead budget;
+* :func:`wire_token` / :func:`parse_token` — the token a request frame's
+  optional trace field carries.  An absent field costs one flag test per
+  request, which keeps the obs-off path inside the <5% overhead budget;
 * :func:`current_context` / :func:`use_context` — a :mod:`contextvars`
   slot carrying the active request span through the async call chain, so
   fan-outs started deep inside :class:`~repro.cluster.node.ClusterNode`
@@ -49,7 +49,7 @@ from contextlib import contextmanager
 
 from .tracing import DATA_REPL, REUSE_DETECTED, TAG_ONLY_ALLOC, TAG_REPL
 
-#: wire prefix of the optional trailing trace field on request lines
+#: prefix of the token a request frame's optional trace field carries
 TRACE_FIELD_PREFIX = "T="
 
 #: category of the cross-node flow arrows in a merged trace (CI greps it)
@@ -144,7 +144,7 @@ class SpanIds:
 
 
 def wire_token(ctx: TraceContext) -> str:
-    """The trailing request-line field propagating ``ctx`` to a server."""
+    """The request trace field propagating ``ctx`` to a server."""
     return f"{TRACE_FIELD_PREFIX}{ctx.trace_id}/{ctx.span_id}"
 
 
@@ -156,22 +156,6 @@ def parse_token(token: str) -> TraceContext | None:
     if not sep or not trace_id or not span_id:
         return None
     return TraceContext(trace_id, span_id, None)
-
-
-def pop_trace_token(parts: list) -> tuple:
-    """Strip a trailing trace field from split request-line ``parts``.
-
-    Returns ``(parts_without_token, TraceContext | None)``.  Stripping
-    happens *before* arity checks, so every verb accepts the optional
-    field without its usage message changing.  A key that itself looks
-    like a trace field (``T=<x>/<y>`` in final position) would be eaten;
-    the wire doc reserves that trailing shape.
-    """
-    if parts and parts[-1].startswith(TRACE_FIELD_PREFIX):
-        ctx = parse_token(parts[-1])
-        if ctx is not None:
-            return parts[:-1], ctx
-    return parts, None
 
 
 # -- active-context propagation ------------------------------------------------

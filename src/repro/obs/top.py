@@ -126,7 +126,7 @@ def render_dashboard(
         lines.append(
             f"uptime {_fmt_uptime(server.get('uptime_s', 0.0))} · "
             f"conns {total_conns} "
-            f"(v1 {server.get('connections_v1', 0)} / "
+            f"(non-v2 {server.get('connections_v1', 0)} / "
             f"v2 {server.get('connections_v2', 0)}, "
             f"open {server.get('connections_open', 0)})"
             + (" · DRAINING" if server.get("draining") else "")
@@ -227,7 +227,7 @@ def render_cluster_dashboard(
     lines.append("")
     lines.append(
         f"{'node':>8} {'state':>9} {'stored':>12} {'repl':>6} {'pendI':>6} "
-        f"{'stale':>6} {'races':>6} {'loop ms':>8} {'wire v1/v2':>11} "
+        f"{'stale':>6} {'races':>6} {'loop ms':>8} {'non-v2/v2':>11} "
         f"{'up':>8}"
     )
     for name in sorted(nodes):

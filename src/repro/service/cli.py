@@ -113,7 +113,7 @@ def build_service_parser() -> argparse.ArgumentParser:
     bench.add_argument("--value-bytes", type=int, default=VALUE_BYTES)
     bench.add_argument("--pipeline", type=int, default=1,
                        help="concurrent workers per trace in the admission "
-                            "legs (v2 multiplexes them over one connection)")
+                            "legs (multiplexed over one connection)")
     bench.add_argument("--uvloop", action="store_true",
                        help="use uvloop's event loop if installed")
     bench.add_argument("--json", metavar="FILE", default=None,

@@ -1,13 +1,12 @@
 """Asyncio client for the :mod:`repro.service` cache protocol.
 
 :class:`CacheClient` is a thin verb layer over one shared
-:class:`~repro.service.transport.Transport`: connection pooling, retry
-with exponential backoff, protocol negotiation (binary v2 frames with
-pipelining when the server speaks them, v1 text otherwise) and batch
-framing all live in the transport, so the cluster's ``PeerClient`` and
-``ClusterClient`` reuse the exact same plumbing instead of
-reimplementing it.  Protocol-level errors (``ERR ...``) are *not*
-retried, they raise :class:`ServerError` immediately.
+:class:`~repro.service.transport.Transport`: the multiplexed v2
+connection, retry with exponential backoff and request framing all live
+in the transport, so the cluster's ``PeerClient`` and ``ClusterClient``
+reuse the exact same plumbing instead of reimplementing it.
+Protocol-level errors (``ERR ...``) are *not* retried, they raise
+:class:`ServerError` immediately.
 
 Typical use::
 
@@ -16,7 +15,7 @@ Typical use::
         if value is None:                       # miss: read through
             value = await fetch_from_backend()
             await client.set("user:42", value)  # admitted only on reuse
-        hot = await client.mget(["user:42", "user:43"])  # one round trip (v2 only)
+        hot = await client.mget(["user:42", "user:43"])  # one round trip
 """
 
 from __future__ import annotations
@@ -27,54 +26,45 @@ from .transport import Reply, ServerError, Transport  # noqa: F401  (re-export)
 
 
 class CacheClient:
-    """Pooled asyncio client with retry/backoff and protocol negotiation.
+    """Asyncio cache client with retry/backoff over one v2 connection.
 
     The key/value verbs accept an optional ``trace`` keyword — a
-    :class:`repro.obs.dist.TraceContext` carried as a trailing
-    ``T=<trace>/<span>`` text field (v1) or a typed trace frame field
-    (v2) — so a caller's span becomes the parent of the server-side
-    request span (distributed causal tracing).  ``trace=None`` (the
-    default) sends the exact same bytes as before the field existed.
+    :class:`repro.obs.dist.TraceContext` carried as the frame's typed
+    trace field — so a caller's span becomes the parent of the
+    server-side request span (distributed causal tracing).
+    ``trace=None`` (the default) sends no trace field.
 
-    ``protocol`` pins the wire framing: ``"auto"`` (default) negotiates
-    v2 with v1 fallback at connect time, ``"v1"``/``"v2"`` force one
-    framing (forced v2 against a v1-only server raises
-    ``ConnectionError``).
+    ``pool_size`` and ``protocol`` remain only because the benchmark
+    harness (``bench/svcwork.py``) passes ``pool_size=1,
+    protocol="v2"``: ``pool_size`` is ignored, and ``protocol`` must be
+    ``"v2"``, the one framing, or the constructor raises ``ValueError``.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 9876,
-        pool_size: int = 4,
+        pool_size: int = 1,
         max_retries: int = 3,
         backoff: float = 0.05,
         timeout: float = 5.0,
-        protocol: str = "auto",
-        mux_conns: int = 1,
+        protocol: str = "v2",
     ):
+        if protocol != "v2":
+            raise ValueError(f"protocol must be 'v2', got {protocol!r}")
         self.host = host
         self.port = port
-        self.pool_size = pool_size
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
         self.transport = Transport(
             host, port,
-            pool_size=pool_size,
             max_retries=max_retries,
             backoff=backoff,
             timeout=timeout,
-            mode=protocol,
-            mux_conns=mux_conns,
         )
 
     # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def protocol_version(self):
-        """Negotiated wire version: ``None`` before first use, then 1 or 2."""
-        return self.transport.version
 
     async def close(self) -> None:
         """Close every connection; in-flight requests finish first."""
@@ -116,11 +106,7 @@ class CacheClient:
         raise ServerError(f"unexpected response {reply.status!r}")
 
     async def mget(self, keys, trace=None) -> list:
-        """Batch get: one ``bytes | None`` per key, in key order.
-
-        One round trip.  The batch verbs are v2-only: over a v1
-        connection they raise :class:`ServerError` and send nothing.
-        """
+        """Batch get in one round trip: ``bytes | None`` per key, in order."""
         keys = list(keys)
         if not keys:
             return []
@@ -181,8 +167,8 @@ class CacheClient:
     async def quit(self) -> bool:
         """Ask the server to close this connection after acking.
 
-        The server hangs up right after the ``BYE``; the transport drops
-        the dead connection on its next checkout.
+        The server hangs up right after the ``BYE``; the transport
+        dials a fresh connection for the next request.
         """
         reply = await self.transport.call("QUIT")
         return reply.status == "BYE"

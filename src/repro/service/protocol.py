@@ -1,25 +1,21 @@
 """Wire protocol v2: length-prefixed binary frames for :mod:`repro.service`.
 
-The v1 protocol is line-framed text — one request, one round trip, a
-fresh ``bytes`` per request.  v2 keeps the same verbs (plus batch verbs)
-but frames them as compact binary records so a connection can carry many
-requests in flight at once (pipelining) and both ends can reuse their
-encode buffers.
+The one framing every server and client in the tree speaks.  Each
+request and response is a compact binary record, so a connection can
+carry many requests in flight at once (pipelining) and both ends can
+reuse their encode buffers.
 
 Frame layout (big-endian, 12-byte header)::
 
     offset  size  field
     ------  ----  -----------------------------------------------
-    0       1     magic      0xA8  (invalid UTF-8 start byte: a v1
-                             server answers "ERR request not utf-8"
-                             instead of hanging, which is what the
-                             negotiation handshake relies on)
+    0       1     magic      0xA8
     1       1     version    2
     2       1     verb id    requests: VERB_IDS; responses: STATUS_IDS
     3       1     flags      bit 0 (FLAG_TRACE): payload starts with a
                              u16-length-prefixed trace token
-                             ("<trace-id>/<span-id>", the same token v1
-                             carries as a trailing ``T=`` text field)
+                             ("T=<trace-id>/<span-id>", see
+                             :func:`repro.obs.dist.wire_token`)
     4       4     sequence   u32; responses echo the request's sequence,
                              which is how a pipelining client matches
                              interleaved responses to callers
@@ -29,21 +25,15 @@ Payload fields are typed (see ``REQUEST_FIELDS``): strings are
 u16-length-prefixed UTF-8, values are u32-length-prefixed bytes, versions
 are u64, batches are u32-counted repetitions.  Responses are a status id
 plus either a raw blob (VALUE/STATS/METRICS/TRACE/ERR/CSTATUS bodies) or
-a typed batch payload (VALUES/STATUSES).
-
-``REQUEST_FIELDS`` also fixes the v1 text framing, so no second table is
-needed: a verb has a v1 spelling iff all its fields are scalars
-(:data:`V1_VERBS`), its request line is ``VERB f0 f1 ...`` with a
-``value`` field sent as its byte length (the body follows the line), and
-a reply whose status is in :data:`BLOB_STATUSES` is ``STATUS <len>``
-followed by the body.  Both ends of both framings exchange one
-framing-independent :class:`Reply`.
+a typed batch payload (VALUES/STATUSES).  Both ends exchange a
+:class:`Reply`.
 
 Errors split by trust in the stream: :class:`FrameError` means the frame
-boundary itself is gone (bad magic, truncation, oversize) and the
-connection must drop; :class:`FieldError` means one well-framed payload
-was malformed — the server answers with an ERR frame and the connection
-stays usable, mirroring v1's ``ERR <reason>`` behaviour.
+boundary itself is gone (bad magic or version, truncation, oversize) and
+the connection must drop — this is also how a peer that does not speak
+v2 fails closed on its first frame; :class:`FieldError` means one
+well-framed payload was malformed — the server answers with an ERR frame
+and the connection stays usable.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import struct
 
-#: hard cap on a single value accepted over the wire (16 MiB), both framings
+#: hard cap on a single value accepted over the wire (16 MiB)
 MAX_VALUE_BYTES = 16 * 1024 * 1024
 #: hard cap on one frame's payload (a batch of values plus framing)
 MAX_FRAME_PAYLOAD = 32 * 1024 * 1024
@@ -72,9 +62,9 @@ FLAG_TRACE = 0x01
 
 # Request verb ids.  Plain literals on purpose: FLOW003 cross-checks these
 # keys (and those of REQUEST_FIELDS) against the protocol spec
-# (devtools/flow).
+# (devtools/flow).  Id 1, in both tables, belonged to the retired HELLO
+# handshake and is never reused.
 VERB_IDS = {
-    "HELLO": 1,
     "GET": 2,
     "SET": 3,
     "DEL": 4,
@@ -96,7 +86,6 @@ VERB_IDS = {
 
 # Response status ids (the verb-id byte of a response frame).
 STATUS_IDS = {
-    "HELLO": 1,
     "VALUE": 2,
     "MISS": 3,
     "STORED": 4,
@@ -122,16 +111,11 @@ STATUS_IDS = {
 VERB_NAMES = {v: k for k, v in VERB_IDS.items()}
 STATUS_NAMES = {v: k for k, v in STATUS_IDS.items()}
 
-#: statuses whose reply carries a body: on v1 the status line is
-#: ``STATUS <len>`` and ``<body>\n`` follows (v2 frames always carry one)
-BLOB_STATUSES = frozenset(("VALUE", "STATS", "METRICS", "TRACE", "CSTATUS"))
-
 #: typed payload schema per request verb.  Field kinds:
 #: ``key``/``peer`` — u16-prefixed UTF-8 string; ``value`` — u32-prefixed
 #: bytes; ``version`` — u64; ``keys`` — u32 count + strings; ``items`` —
-#: u32 count + (string, bytes) pairs; ``blob`` — the raw payload rest.
+#: u32 count + (string, bytes) pairs.
 REQUEST_FIELDS = {
-    "HELLO": ("blob",),
     "GET": ("key",),
     "SET": ("key", "value"),
     "DEL": ("key",),
@@ -151,23 +135,8 @@ REQUEST_FIELDS = {
     "DRAIN": (),
 }
 
-#: verbs with a v1 text spelling: every field fits on (or, for a
-#: ``value``, is sized on) the request line, so batches and the HELLO
-#: probe are v2-only
-V1_VERBS = frozenset(
-    verb for verb, kinds in REQUEST_FIELDS.items()
-    if set(kinds) <= {"key", "peer", "version", "value"}
-)
-
-#: HELLO probe payload.  The trailing newline matters: sent to a v1
-#: server, the frame reads as one garbage "line" that *terminates*, so
-#: readline() returns, the server answers ``ERR request not utf-8`` and
-#: the connection stays usable for the v1 fallback.
-HELLO_PAYLOAD = b"v2\n"
-
-
 class Reply:
-    """One response, framing-independent.
+    """One response, as handlers return it and the transport decodes it.
 
     ``status`` is the status name (``"VALUE"``, ``"STORED"``, ...);
     ``body`` carries blob payloads (VALUE, STATS, METRICS, TRACE,
@@ -190,7 +159,7 @@ class Reply:
 
 
 class CodecError(Exception):
-    """Base class for v2 framing/field errors."""
+    """Base class for frame and field errors."""
 
 
 class FrameError(CodecError):
@@ -328,20 +297,17 @@ class FrameEncoder:
         return self.finish()
 
 
-async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD,
-                     first_byte: bytes = b""):
+async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD):
     """Read one v2 frame; ``None`` on clean EOF at a frame boundary.
 
-    ``first_byte`` lets the server's protocol sniffer hand back the byte
-    it peeked.  Truncation mid-frame, a wrong magic/version, or an
-    oversized payload raise :class:`FrameError` — the stream is
-    unframeable and the connection must drop.
+    Truncation mid-frame, a wrong magic/version, or an oversized payload
+    raise :class:`FrameError` — the stream is unframeable and the
+    connection must drop.
     """
-    want = HEADER_SIZE - len(first_byte)
     try:
-        header = first_byte + await reader.readexactly(want)
+        header = await reader.readexactly(HEADER_SIZE)
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial and not first_byte:
+        if not exc.partial:
             return None  # clean EOF between frames
         raise FrameError("truncated frame header") from None
     magic, version, verb_id, flags, seq, length = HEADER.unpack(header)
@@ -412,11 +378,6 @@ class PayloadReader:
         if length > MAX_VALUE_BYTES:
             raise FieldError(f"value too large ({length} bytes)")
         return bytes(self._take(length))
-
-    def rest(self) -> bytes:
-        view = self._view[self._pos:]
-        self._pos = len(self._view)
-        return bytes(view)
 
     def _count(self) -> int:
         count = self.u32()
@@ -541,10 +502,8 @@ def decode_request_fields(verb: str, rd: PayloadReader) -> list:
             fields.append(rd.u64())
         elif kind == "keys":
             fields.append(rd.batch_keys())
-        elif kind == "items":
+        else:  # items
             fields.append(rd.batch_items())
-        else:  # blob
-            fields.append(rd.rest())
     return fields
 
 
@@ -566,10 +525,8 @@ def encode_request(enc: FrameEncoder, verb: str, fields, seq: int,
             enc.put_u64(field)
         elif kind == "keys":
             enc.put_keys(field)
-        elif kind == "items":
+        else:  # items
             enc.put_items(field)
-        else:  # blob
-            enc.put_blob(field)
     return enc.finish()
 
 

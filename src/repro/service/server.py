@@ -2,49 +2,47 @@
 
 Every wire verb is one handler, registered once with :func:`wire_verb`:
 a coroutine method taking the verb's typed fields in ``REQUEST_FIELDS``
-order and returning a framing-independent
-:class:`~repro.service.protocol.Reply`.  :class:`CacheServer` owns that
-table; the cluster's ``ClusterServer`` extends it with its peer verbs.
+order and returning a :class:`~repro.service.protocol.Reply`.
+:class:`CacheServer` owns that table; the cluster's ``ClusterServer``
+extends it with its peer verbs.
 
-Two thin codecs wrap the table, chosen per connection from the first
-byte: the binary v2 frame protocol of :mod:`repro.service.protocol`
-(magic byte ``0xA8``; pipelined requests, batch verbs, typed trace
-field — see ``docs/protocol.md``) and the original v1 text protocol
-below.  v1 is line-framed with length-prefixed values (one request,
-one response; see ``docs/service.md``).  A request line is the verb
-followed by one token per request field, a value sent as its length:
+Connections speak the binary v2 frame protocol of
+:mod:`repro.service.protocol`: pipelined requests, batch verbs and a
+typed trace field (see ``docs/protocol.md``).  The service verbs:
 
-======================================  =========================================
-request                                 response
-======================================  =========================================
-``GET <key>\\n``                         ``VALUE <len>\\n<bytes>\\n`` or ``MISS\\n``
-``SET <key> <len>\\n<bytes>\\n``          ``STORED\\n`` or ``TAGGED\\n``
-``DEL <key>\\n``                         ``DELETED\\n`` or ``NOTFOUND\\n``
-``STATS\\n``                             ``STATS <len>\\n<json>\\n``
-``METRICS\\n``                           ``METRICS <len>\\n<prometheus-text>\\n``
-``PING\\n``                              ``PONG\\n``
-``QUIT\\n``                              ``BYE\\n`` and the connection closes
-``TRACE\\n``                             ``TRACE <len>\\n<jsonl>\\n`` (drains the
-                                        node's trace ring)
-======================================  =========================================
+=============================  =====================================
+request                        response
+=============================  =====================================
+``GET key``                    ``VALUE`` (the bytes) or ``MISS``
+``SET key value``              ``STORED`` or ``TAGGED``
+``DEL key``                    ``DELETED`` or ``NOTFOUND``
+``MGET keys``                  ``VALUES`` (one value or none per key)
+``MSET items``                 ``STATUSES`` (one stored-flag per item)
+``MDEL keys``                  ``STATUSES`` (one removed-flag per key)
+``STATS``                      ``STATS`` (a JSON document)
+``METRICS``                    ``METRICS`` (Prometheus text)
+``PING``                       ``PONG``
+``QUIT``                       ``BYE`` and the connection closes
+``TRACE``                      ``TRACE`` (drains the trace ring, JSONL)
+=============================  =====================================
 
-Every request line additionally accepts an optional trailing trace field
-``T=<trace-id>/<span-id>`` (see :mod:`repro.obs.dist`): the server opens
-its request span as a *child* of the caller's span, so a cluster write and
-the INVAL fan-out it triggers on peer nodes merge into one causal tree.
-The field is stripped before arity checks and ignored when tracing is off.
+Every request may carry a trace field ``T=<trace-id>/<span-id>`` (see
+:mod:`repro.obs.dist`): the server opens its request span as a *child*
+of the caller's span, so a cluster write and the INVAL fan-out it
+triggers on peer nodes merge into one causal tree.  The field is ignored
+when tracing is off.
 
 ``TAGGED`` is the protocol-visible face of selective allocation: the server
 *declined* to store the value but recorded the key in the tag directory, so
-a client re-offering after the next miss will see ``STORED``.  Malformed
-requests get ``ERR <reason>\\n`` and keep the connection open; a request
-that exceeds ``request_timeout`` or a line longer than
-:data:`MAX_LINE_BYTES` gets ``ERR timeout`` / ``ERR line too long`` and the
-connection is dropped (its framing can no longer be trusted).
+a client re-offering after the next miss will see ``STORED``.  A malformed
+payload, or a request that exceeds ``request_timeout``, is answered with an
+``ERR`` frame and the connection stays open; a byte stream that is not
+v2 frames is dropped.
 
 Operational guards:
 
-* ``max_connections`` — further clients are turned away with ``ERR busy``;
+* ``max_connections`` — further clients get an ``ERR busy`` frame and are
+  closed;
 * per-request timeouts: each request runs inside its connection's task
   under a :class:`~repro.service.deadline.deadline`, so a request costs
   no Task, timer-future pair or extra event-loop turn of its own;
@@ -60,7 +58,7 @@ RSS) for the serving process as a whole.
 Observability (:mod:`repro.obs`) is opt-in via the ``obs`` constructor
 argument: with an enabled registry the server labels request counters and
 latency histograms by command, samples its own event-loop lag, exposes
-connection-pool gauges, serves the whole registry over the ``METRICS`` verb
+connection gauges, serves the whole registry over the ``METRICS`` verb
 and embeds a registry snapshot under the ``"obs"`` key of STATS.  With an
 enabled tracer every request becomes a Chrome-trace span on the owning
 shard's process lane, with the connection id as the thread lane.
@@ -69,7 +67,6 @@ shard's process lane, with the connection id as the thread lane.
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import json
 import os
@@ -82,7 +79,6 @@ from ..obs.dist import (
     current_context,
     leaf_args,
     parse_token,
-    pop_trace_token,
     span_args,
     use_context,
 )
@@ -91,13 +87,7 @@ from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
 from .deadline import deadline
 from .protocol import (
-    BLOB_STATUSES,
-    MAGIC,
-    MAX_FRAME_PAYLOAD,
-    MAX_VALUE_BYTES,
-    REQUEST_FIELDS,
     STATUS_IDS,
-    V1_VERBS,
     VERB_NAMES,
     FieldError,
     FrameEncoder,
@@ -111,14 +101,6 @@ from .protocol import (
 from .sharding import ShardedStore
 
 log = get_logger(__name__)
-
-#: hard cap on v1 request-line length (fits any sane key); the stream
-#: reader's limit, so an overlong line fails closed
-MAX_LINE_BYTES = 64 * 1024
-
-#: v1 usage-message placeholder per request field kind
-_V1_USAGE = {"key": "<key>", "peer": "<node>", "version": "<version>",
-             "value": "<len>"}
 
 #: default span-id prefixes for servers not given one (cluster nodes pass
 #: their node name); a plain counter keeps ids deterministic per process
@@ -170,10 +152,11 @@ class CacheServer:
         self.eventloop_lag = 0.0
         #: clock() at bind time (None before start()); STATS reports uptime
         self.started_at = None
-        #: connections accepted per framing, so the v1/v2 negotiation mix
-        #: is observable from outside (STATS/CSTATUS and ``repro top``)
-        self.connections_v1 = 0
+        #: connections whose first frame decoded, and connections dropped
+        #: before one did (their first bytes were not a v2 frame header):
+        #: STATS/CSTATUS and ``repro top`` report both
         self.connections_v2 = 0
+        self.connections_v1 = 0
         #: verb -> bound handler, subclass registrations included
         self._handlers = {
             method.wire_verb: getattr(self, name)
@@ -218,7 +201,6 @@ class CacheServer:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
-            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = clock()
@@ -240,9 +222,9 @@ class CacheServer:
     async def stop(self, drain_timeout: float = 5.0) -> None:
         """Graceful shutdown: stop accepting, drain in-flight, close idle.
 
-        Requests already being processed (including a SET whose body is still
-        arriving) are given ``drain_timeout`` seconds to complete and be
-        answered; connections sitting idle between requests are then closed.
+        Requests already being processed are given ``drain_timeout``
+        seconds to complete and be answered; connections sitting idle
+        between requests are then closed.
         """
         self._stopping = True
         log.info("stopping: draining %d in-flight request(s)", self._inflight)
@@ -316,7 +298,7 @@ class CacheServer:
                 "rejecting connection: %s",
                 "shutting down" if self._stopping else "connection cap reached",
             )
-            writer.write(b"ERR busy\n")
+            writer.write(FrameEncoder().simple(STATUS_IDS["ERR"], 0, b"busy"))
             try:
                 await writer.drain()
             except (ConnectionError, asyncio.CancelledError):
@@ -328,17 +310,7 @@ class CacheServer:
         log.debug("connection %d opened", conn_id)
         self._writers.add(writer)
         try:
-            # protocol sniff: v2 frames open with the magic byte, which is
-            # an invalid UTF-8 start byte no v1 request line can begin with
-            first = await reader.read(1)
-            if first and first[0] == MAGIC:
-                self.connections_v2 += 1
-                self._count_framing("v2")
-                await self._serve_v2_connection(reader, writer, conn_id, first)
-            elif first:
-                self.connections_v1 += 1
-                self._count_framing("v1")
-                await self._serve_v1_connection(reader, writer, conn_id, first)
+            await self._serve_connection(reader, writer, conn_id)
         except FrameError as exc:
             log.warning("connection %d: unframeable stream (%s), dropping",
                         conn_id, exc)
@@ -353,78 +325,15 @@ class CacheServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_v1_connection(self, reader, writer, conn_id: int,
-                                   first: bytes = b"") -> None:
-        """The v1 codec: one line-framed request at a time.
-
-        ``first`` is the byte the protocol sniffer consumed; it belongs
-        to the first request line.  A malformed request is answered
-        ``ERR <reason>`` and the connection stays open; a timed-out
-        request or an overlong line drops it, because the stream
-        position can no longer be trusted.
-        """
-        while not self._stopping:
-            try:
-                line = await reader.readline()
-            except ValueError:  # longer than the reader's MAX_LINE_BYTES limit
-                writer.write(b"ERR line too long\n")
-                await writer.drain()
-                break
-            if first:
-                line, first = first + line, b""
-            if not line:
-                break
-            self._inflight += 1
-            try:
-                async with deadline(self.request_timeout):
-                    await self._serve_v1_request(line, reader, writer,
-                                                 conn_id)
-            except asyncio.TimeoutError:
-                log.warning("connection %d: request timed out, dropping", conn_id)
-                writer.write(b"ERR timeout\n")
-                await writer.drain()
-                break
-            except ProtocolError as exc:
-                writer.write(f"ERR {exc}\n".encode("utf-8"))
-                await writer.drain()
-            except _Quit:
-                break
-            finally:
-                self._inflight -= 1
-
-    async def _serve_v1_request(self, line: bytes, reader, writer,
-                                conn_id: int) -> None:
-        """Decode one request line (and any value body) and serve it.
-
-        The trailing ``T=`` trace field is popped *before* the arity
-        check, so every verb accepts it.
-        """
-        try:
-            parts = line.decode("utf-8").split()
-        except UnicodeDecodeError:
-            raise ProtocolError("request not utf-8") from None
-        parts, wire_ctx = pop_trace_token(parts)
-        if not parts:
-            raise ProtocolError("empty request")
-        verb = parts[0].upper()
-        handler = self._handlers.get(verb) if verb in V1_VERBS else None
-        if handler is None:
-            raise ProtocolError(f"unknown command {verb!r}")
-        fields = await _read_v1_fields(verb, parts[1:], reader)
-        await self._serve(handler, verb, fields, wire_ctx, conn_id, writer,
-                          _render_v1)
-
-    async def _serve_v2_connection(self, reader, writer, conn_id: int,
-                                   first: bytes = b"") -> None:
-        """The v2 codec: frames are served one at a time, in arrival order.
+    async def _serve_connection(self, reader, writer, conn_id: int) -> None:
+        """Serve frames one at a time, in arrival order.
 
         Pipelining falls out of the framing: every request is fully read
         before dispatch, so the loop never waits on the client mid-request
-        and many frames can be in flight per connection.  For the same
-        reason errors are gentler than v1 — a malformed payload or a
-        timed-out handler answers with an ERR frame and the connection
-        stays usable (the stream framing is still trusted); only an
-        unframeable byte stream (:class:`FrameError`) drops it.
+        and many frames can be in flight per connection.  A malformed
+        payload or a timed-out handler answers with an ERR frame and the
+        connection stays usable (the stream framing is still trusted);
+        only an unframeable byte stream (:class:`FrameError`) drops it.
 
         Each request runs in this connection's task under a
         :class:`deadline`, so frames already buffered are served back to
@@ -432,14 +341,18 @@ class CacheServer:
         awaits or the send buffer is full.
         """
         enc = FrameEncoder()
-        render = functools.partial(encode_reply, enc)
-        frame = await read_frame(reader, MAX_FRAME_PAYLOAD, first)
+        try:
+            frame = await read_frame(reader)
+        except FrameError:
+            self.connections_v1 += 1
+            raise
+        if frame is not None:
+            self.connections_v2 += 1
         while frame is not None and not self._stopping:
             self._inflight += 1
             try:
                 async with deadline(self.request_timeout):
-                    await self._serve_v2_request(frame, render, writer,
-                                                 conn_id)
+                    await self._serve_request(frame, enc, writer, conn_id)
             except asyncio.TimeoutError:
                 log.warning("connection %d: request timed out", conn_id)
                 writer.write(enc.simple(STATUS_IDS["ERR"], frame.seq,
@@ -455,38 +368,28 @@ class CacheServer:
                 self._inflight -= 1
             frame = await read_frame(reader)
 
-    async def _serve_v2_request(self, frame, render, writer,
-                                conn_id: int) -> None:
-        """Decode one frame's trace token and typed fields and serve it.
-
-        ``HELLO`` (the negotiation probe) is answered here and left out
-        of tracing and request accounting, so trace topology and
-        counters are identical whether or not clients negotiated.
-        """
+    async def _serve_request(self, frame, enc, writer, conn_id: int) -> None:
+        """Decode one frame's trace token and typed fields and serve it."""
         verb = VERB_NAMES.get(frame.verb_id)
         if verb is None:
             raise ProtocolError(f"unknown verb id {frame.verb_id}")
         token, rd = decode_trace(frame)
         fields = decode_request_fields(verb, rd)
-        if verb == "HELLO":
-            writer.write(render(Reply("HELLO", b"v2"), frame.seq))
-            await writer.drain()
-            return
         handler = self._handlers.get(verb)
         if handler is None:
             raise ProtocolError(f"unknown command {verb!r}")
         wire_ctx = parse_token(token) if token is not None else None
         await self._serve(handler, verb, fields, wire_ctx, conn_id, writer,
-                          render, frame.seq)
+                          enc, frame.seq)
 
     async def _serve(self, handler, verb: str, fields: list, wire_ctx,
-                     conn_id: int, writer, render, seq: int = 0) -> None:
+                     conn_id: int, writer, enc, seq: int) -> None:
         """Run one decoded request through its handler and answer it.
 
-        Shared by both codecs: with tracing enabled the handler runs
-        under the request's span context (:func:`use_context`), which is
-        how fan-outs deep inside the cluster layer find their parent.
-        ``render(reply, seq)`` is the connection codec's encoder.
+        With tracing enabled the handler runs under the request's span
+        context (:func:`use_context`), which is how fan-outs deep inside
+        the cluster layer find their parent.  ``enc`` is the
+        connection's :class:`FrameEncoder`.
         """
         start = clock()
         if self.obs.tracer.enabled:
@@ -496,7 +399,7 @@ class CacheServer:
         else:
             ctx = None
             reply = await handler(*fields)
-        writer.write(render(reply, seq))
+        writer.write(encode_reply(enc, reply, seq))
         await writer.drain()
         if reply.status == "BYE":
             raise _Quit
@@ -512,8 +415,8 @@ class CacheServer:
 
     # -- the verb table ---------------------------------------------------------
     #
-    # One handler per verb, shared by both codecs.  Each takes the verb's
-    # fields in REQUEST_FIELDS order and returns a Reply.
+    # One handler per verb.  Each takes the verb's fields in
+    # REQUEST_FIELDS order and returns a Reply.
 
     @wire_verb("GET")
     async def _verb_get(self, key: str) -> Reply:
@@ -567,7 +470,7 @@ class CacheServer:
 
     @wire_verb("QUIT")
     async def _verb_quit(self) -> Reply:
-        return Reply("BYE")  # the codec closes the connection after it
+        return Reply("BYE")  # the connection closes after it
 
     # -- write hooks (the cluster layer overrides these for coherence) --------
 
@@ -582,14 +485,6 @@ class CacheServer:
     async def _apply_delete(self, key: str) -> bool:
         """Apply one DEL; subclasses add cross-node invalidation."""
         return self.store.delete(key)
-
-    def _count_framing(self, framing: str) -> None:
-        if self.obs.registry.enabled:
-            self.obs.registry.counter(
-                "repro_service_connections_framing_total",
-                help="connections accepted, by negotiated wire framing",
-                framing=framing,
-            ).inc()
 
     def server_info(self) -> dict:
         """The ``"server"`` block of STATS: uptime and connection mix."""
@@ -667,54 +562,6 @@ class CacheServer:
             name, cat=CAT_AUDIT, ts=clock(), pid=self.store.shard_of(key),
             tid=0, args=leaf_args(current_context(), key=key),
         )
-
-
-async def _read_v1_fields(verb: str, args: list, reader) -> list:
-    """Typed request fields from one v1 line's argument tokens.
-
-    One token per ``REQUEST_FIELDS`` entry: ``version`` parses as an
-    int, and a ``value`` token is the body length — the body and its
-    terminating newline are read from ``reader`` right after the line.
-    """
-    kinds = REQUEST_FIELDS[verb]
-    if len(args) != len(kinds):
-        raise ProtocolError(
-            " ".join(["usage:", verb] + [_V1_USAGE[kind] for kind in kinds])
-        )
-    fields = []
-    for kind, token in zip(kinds, args):
-        if kind == "version":
-            fields.append(_v1_int(token, "version"))
-        elif kind == "value":
-            length = _v1_int(token, "length")
-            if not 0 <= length <= MAX_VALUE_BYTES:
-                raise ProtocolError(f"length {length} out of range")
-            try:
-                body = await reader.readexactly(length + 1)  # value + '\n'
-            except asyncio.IncompleteReadError:
-                raise ProtocolError("value body truncated") from None
-            if body[-1:] != b"\n":
-                raise ProtocolError("value not newline-terminated")
-            fields.append(body[:-1])
-        else:
-            fields.append(token)
-    return fields
-
-
-def _v1_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ProtocolError(f"bad {what} {token!r}") from None
-
-
-def _render_v1(reply: Reply, seq: int = 0) -> bytes:
-    """One v1 reply: the status line, plus ``<len>\\n<body>\\n`` for blobs."""
-    status = reply.status.encode("ascii")
-    if reply.status in BLOB_STATUSES:
-        body = reply.body or b""
-        return b"%s %d\n%s\n" % (status, len(body), body)
-    return status + b"\n"
 
 
 async def run_server(server: CacheServer) -> None:

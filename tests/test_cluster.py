@@ -25,6 +25,12 @@ from repro.coherence.distributed import (
 )
 from repro.coherence.states import Event, State
 from repro.service.client import CacheClient, ServerError
+from repro.service.protocol import (
+    FrameEncoder,
+    Reply,
+    encode_reply,
+    read_frame,
+)
 
 
 def run(coro):
@@ -873,20 +879,29 @@ class TestVersionCompaction:
 
 
 class TestClientCancellation:
-    def test_cancelled_request_tears_down_its_connection(self):
+    def test_cancelled_request_cannot_poison_the_next(self):
         async def body():
-            async def never_answer(reader, writer):
-                await asyncio.sleep(30)
+            async def answer_late(reader, writer):
+                # answer the first request only after the second arrives
+                enc = FrameEncoder()
+                first = await read_frame(reader)
+                second = await read_frame(reader)
+                writer.write(encode_reply(enc, Reply("PONG"), first.seq))
+                writer.write(encode_reply(enc, Reply("MISS"), second.seq))
+                await writer.drain()
+                await reader.read()
+                writer.close()
 
-            server = await asyncio.start_server(never_answer, "127.0.0.1", 0)
+            server = await asyncio.start_server(answer_late, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            client = CacheClient("127.0.0.1", port, pool_size=1)
+            client = CacheClient("127.0.0.1", port)
             with pytest.raises(asyncio.TimeoutError):
                 await asyncio.wait_for(client.ping(), 0.2)
-            # the connection with a request in flight was discarded, not
-            # repooled — a late response can never poison the next request
-            assert client.transport._open == 0
-            assert client.transport._pool.qsize() == 0
+            # the cancelled call abandoned its sequence id ...
+            assert client.transport._conn.pending == {}
+            # ... so its late answer is dropped, and the next request on
+            # the same connection gets its own
+            assert await client.get("k") is None
             await client.close()
             server.close()
             await server.wait_closed()

@@ -29,11 +29,10 @@ from repro.devtools.flow.protocol_spec import (
     CODEC_FILE,
     SPEC,
     documented_verbs,
-    internal_verbs,
     verbs_for_layer,
 )
 from repro.devtools.lint.engine import format_json
-from repro.service.protocol import V1_VERBS
+from repro.service.protocol import REQUEST_FIELDS
 
 #: the real source tree, wherever the package was imported from
 SRC_DIR = Path(repro.__file__).resolve().parent
@@ -383,7 +382,7 @@ def analyze_tree(sources, select=None):
 class TestProtocolConformance:
     """The verb-table half: handlers and senders against the spec."""
 
-    SERVICE_VERBS = sorted(verbs_for_layer("service") - internal_verbs())
+    SERVICE_VERBS = sorted(verbs_for_layer("service"))
     SERVER = "src/repro/service/server.py"
 
     def test_spec_layers_are_known(self):
@@ -454,8 +453,8 @@ class TestProtocolConformance:
 
 
 class TestFramingConformance:
-    """The codec half: ``VERB_IDS`` and ``REQUEST_FIELDS`` fix both
-    framings, so they must cover exactly the documented verbs."""
+    """The codec half: ``VERB_IDS`` and ``REQUEST_FIELDS`` fix every
+    verb's frame, so they must cover exactly the documented verbs."""
 
     SERVER = "src/repro/service/server.py"
     SERVICE_VERBS = TestProtocolConformance.SERVICE_VERBS
@@ -478,12 +477,10 @@ class TestFramingConformance:
         }
 
     def test_spec_declares_batch_verbs_v2_only(self):
-        # v1 eligibility is derived from the codec's field schema
-        assert {"MGET", "MSET", "MDEL", "HELLO"} <= documented_verbs()
-        assert not ({"MGET", "MSET", "MDEL", "HELLO"} & V1_VERBS)
-        assert V1_VERBS >= documented_verbs() - {"MGET", "MSET", "MDEL",
-                                                 "HELLO"}
-        assert "HELLO" in internal_verbs()
+        # the batch verbs are declared, and framed as batches
+        assert {"MGET", "MSET", "MDEL"} <= documented_verbs()
+        assert {REQUEST_FIELDS[verb] for verb in ("MGET", "MSET", "MDEL")} \
+            == {("keys",), ("items",)}
 
     def test_conforming_framed_server_is_silent(self):
         sources = self._codec()

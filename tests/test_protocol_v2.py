@@ -1,11 +1,17 @@
-"""Tests for the v2 wire protocol: codec, framing fuzz cases, negotiation,
-pipelining, batch verbs, and the unified transport."""
+"""Tests for the v2 wire protocol: codec, framing fuzz cases, the
+transport's one connection, pipelining, batch verbs, and conformance of
+every spec verb against a cache server and a cluster node."""
 
 import asyncio
+import json
 import struct
 
 import pytest
 
+from repro.cluster.local import LocalCluster
+from repro.cluster.node import PeerClient
+from repro.devtools.flow.protocol_spec import SPEC
+from repro.obs.dist import TraceContext
 from repro.service import CacheClient, CacheServer, ServerError, ShardedStore
 from repro.service.protocol import (
     FLAG_TRACE,
@@ -32,7 +38,7 @@ from repro.service.protocol import (
     encode_request,
     read_frame,
 )
-from repro.service.transport import Transport, _v1_payload
+from repro.service.transport import Transport
 
 
 def run(coro):
@@ -50,11 +56,11 @@ def feed(*chunks, eof=True):
     return reader
 
 
-async def _started_server(**kwargs):
+async def _started_server(max_connections=256, **kwargs):
     kwargs.setdefault("num_shards", 2)
     kwargs.setdefault("data_capacity", 64)
     store = ShardedStore(**kwargs)
-    server = CacheServer(store, port=0)
+    server = CacheServer(store, port=0, max_connections=max_connections)
     await server.start()
     return server
 
@@ -71,7 +77,6 @@ SAMPLE_FIELDS = {
     "version": 2 ** 40 + 7,
     "keys": ["a", "b", "c"],
     "items": [("a", b"1"), ("b", b"")],
-    "blob": b"raw tail bytes",
 }
 
 
@@ -120,13 +125,11 @@ class TestCodecRoundtrip:
             assert await read_frame(feed(b"")) is None
         run(body())
 
-    def test_sniffed_first_byte_is_prepended(self):
-        async def body():
-            raw = FrameEncoder().simple(VERB_IDS["PING"], 9)
-            frame = await read_frame(feed(raw[1:]), first_byte=raw[:1])
-            assert frame.verb_id == VERB_IDS["PING"]
-            assert frame.seq == 9
-        run(body())
+    def test_status_names_cover_ids(self):
+        assert set(STATUS_NAMES) == set(STATUS_IDS.values())
+
+    def test_retired_handshake_id_stays_unused(self):
+        assert 1 not in VERB_NAMES and 1 not in STATUS_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +218,11 @@ class TestFramingErrors:
         raw = encode_reply(FrameEncoder(), reply, 1)
         status_id, payload = raw[2], raw[HEADER_SIZE:]
         transport = Transport()
-        got = transport._reply_v2(Frame(status_id, 0, 1, payload))
+        got = transport._reply(Frame(status_id, 0, 1, payload))
         assert got.values == reply.values
         for cut in range(len(payload)):
             with pytest.raises(FieldError):
-                transport._reply_v2(Frame(status_id, 0, 1, payload[:cut]))
+                transport._reply(Frame(status_id, 0, 1, payload[:cut]))
 
     def test_non_utf8_key_in_a_batch_is_field_error(self):
         bad = struct.pack(">H", 2) + b"\xff\xfe"
@@ -235,7 +238,7 @@ class TestFramingErrors:
         payload = struct.pack(">IBI", 1, 1, MAX_VALUE_BYTES + 1)
         frame = Frame(STATUS_IDS["VALUES"], 0, 1, payload)
         with pytest.raises(FieldError, match="value too large"):
-            Transport()._reply_v2(frame)
+            Transport()._reply(frame)
 
     def test_pipelined_frames_split_across_reads(self):
         async def body():
@@ -298,97 +301,85 @@ class TestPayloadReader:
 
 
 # ---------------------------------------------------------------------------
-# negotiation: v2 preferred, v1 fallback
+# the transport's one connection
 # ---------------------------------------------------------------------------
 
 
-async def _v1_only_server():
-    """A minimal line-framed v1 server (pre-v2 software, for fallback)."""
-
-    async def handle(reader, writer):
-        while True:
-            try:
-                line = await reader.readline()
-            except (ConnectionError, OSError):
-                break
-            if not line:
-                break
-            try:
-                parts = line.decode("utf-8").split()
-            except UnicodeDecodeError:
-                writer.write(b"ERR request not utf-8\n")
-                await writer.drain()
-                continue
-            if parts and parts[0].upper() == "PING":
-                writer.write(b"PONG\n")
-            else:
-                writer.write(b"ERR unknown\n")
-            await writer.drain()
-        writer.close()
-
-    server = await asyncio.start_server(handle, "127.0.0.1", 0)
-    return server, server.sockets[0].getsockname()[1]
+async def _settled(server, connections):
+    """Wait (bounded) until the server holds ``connections`` open."""
+    for _ in range(200):
+        if server.connections == connections:
+            return
+        await asyncio.sleep(0.005)
 
 
-class TestNegotiation:
-    def test_auto_picks_v2_against_new_server(self):
+class TestTransport:
+    def test_concurrent_first_calls_share_one_connection(self):
+        # the dial is serialised: eight callers that all find no live
+        # connection still leave exactly one open
         async def body():
             server = await _started_server()
             try:
                 async with CacheClient("127.0.0.1", server.port) as c:
-                    assert await c.ping()
-                    assert c.protocol_version == 2
+                    assert all(await asyncio.gather(
+                        *[c.ping() for _ in range(8)]))
+                    assert server.connections == 1
+                    assert server.connections_v2 == 1
             finally:
                 await server.stop()
         run(body())
 
-    def test_auto_falls_back_to_v1_against_old_server(self):
+    def test_busy_rejection_does_not_downgrade_the_client(self):
+        # a full server turns the dial away with an ERR busy frame: the
+        # call fails as a transport error, and once a slot frees the same
+        # client is served, batch verbs included
         async def body():
-            server, port = await _v1_only_server()
+            server = await _started_server(max_connections=1)
             try:
-                async with CacheClient("127.0.0.1", port) as c:
-                    assert await c.ping()
-                    assert c.protocol_version == 1
-            finally:
-                server.close()
-                await server.wait_closed()
-        run(body())
-
-    def test_forced_v2_against_old_server_errors(self):
-        async def body():
-            server, port = await _v1_only_server()
-            try:
-                transport = Transport("127.0.0.1", port, mode="v2",
-                                      max_retries=0)
+                holder = CacheClient("127.0.0.1", server.port)
+                assert await holder.ping()
+                c = CacheClient("127.0.0.1", server.port, max_retries=0)
                 with pytest.raises(ConnectionError):
-                    await transport.call("PING")
-                await transport.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-        run(body())
-
-    def test_forced_v1_against_new_server_works(self):
-        async def body():
-            server = await _started_server()
-            try:
-                c = CacheClient("127.0.0.1", server.port, protocol="v1")
-                try:
-                    assert await c.ping()
-                    assert c.protocol_version == 1
-                finally:
-                    await c.close()
+                    await c.ping()
+                await holder.close()
+                await _settled(server, 0)
+                assert await c.mget(["a", "b"]) == [None, None]
+                await c.close()
             finally:
                 await server.stop()
         run(body())
 
-    def test_probe_failure_leaves_no_connections(self):
+    def test_client_accepts_only_the_v2_protocol(self):
+        assert CacheClient(pool_size=1, protocol="v2").transport is not None
+        with pytest.raises(ValueError, match="'v1'"):
+            CacheClient(protocol="v1")
+
+    def test_dial_failure_leaves_no_connection(self):
         async def body():
             transport = Transport("127.0.0.1", 1, max_retries=0)
             with pytest.raises((ConnectionError, OSError)):
                 await transport.call("PING")
-            assert transport._open == 0
+            assert transport._conn is None
             await transport.close()
+        run(body())
+
+    def test_non_v2_server_fails_closed_on_its_first_reply(self):
+        async def body():
+            async def text_server(reader, writer):
+                await reader.read(1)
+                writer.write(b"ERR unknown command\n")
+                await writer.drain()
+
+            server = await asyncio.start_server(text_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            transport = Transport("127.0.0.1", port, max_retries=0)
+            try:
+                with pytest.raises(ConnectionError, match="bad magic"):
+                    await transport.call("PING")
+            finally:
+                await transport.close()
+                server.close()
+                await server.wait_closed()
         run(body())
 
 
@@ -412,7 +403,7 @@ class TestPipelining:
                         *[c.get(k) for k in keys]
                     )
                     assert values == [k.encode() for k in keys]
-                    assert c.transport._open == 1
+                    assert server.connections == 1
             finally:
                 await server.stop()
         run(body())
@@ -450,7 +441,7 @@ class TestPipelining:
 
 
 # ---------------------------------------------------------------------------
-# batch verbs, on both framings
+# batch verbs
 # ---------------------------------------------------------------------------
 
 
@@ -460,7 +451,7 @@ class TestBatchVerbs:
             server = await _started_server(num_shards=2, data_capacity=1024,
                                            admission="always")
             try:
-                c = CacheClient("127.0.0.1", server.port, protocol="v2")
+                c = CacheClient("127.0.0.1", server.port)
                 try:
                     flags = await c.mset([("a", b"1"), ("b", b"2")])
                     assert flags == [True, True]
@@ -468,33 +459,6 @@ class TestBatchVerbs:
                         [b"1", None, b"2"]
                     assert await c.mdel(["a", "missing"]) == [True, False]
                     assert await c.mget(["a", "b"]) == [None, b"2"]
-                finally:
-                    await c.close()
-            finally:
-                await server.stop()
-        run(body())
-
-    def test_batch_verbs_over_v1_fail_closed(self):
-        # v1 is the singles-only codec: a batch verb names protocol v2 in
-        # its error and puts no byte on the wire
-        async def body():
-            server = await _started_server(admission="always")
-            try:
-                c = CacheClient("127.0.0.1", server.port, protocol="v1")
-                try:
-                    assert await c.set("a", b"1") is True
-                    before = server.store.stats_snapshot()["total"]
-                    for verb, call in (
-                            ("MGET", c.mget(["a"])),
-                            ("MSET", c.mset([("b", b"2")])),
-                            ("MDEL", c.mdel(["a"]))):
-                        with pytest.raises(ServerError,
-                                           match=f"{verb} needs wire "
-                                                 "protocol v2"):
-                            await call
-                    assert server.store.stats_snapshot()["total"] == before
-                    # the pooled connection is still in step
-                    assert await c.get("a") == b"1"
                 finally:
                     await c.close()
             finally:
@@ -555,9 +519,7 @@ async def _short_reply_server():
             if frame is None:
                 break
             verb = VERB_NAMES[frame.verb_id]
-            if verb == "HELLO":
-                reply = Reply("HELLO", b"v2")
-            elif verb == "MGET":
+            if verb == "MGET":
                 reply = Reply("VALUES", values=[b"x"])
             else:
                 reply = Reply("STATUSES", values=[True])
@@ -583,28 +545,158 @@ class TestBatchReplyLength:
                         await c.mdel(["a", "b"])
                     # a reply of the right length still passes
                     assert await c.mget(["a"]) == [b"x"]
-                    assert c.protocol_version == 2
             finally:
                 server.close()
                 await server.wait_closed()
         run(body())
 
 
+
+
 # ---------------------------------------------------------------------------
-# v1 payload builder (the transport's line framing table)
+# conformance: every spec verb against a cache server and a cluster node
 # ---------------------------------------------------------------------------
 
 
-class TestV1Payload:
-    def test_simple_verbs(self):
-        assert _v1_payload("PING", (), None) == b"PING\n"
-        assert _v1_payload("GET", ("k",), None) == b"GET k\n"
+#: (verb, fields) per call against a plain cache server, in order: the
+#: TAGGED -> STORED admission walk, the read-only verbs, a cluster verb
+#: the plain server does not serve (ERR) and QUIT last
+SERVICE_CALLS = (
+    ("PING", ()),
+    ("GET", ("k",)),
+    ("SET", ("k", b"abc")),       # first offer: TAGGED
+    ("GET", ("k",)),              # reuse recorded
+    ("SET", ("k", b"abc")),       # re-offer: STORED
+    ("GET", ("k",)),
+    ("DEL", ("k",)),
+    ("DEL", ("k",)),
+    ("STATS", ()),
+    ("METRICS", ()),
+    ("TRACE", ()),
+    ("RGET", ("k",)),             # not served by a plain cache server
+    ("QUIT", ()),
+)
 
-    def test_value_becomes_sized_body(self):
-        assert _v1_payload("SET", ("k", b"abc"), None) == b"SET k 3\nabc\n"
+#: the batch verbs: the same admission walk over two keys at once, then
+#: a read and a delete with a missing key
+BATCH_CALLS = (
+    ("MGET", (["a", "b"],)),                 # tag
+    ("MSET", ([("a", b"1"), ("b", b"")],)),  # declined
+    ("MGET", (["a", "b"],)),                 # reuse recorded
+    ("MSET", ([("a", b"1"), ("b", b"")],)),  # stored
+    ("MGET", (["a", "b", "zz"],)),
+    ("MDEL", (["a", "zz"],)),
+)
 
-    def test_trace_token_is_trailing_field(self):
-        assert _v1_payload("GET", ("k",), "T=1/2") == b"GET k T=1/2\n"
+#: the same for one node of a 2-node cluster; DRAIN stops the node, so
+#: it runs last
+CLUSTER_CALLS = (
+    ("GET", ("k",)),
+    ("SET", ("k", b"abc")),
+    ("GET", ("k",)),
+    ("SET", ("k", b"abc")),
+    ("GET", ("k",)),
+    ("REPL", ("r", 3, b"xyz")),
+    ("RGET", ("r",)),
+    ("REPL", ("r", 2, b"old")),   # below the held version: STALE
+    ("INVAL", ("r", 5)),
+    ("RGET", ("r",)),
+    ("REPL", ("r", 4, b"new")),   # below the INVAL floor: STALE
+    ("PUTS", ("k", "node1")),
+    ("DEL", ("k",)),
+    ("CSTATUS", ()),
+    ("DRAIN", ()),
+)
 
-    def test_status_names_cover_ids(self):
-        assert set(STATUS_NAMES) == set(STATUS_IDS.values())
+
+async def _reuse_server():
+    server = CacheServer(ShardedStore(num_shards=2, data_capacity=64,
+                                      admission="reuse", seed=7), port=0)
+    await server.start()
+    return server
+
+
+def _view(reply):
+    """A comparable view of one reply (or of the ServerError raised)."""
+    if isinstance(reply, ServerError):
+        return ("ERR", str(reply))
+    return (reply.status, reply.body, reply.values)
+
+
+async def _walk(transport, calls, trace=None):
+    replies = []
+    for verb, fields in calls:
+        try:
+            reply = await transport.call(verb, *fields, trace=trace)
+        except ServerError as exc:
+            reply = exc
+        replies.append((verb, _view(reply)))
+    return replies
+
+
+async def _on_fresh_server(calls, trace=None):
+    server = await _reuse_server()
+    transport = Transport("127.0.0.1", server.port)
+    try:
+        return await _walk(transport, calls, trace)
+    finally:
+        await transport.close()
+        await server.stop()
+
+
+class TestConformance:
+    def test_every_spec_verb_is_exercised(self):
+        called = {v for calls in (SERVICE_CALLS, BATCH_CALLS, CLUSTER_CALLS)
+                  for v, _ in calls}
+        assert {verb.name for verb in SPEC} == called
+
+    def test_cache_server_status_walk(self):
+        replies = run(_on_fresh_server(SERVICE_CALLS))
+        assert [reply[0] for _, reply in replies] == [
+            "PONG", "MISS", "TAGGED", "MISS", "STORED", "VALUE", "DELETED",
+            "NOTFOUND", "STATS", "METRICS", "TRACE", "ERR", "BYE",
+        ]
+        assert replies[5] == ("GET", ("VALUE", b"abc", None))
+        assert ("RGET", ("ERR", "unknown command 'RGET'")) in replies
+        stats = json.loads(dict(replies)["STATS"][1].decode("utf-8"))
+        assert stats["num_shards"] == 2
+
+    def test_traced_walk_answers_alike(self):
+        ctx = TraceContext("t1", "s1")
+        plain = run(_on_fresh_server(SERVICE_CALLS[1:6]))
+        traced = run(_on_fresh_server(SERVICE_CALLS[1:6], trace=ctx))
+        assert traced == plain
+        assert [reply[0] for _, reply in traced] == [
+            "MISS", "TAGGED", "MISS", "STORED", "VALUE"]
+
+    def test_batch_replies(self):
+        assert run(_on_fresh_server(BATCH_CALLS)) == [
+            ("MGET", ("VALUES", None, [None, None])),
+            ("MSET", ("STATUSES", None, [False, False])),
+            ("MGET", ("VALUES", None, [None, None])),
+            ("MSET", ("STATUSES", None, [True, True])),
+            ("MGET", ("VALUES", None, [b"1", b"", None])),
+            ("MDEL", ("STATUSES", None, [True, False])),
+        ]
+
+    def test_cluster_node_status_walk(self):
+        async def body():
+            async with LocalCluster(2, data_capacity_per_node=32,
+                                    admission="reuse") as cluster:
+                node = cluster.nodes["node0"]
+                # the peer client's transport: the one that carries
+                # CSTATUS bodies
+                transport = PeerClient(node.host, node.port).transport
+                try:
+                    return await _walk(transport, CLUSTER_CALLS)
+                finally:
+                    await transport.close()
+        replies = run(body())
+        assert [reply[0] for _, reply in replies] == [
+            "MISS", "TAGGED", "MISS", "STORED", "VALUE", "REPLICATED",
+            "VALUE", "STALE", "INVALED", "MISS", "STALE", "OK", "DELETED",
+            "CSTATUS", "DRAINING",
+        ]
+        assert replies[6] == ("RGET", ("VALUE", b"xyz", None))
+        status = json.loads(dict(replies)["CSTATUS"][1].decode("utf-8"))
+        assert status["name"] == "node0"

@@ -21,12 +21,12 @@ from repro.service import CacheClient, CacheServer, ShardedStore
 
 #: sha256 of the service server's METRICS text for the sequence below
 SERVICE_METRICS_SHA256 = (
-    "88f386488e3bc0928c91653eb47d414b767f394b884404cdd2fd4c90f37b2bc0")
+    "19ea3d2c341c8366ddacf88442dc586071369d34236ad3b08b2d7fdce3126f85")
 
 #: sha256 of each cluster node's registry text for the sequence below
 CLUSTER_METRICS_SHA256 = {
-    "node0": "5ad8c0ac5d1225ef01231ed1a7417617139dff9e7f993d13872dd5309945a972",
-    "node1": "e1a3e93634d195593a5eae5cc9a0f8b88ddcd5505c2ad954c54d2031c4f469b9",
+    "node0": "f97a705b8ce261e5ebeec4cebed1ecdc73d5dddc6cdc59d8222555d8cb51263c",
+    "node1": "1c312bbb1c70da0cecdddbc5ed9e1762681f1e64970ca7cd1d9d4f3696894f7b",
 }
 
 

@@ -1,9 +1,9 @@
-"""Per-request timeouts of the cache server, on both framings.
+"""Per-request timeouts of the cache server.
 
-A handler slower than ``request_timeout`` is answered ``ERR timeout``:
-a v2 connection then serves its next frame, a v1 connection is dropped.
-Either way the in-flight count returns to zero, and with tracing on no
-trace context leaks from the cancelled handler into the next request.
+A handler slower than ``request_timeout`` is answered with an
+``ERR timeout`` frame and the connection serves its next frame.  The
+in-flight count returns to zero, and with tracing on no trace context
+leaks from the cancelled handler into the next request.
 """
 
 import asyncio
@@ -33,18 +33,18 @@ class _SlowServer(CacheServer):
 
     The slow GET touches the store first, so its admission decisions are
     recorded under its own request span before it stalls.  ``ambient``
-    records the trace context each v2 frame is dispatched under: a
+    records the trace context each frame is dispatched under: a
     request's context must never outlive it.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: the trace context active as each v2 frame is dispatched
+        #: the trace context active as each frame is dispatched
         self.ambient = []
 
-    async def _serve_v2_request(self, frame, *args):
+    async def _serve_request(self, frame, *args):
         self.ambient.append(current_context())
-        return await super()._serve_v2_request(frame, *args)
+        return await super()._serve_request(frame, *args)
 
     @wire_verb("GET")
     async def _verb_get(self, key: str):
@@ -126,46 +126,6 @@ class TestV2Timeout:
                 # counted as served
                 snap = server.store.stats_snapshot()["total"]
                 assert snap["latency_samples"] == 0
-                writer.close()
-            finally:
-                await server.stop()
-        run(body())
-
-
-class TestV1Timeout:
-    def test_timed_out_request_gets_err_and_connection_closes(self):
-        async def body():
-            server = await _slow_server()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port)
-                writer.write(b"PING\n")
-                assert await reader.readline() == b"PONG\n"
-                writer.write(b"GET slow1\n")
-                assert await reader.readline() == b"ERR timeout\n"
-                assert await reader.read() == b""  # dropped
-                assert await _settled(server) == 0
-                writer.close()
-                # the server itself is fine: a new connection is served
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port)
-                writer.write(b"GET k\n")
-                assert await reader.readline() == b"MISS\n"
-                writer.close()
-            finally:
-                await server.stop()
-        run(body())
-
-    def test_value_body_that_never_arrives_times_out(self):
-        async def body():
-            server = await _slow_server()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port)
-                writer.write(b"SET k 5\n")  # the 5 body bytes never come
-                assert await reader.readline() == b"ERR timeout\n"
-                assert await reader.read() == b""
-                assert await _settled(server) == 0
                 writer.close()
             finally:
                 await server.stop()

@@ -20,7 +20,15 @@ from repro.service import (
     value_of,
 )
 from repro.service.cli import build_service_parser, run_service_benchmark
-from repro.service.protocol import VERB_NAMES
+from repro.service.protocol import (
+    STATUS_NAMES,
+    VERB_IDS,
+    VERB_NAMES,
+    FrameEncoder,
+    encode_request,
+    read_frame,
+)
+from repro.service.server import wire_verb
 from repro.service.stats import ShardStats
 from repro.workloads.mixes import EXAMPLE_MIX, build_workload
 
@@ -309,6 +317,32 @@ async def _started_server(**kwargs):
     return server
 
 
+async def _exchange(reader, writer, *frames):
+    """Send raw request frames; the replies as ``(seq, status, payload)``."""
+    writer.write(b"".join(frames))
+    await writer.drain()
+    replies = []
+    for _ in frames:
+        frame = await read_frame(reader)
+        replies.append((frame.seq, STATUS_NAMES[frame.verb_id],
+                        frame.payload))
+    return replies
+
+
+class _HeldGetServer(CacheServer):
+    """A GET of ``held`` is answered only once ``release`` is set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.release = asyncio.Event()
+
+    @wire_verb("GET")
+    async def _verb_get(self, key: str):
+        if key == "held":
+            await self.release.wait()
+        return await super()._verb_get(key)
+
+
 class TestServerProtocol:
     def test_get_set_del_roundtrip(self):
         async def body():
@@ -345,29 +379,34 @@ class TestServerProtocol:
             try:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port)
-                writer.write(b"FROB key\n")
-                assert (await reader.readline()).startswith(b"ERR")
-                writer.write(b"SET toofew\n")
-                assert (await reader.readline()).startswith(b"ERR")
-                writer.write(b"PING\n")          # still usable
-                assert await reader.readline() == b"PONG\n"
+                enc = FrameEncoder()
+                replies = await _exchange(
+                    reader, writer,
+                    enc.simple(99, 1),                        # unknown verb
+                    enc.simple(VERB_IDS["SET"], 2, b"\x00\x05ab"),  # short
+                    enc.simple(VERB_IDS["PING"], 3),          # still usable
+                )
+                assert [reply[:2] for reply in replies] == [
+                    (1, "ERR"), (2, "ERR"), (3, "PONG")]
+                assert replies[0][2] == b"unknown verb id 99"
+                assert replies[1][2] == b"payload truncated"
                 writer.close()
             finally:
                 await server.stop()
         run(body())
 
-    def test_overlong_request_line_fails_closed(self):
+    def test_non_v2_connection_is_dropped_and_counted(self):
         async def body():
             server = await _started_server()
             try:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port)
-                writer.write(b"GET " + b"k" * 65530 + b"\n")  # fits
-                assert await reader.readline() == b"MISS\n"
-                writer.write(b"GET " + b"k" * 65536 + b"\n")
-                assert await reader.readline() == b"ERR line too long\n"
-                assert await reader.read() == b""  # connection dropped
+                writer.write(b"PING\n")
+                writer.write_eof()
+                assert await reader.read() == b""  # dropped, unanswered
                 writer.close()
+                assert server.connections_v1 == 1
+                assert server.connections_v2 == 0
             finally:
                 await server.stop()
         run(body())
@@ -405,10 +444,14 @@ class TestServerProtocol:
             server = await _started_server(max_connections=1)
             try:
                 r1, w1 = await asyncio.open_connection("127.0.0.1", server.port)
-                w1.write(b"PING\n")
-                assert await r1.readline() == b"PONG\n"
+                enc = FrameEncoder()
+                assert await _exchange(r1, w1, enc.simple(
+                    VERB_IDS["PING"], 1)) == [(1, "PONG", b"")]
                 r2, w2 = await asyncio.open_connection("127.0.0.1", server.port)
-                assert (await r2.readline()).startswith(b"ERR busy")
+                frame = await read_frame(r2)
+                assert (STATUS_NAMES[frame.verb_id], frame.payload) == \
+                    ("ERR", b"busy")
+                assert await read_frame(r2) is None  # and closed
                 w1.close(); w2.close()
             finally:
                 await server.stop()
@@ -451,21 +494,24 @@ class TestConcurrentClients:
 class TestGracefulShutdown:
     def test_stop_drains_inflight_request(self):
         async def body():
-            server = await _started_server(admission="always",
-                                           request_timeout=10.0)
+            server = _HeldGetServer(ShardedStore(num_shards=2,
+                                                 data_capacity=64),
+                                    port=0, request_timeout=10.0)
+            await server.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
-            # start a SET but hold back the value body: request is in flight
-            writer.write(b"SET slow 5\n")
+            # a GET whose handler is held back: the request is in flight
+            writer.write(encode_request(FrameEncoder(), "GET", ["held"], 1))
             await writer.drain()
-            while server.inflight == 0:     # wait until the server parsed it
+            while server.inflight == 0:     # wait until the server took it
                 await asyncio.sleep(0.001)
             stopper = asyncio.ensure_future(server.stop(drain_timeout=5.0))
             await asyncio.sleep(0.05)       # stop() is now draining
             assert not stopper.done()
-            writer.write(b"hello\n")        # complete the request
-            await writer.drain()
-            assert await reader.readline() == b"STORED\n"  # answered, not cut
+            server.release.set()            # let the handler finish
+            frame = await read_frame(reader)
+            # answered, not cut
+            assert (frame.seq, STATUS_NAMES[frame.verb_id]) == (1, "MISS")
             await stopper
             assert server.inflight == 0
             # new connections are refused after shutdown
@@ -480,10 +526,10 @@ class TestGracefulShutdown:
             server = await _started_server()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
-            writer.write(b"PING\n")
-            assert await reader.readline() == b"PONG\n"
+            assert await _exchange(reader, writer, FrameEncoder().simple(
+                VERB_IDS["PING"], 1)) == [(1, "PONG", b"")]
             await server.stop(drain_timeout=1.0)
-            assert await reader.readline() == b""   # EOF: server closed it
+            assert await reader.read() == b""   # EOF: server closed it
             assert server.connections == 0
         run(body())
 
@@ -494,7 +540,7 @@ class TestGracefulShutdown:
                 async with CacheClient("127.0.0.1", server.port) as c:
                     assert await c.quit() is True
                     # the server hung up that connection, not the server:
-                    # the pool dials a fresh one for the next request
+                    # the transport dials a fresh one for the next request
                     assert await c.ping() is True
             finally:
                 await server.stop()
@@ -529,13 +575,13 @@ class TestClient:
         async def body():
             server = await _started_server()
             served = []
-            serve = server._serve_v2_request
+            serve = server._serve_request
 
             async def counting(frame, *args):
                 served.append(VERB_NAMES[frame.verb_id])
                 return await serve(frame, *args)
 
-            server._serve_v2_request = counting
+            server._serve_request = counting
             try:
                 async with CacheClient("127.0.0.1", server.port) as c:
                     # RGET is a cluster verb: a plain cache server answers ERR
@@ -543,8 +589,8 @@ class TestClient:
                         await c.transport.call("RGET", "k")
             finally:
                 await server.stop()
-            # one request (after the negotiation probe), never retried
-            assert served == ["HELLO", "RGET"]
+            # one request, never retried
+            assert served == ["RGET"]
         run(body())
 
 

@@ -3,7 +3,7 @@
 the observability HTTP endpoint (:mod:`repro.obs.http`), the flight
 recorder (:mod:`repro.obs.flight`), the :class:`ServiceTelemetry`
 composition, and the telemetry additions to ``repro top`` rendering and
-the server (uptime, per-framing connection counts)."""
+the server (uptime, connection counts: v2 and dropped non-v2)."""
 
 import asyncio
 import json
@@ -652,7 +652,7 @@ class TestServiceTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# server additions: uptime and per-framing connection counters
+# server additions: uptime and connection counters (v2, dropped non-v2)
 # ---------------------------------------------------------------------------
 
 
@@ -665,14 +665,15 @@ class TestServerWireAccounting:
             assert server.uptime_s == 0.0  # not started yet
             await server.start()
             try:
-                v1 = CacheClient("127.0.0.1", server.port, protocol="v1",
-                                 pool_size=1)
-                await v1.set("a", b"1")
-                await v1.close()
-                v2 = CacheClient("127.0.0.1", server.port, protocol="v2",
-                                 pool_size=1)
-                await v2.set("b", b"2")
-                await v2.close()
+                client = CacheClient("127.0.0.1", server.port)
+                await client.set("b", b"2")
+                await client.close()
+                # a text request line is not a v2 frame header: dropped
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"SET key 1\r\n1\r\n")  # 14 bytes
+                assert await reader.read() == b""
+                writer.close()
                 assert server.connections_v1 == 1
                 assert server.connections_v2 == 1
                 assert server.uptime_s > 0
@@ -680,12 +681,6 @@ class TestServerWireAccounting:
                 assert info["connections_v1"] == 1
                 assert info["connections_v2"] == 1
                 assert not info["draining"]
-                snap = obs.registry.snapshot()
-                series = snap["repro_service_connections_framing_total"][
-                    "series"]
-                by_label = {s["labels"]["framing"]: s["value"]
-                            for s in series}
-                assert by_label == {"v1": 1, "v2": 1}
                 payload = json.loads(server._stats_payload().decode())
                 assert payload["server"]["connections_v1"] == 1
             finally:
@@ -713,7 +708,7 @@ class TestDashboardTelemetry:
     def test_server_block_renders_uptime_and_wire_split(self):
         frame = render_dashboard(self._snapshot())
         assert "uptime 1:02:05" in frame
-        assert "conns 5 (v1 2 / v2 3, open 1)" in frame
+        assert "conns 5 (non-v2 2 / v2 3, open 1)" in frame
         assert "DRAINING" not in frame
 
     def test_draining_flag_is_visible(self):
@@ -747,7 +742,7 @@ class TestDashboardTelemetry:
             "unreachable": ["node1"], "draining": [],
         }
         frame = render_cluster_dashboard(summary)
-        header = next(l for l in frame.splitlines() if "wire v1/v2" in l)
+        header = next(l for l in frame.splitlines() if "non-v2/v2" in l)
         assert "up" in header
         row = next(l for l in frame.splitlines() if l.strip().
                    startswith("node0"))
