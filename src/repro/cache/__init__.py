@@ -1,14 +1,12 @@
-"""Cache substrate: set-associative stores, private caches, SLLC models."""
+"""Cache substrate: private caches and SLLC models."""
 
 from .conventional import ConventionalLLC
 from .llc_base import BaseLLC, LLCAccess
 from .ncid import NCIDCache
 from .private_cache import PrivateCache, PrivateHierarchy
 from .vway import VWayCache
-from .set_assoc import TagStore
 
 __all__ = [
-    "TagStore",
     "PrivateCache",
     "PrivateHierarchy",
     "BaseLLC",

@@ -159,6 +159,10 @@ class System:
         self._bank_mask = config.llc_banks - 1
         self._bank_bits = ilog2(config.llc_banks)
         self.dram = DDR3Memory(config.dram)
+        # config fields every private miss reads, copied out once
+        self._l2_latency = config.l2_latency
+        self._xbar_latency = config.xbar_latency
+        self._prefetch_degree = config.prefetch_degree
         #: stalls of a reference the SLLC serves and of one a peer's private
         #: cache serves (cycles)
         self._llc_latency = config.l2_latency + config.xbar_latency + config.llc_latency
@@ -217,7 +221,7 @@ class System:
             if needs_upgrade:
                 self._do_upgrade(core, addr, now)
                 return self._llc_latency
-            return self.config.l2_latency
+            return self._l2_latency
 
         # private miss: go to the SLLC bank
         self.l1_misses[core] += 1
@@ -252,16 +256,16 @@ class System:
             latency = self._peer_latency
         else:  # dram
             self.llc_misses[core] += 1
-            latency = dram.read(addr, t_at_llc) - now + self.config.xbar_latency
+            latency = dram.read(addr, t_at_llc) - now + self._xbar_latency
 
         # refill the private hierarchy and report its L2 victim (PUTS/PUTX)
-        for ev_addr, ev_dirty in private[core].fill(addr, dirty=is_write):
+        for ev_addr, ev_dirty in private[core].fill(addr, is_write):
             ev_bank = ev_addr & mask
             wbs = banks[ev_bank].notify_private_eviction(ev_addr >> bits, core, ev_dirty)
             for wb_local in wbs:
                 dram.write(wb_local << bits | ev_bank, t_at_llc)
 
-        if self.config.prefetch_degree:
+        if self._prefetch_degree:
             self._issue_prefetches(core, addr, t_at_llc)
         return latency
 
@@ -272,7 +276,7 @@ class System:
         bandwidth and obey inclusion like demand fills.
         """
         private = self.private[core]
-        for delta in range(1, self.config.prefetch_degree + 1):
+        for delta in range(1, self._prefetch_degree + 1):
             pf_addr = addr + delta
             if private.contains(pf_addr):
                 continue

@@ -62,6 +62,11 @@ class _MuxConn:
                 frame = await read_frame(self.reader)
                 if frame is None:
                     raise ConnectionError("server closed connection")
+                if frame.seq == 0 and STATUS_NAMES.get(frame.verb_id) == "ERR":
+                    # no request has seq 0: the server turned us away
+                    raise ConnectionError(
+                        "server rejected connection: "
+                        + frame.payload.decode("utf-8", "replace"))
                 fut = self.pending.pop(frame.seq, None)
                 if fut is not None and not fut.done():
                     fut.set_result(frame)

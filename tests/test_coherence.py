@@ -1,5 +1,7 @@
 """Tests for the TO-MSI protocol table and the full-map directory."""
 
+import random
+
 import pytest
 
 from repro.coherence import (
@@ -126,3 +128,31 @@ class TestDirectory:
     def test_rejects_bad_core_count(self):
         with pytest.raises(ValueError):
             Directory(1, 1, 0)
+
+    @staticmethod
+    def _check_mask(num_cores, mask):
+        """The directory's answers for ``mask`` against the bit scan."""
+        d = Directory(2, num_cores, num_cores)
+        for c in range(num_cores):
+            if mask >> c & 1:
+                d.add(0, 0, c)
+                d.add(1, c, c)  # in set 1, way c is held iff bit c is set
+        scan = [c for c in range(num_cores) if mask >> c & 1]
+        sharers = d.sharers(0, 0)
+        assert type(sharers) is list and sharers == scan
+        for core in range(num_cores):
+            others = d.others(0, 0, core)
+            assert type(others) is list
+            assert others == [c for c in scan if c != core]
+        unshared = d.unshared_ways(1)
+        assert type(unshared) is list
+        assert unshared == [w for w in range(num_cores) if not mask >> w & 1]
+
+    def test_every_8_core_mask_matches_the_bit_scan(self):
+        for mask in range(256):
+            self._check_mask(8, mask)
+
+    def test_16_core_masks_match_the_bit_scan(self):
+        rng = random.Random(2013)
+        for mask in [0, 0xFFFF] + [rng.randrange(1 << 16) for _ in range(300)]:
+            self._check_mask(16, mask)

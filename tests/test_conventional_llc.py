@@ -34,8 +34,8 @@ class TestBasics:
         llc.access(4, 0, False, 1)
         llc.access(0, 0, False, 2)  # 0 becomes MRU
         llc.access(8, 0, False, 3)  # set 0 full: evict 4
-        assert llc.tags.lookup(4)[1] is None
-        assert llc.tags.lookup(0)[1] is not None
+        assert llc.locate(4)[1] is None
+        assert llc.locate(0)[1] is not None
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -50,14 +50,14 @@ class TestCoherence:
         llc.access(0x10, 2, False, 2)
         res = llc.access(0x10, 0, True, 3)
         assert sorted(res.coherence_invals) == [1, 2]
-        set_idx, way = llc.tags.lookup(0x10)
+        set_idx, way = llc.locate(0x10)
         assert llc.directory.sharers(set_idx, way) == [0]
 
     def test_read_adds_sharer(self):
         llc = make()
         llc.access(0x10, 0, False, 0)
         llc.access(0x10, 3, False, 1)
-        set_idx, way = llc.tags.lookup(0x10)
+        set_idx, way = llc.locate(0x10)
         assert llc.directory.sharers(set_idx, way) == [0, 3]
 
     def test_upgrade(self):
@@ -85,7 +85,7 @@ class TestCoherence:
         llc.access(0x10, 2, False, 0)
         wbs = llc.notify_private_eviction(0x10, 2, dirty=False)
         assert wbs == ()
-        set_idx, way = llc.tags.lookup(0x10)
+        set_idx, way = llc.locate(0x10)
         assert way in llc.directory.unshared_ways(set_idx)
 
     def test_dirty_put_absorbed_then_written_back_on_evict(self):
@@ -111,8 +111,8 @@ class TestNRRProtection:
         res = llc.access(8, 2, False, 2)
         # victim must be line 4 (line 0 still private-resident)
         assert res.inclusion_invals == ()
-        assert llc.tags.lookup(0)[1] is not None
-        assert llc.tags.lookup(4)[1] is None
+        assert llc.locate(0)[1] is not None
+        assert llc.locate(4)[1] is None
 
     def test_forced_eviction_when_all_private(self):
         llc = make(policy="nrr", lines=8, assoc=2)

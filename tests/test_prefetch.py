@@ -69,7 +69,7 @@ class TestConventionalPrefetch:
         llc = ConventionalLLC(16, 4, num_cores=4, rng=random.Random(0))
         res = llc.prefetch(0x10, 0, 0)
         assert res.dram_reads == 1
-        assert llc.tags.lookup(0x10)[1] is not None
+        assert llc.locate(0x10)[1] is not None
         assert llc.data_fills == 1
 
     def test_prefetch_hit_only_records_presence(self):

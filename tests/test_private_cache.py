@@ -150,3 +150,8 @@ class TestPrivateHierarchy:
     def test_l2_must_cover_l1(self):
         with pytest.raises(ValueError):
             PrivateHierarchy(16, 2, 8, 4)
+
+    def test_fill_of_present_line_rejected(self, ph):
+        ph.fill(0x10, False)
+        with pytest.raises(ValueError):
+            ph.fill(0x10, False)

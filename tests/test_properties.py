@@ -92,7 +92,7 @@ def test_conventional_inclusion_of_mirror(ops):
             mirror.maybe_evict(llc, core, addr, is_write)
     for lines in mirror.private.values():
         for addr in lines:
-            assert llc.tags.lookup(addr)[1] is not None
+            assert llc.locate(addr)[1] is not None
 
 
 @settings(max_examples=60, deadline=None)

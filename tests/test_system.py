@@ -18,7 +18,7 @@ def has_tag(bank, local):
     """True iff the SLLC bank holds a tag for the bank-local line."""
     if hasattr(bank, "rdir"):
         return local in bank.rdir.index
-    return bank.tags.lookup(local)[1] is not None
+    return bank.locate(local)[1] is not None
 
 
 def synthetic_workload(n_cores=8, pattern="hot", n_refs=400):
@@ -141,9 +141,10 @@ class TestSystemBehaviour:
         system.run()
         for b, bank in enumerate(system.banks):
             # translate bank-local presence back through the system helpers
-            for set_idx in range(bank.tags.num_sets):
-                for way in bank.tags.valid_ways(set_idx):
-                    local = bank.tags.addrs[set_idx][way]
+            for set_idx, ways in enumerate(bank.addrs):
+                for way, local in enumerate(ways):
+                    if local is None:
+                        continue
                     addr = system._global(local, b)
                     for c, ph in enumerate(system.private):
                         present = bank.directory.is_present(set_idx, way, c)

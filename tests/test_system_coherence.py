@@ -42,7 +42,7 @@ class TestStoresAndUpgrades:
         assert holders == [2]
         # and the directory must agree
         bank = system.banks[system._bank_of(0x100)]
-        set_idx, way = bank.tags.lookup(system._local(0x100))
+        set_idx, way = bank.locate(system._local(0x100))
         assert bank.directory.sharers(set_idx, way) == [2]
 
     def test_dirty_write_back_travels_through_hierarchy(self):
@@ -57,7 +57,7 @@ class TestStoresAndUpgrades:
         system.run(warmup_frac=0.0)
         assert not system.private[0].contains(0x100)
         bank = system.banks[system._bank_of(0x100)]
-        set_idx, way = bank.tags.lookup(system._local(0x100))
+        set_idx, way = bank.locate(system._local(0x100))
         assert way is not None
         assert bank._dirty[set_idx][way]  # the PUTX was absorbed
 
