@@ -41,6 +41,8 @@ from __future__ import annotations
 import asyncio
 import struct
 
+from .deadline import deadline
+
 #: hard cap on a single value accepted over the wire (16 MiB)
 MAX_VALUE_BYTES = 16 * 1024 * 1024
 #: hard cap on one frame's payload (a batch of values plus framing)
@@ -297,15 +299,22 @@ class FrameEncoder:
         return self.finish()
 
 
-async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD):
+async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD,
+                     header_timeout: float | None = None):
     """Read one v2 frame; ``None`` on clean EOF at a frame boundary.
 
     Truncation mid-frame, a wrong magic/version, or an oversized payload
     raise :class:`FrameError` — the stream is unframeable and the
-    connection must drop.
+    connection must drop.  With ``header_timeout``, the 12 header bytes
+    must arrive within that many seconds or :class:`asyncio.TimeoutError`
+    is raised; the payload that follows is not timed.
     """
     try:
-        header = await reader.readexactly(HEADER_SIZE)
+        if header_timeout is None:
+            header = await reader.readexactly(HEADER_SIZE)
+        else:
+            async with deadline(header_timeout):
+                header = await reader.readexactly(HEADER_SIZE)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # clean EOF between frames
