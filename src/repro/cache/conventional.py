@@ -38,7 +38,7 @@ class ConventionalLLC(BaseLLC):
     ):
         super().__init__(num_cores, rng)
         require_power_of_two(num_lines, "num_lines")
-        if num_lines % assoc:
+        if assoc <= 0 or num_lines % assoc:
             raise ValueError(f"{num_lines} lines not divisible into {assoc} ways")
         self.num_lines = num_lines
         self.assoc = assoc

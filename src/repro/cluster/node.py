@@ -632,8 +632,9 @@ class ClusterNode:
     # -- store eviction -> DataRepl/TagRepl ----------------------------------
 
     def _on_store_evict(self, key: str, kind: str) -> None:
-        # runs synchronously under the store lock: just queue, the async
-        # caller flushes (and awaits the INVAL fan-out) before acking
+        # runs synchronously inside a store transition and must not
+        # re-enter the store: just queue, the async caller flushes (and
+        # awaits the INVAL fan-out) before acking
         self._pending_evictions.append((key, kind))
 
     async def _flush_evictions(self) -> None:

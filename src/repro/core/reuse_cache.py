@@ -73,7 +73,7 @@ class ReuseCache(BaseLLC):
             raise ValueError(
                 f"data array ({data_lines}) cannot exceed tag array ({tag_lines})"
             )
-        if tag_lines % tag_assoc:
+        if tag_assoc <= 0 or tag_lines % tag_assoc:
             raise ValueError(f"{tag_lines} tags not divisible into {tag_assoc} ways")
 
         self.tag_lines = tag_lines
@@ -83,7 +83,7 @@ class ReuseCache(BaseLLC):
             self.data_assoc = data_lines
         else:
             self.data_assoc = int(data_assoc)
-        if data_lines % self.data_assoc:
+        if self.data_assoc <= 0 or data_lines % self.data_assoc:
             raise ValueError(
                 f"{data_lines} data entries not divisible into {self.data_assoc} ways"
             )

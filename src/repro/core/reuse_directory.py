@@ -31,7 +31,8 @@ What differs between the adapters stays in the adapters:
 
 Transitions return what they evicted and leave the side effects (dirty
 writebacks, coherence, byte accounting, listeners) to the caller.  There
-is no locking: the store serialises calls behind its own lock.
+is no locking: the service store that owns a directory is owned in turn by
+the server's event-loop thread, and neither is thread-safe.
 """
 
 from __future__ import annotations

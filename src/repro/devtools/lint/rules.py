@@ -466,7 +466,7 @@ class CounterBypassRule(Rule):
 
 @register
 class DecentralisedParallelismRule(Rule):
-    """Process-level parallelism belongs to :mod:`repro.runner` alone.
+    """Threads and processes belong to :mod:`repro.runner` alone.
 
     The engine guarantees that parallel execution is deterministic (cells
     carry their own seeds, results return in submission order) and
@@ -474,16 +474,26 @@ class DecentralisedParallelismRule(Rule):
     stray ``ProcessPoolExecutor`` or ``multiprocessing`` pool elsewhere
     would fork work that no cache key covers and no counter counts —
     every fan-out must go through ``Runner.run_cells``.
+
+    ``threading`` is banned on the same terms.  The service store takes no
+    lock: it is owned by the server's event-loop thread, so a thread that
+    touched it would race.
     """
 
     id = "REP010"
     name = "decentralised-parallelism"
     description = (
-        "multiprocessing / concurrent.futures used outside repro.runner"
+        "threads or processes (threading / multiprocessing / "
+        "concurrent.futures) outside repro.runner"
     )
     scope = ("repro",)
 
-    _BANNED = ("multiprocessing", "concurrent.futures", "concurrent")
+    _BANNED = ("multiprocessing", "concurrent", "threading")
+    _ADVICE = (
+        "submit cells through repro.runner.Runner so parallelism stays "
+        "seeded, cached and counted, and leave the service store to its "
+        "event-loop thread"
+    )
 
     def _allowed(self, ctx) -> bool:
         return ctx.module == "repro.runner" or ctx.module.startswith(
@@ -503,9 +513,8 @@ class DecentralisedParallelismRule(Rule):
             if self._is_banned(alias.name):
                 ctx.report(
                     self, node,
-                    f"import of {alias.name} outside repro.runner; submit "
-                    "cells through repro.runner.Runner so parallelism stays "
-                    "seeded, cached and counted",
+                    f"import of {alias.name} outside repro.runner; "
+                    + self._ADVICE,
                 )
 
     def check_ImportFrom(self, node: ast.ImportFrom, ctx) -> None:
@@ -514,9 +523,8 @@ class DecentralisedParallelismRule(Rule):
         if self._is_banned(node.module or ""):
             ctx.report(
                 self, node,
-                f"import from {node.module} outside repro.runner; submit "
-                "cells through repro.runner.Runner so parallelism stays "
-                "seeded, cached and counted",
+                f"import from {node.module} outside repro.runner; "
+                + self._ADVICE,
             )
 
 

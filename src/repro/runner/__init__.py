@@ -21,8 +21,8 @@ This package is the single place such cells are executed:
   counters (cells run/cached/failed, per-cell latency) and guarantees the
   combined output is byte-identical to a serial in-process run.
 
-Direct ``multiprocessing`` / ``concurrent.futures`` use anywhere else in
-the package is a lint error (REP010): parallelism stays centralized here so
+Direct ``threading`` / ``multiprocessing`` / ``concurrent.futures`` use
+anywhere else in the package is a lint error (REP010): parallelism stays centralized here so
 it remains deterministic and seedable.  See ``docs/runner.md``.
 """
 

@@ -3,9 +3,9 @@
 The simulator answers "would the reuse cache have hit?"; this package serves
 real GET/SET traffic with the same decision logic:
 
-* :class:`~repro.service.store.ReuseStore` — thread-safe object cache whose
-  admission is the paper's selective allocation (NRR tag directory, Clock
-  data store);
+* :class:`~repro.service.store.ReuseStore` — object cache whose admission
+  is the paper's selective allocation (NRR tag directory, Clock data
+  store); owned by the server's event-loop thread, not thread-safe;
 * :class:`~repro.service.sharding.ShardedStore` — hash-sharded front end;
 * :class:`~repro.service.server.CacheServer` — asyncio TCP server
   (binary v2 frames, connection limits, graceful shutdown);

@@ -561,8 +561,9 @@ class CacheServer:
         """Store decision hook -> audit instant on the active request span.
 
         Installed only when tracing is on (the obs-off store keeps a bare
-        ``None`` listener); runs under the store lock, so it only appends
-        to the ring.
+        ``None`` listener); runs inside a store transition on the event-loop
+        thread and must not re-enter the store, so it only appends to the
+        ring.
         """
         name = DECISION_EVENTS.get(decision)
         if name is None:

@@ -4,9 +4,12 @@
 banked SLLC spreads line addresses across banks: a stable hash of the key
 (low 32 bits of :func:`~repro.service.store.stable_hash`; the stores' tag
 directories index with the high bits, so the two maps stay decorrelated)
-picks the shard, and each shard serialises its own operations behind its own
-lock.  Disjoint keys on different shards therefore never contend — the
-property that lets the asyncio server and thread-pool clients scale.
+picks the shard.  The front end hashes each key once and hands the hash to
+the shard, so a tag miss does not hash it again.
+
+Like its shards, a sharded store is owned by the server's event-loop thread
+and is not thread-safe; no store operation awaits, so requests interleave
+only between operations.  Listeners must not re-enter the store.
 
 The key→shard map depends only on ``(key, num_shards)``, never on process
 state or insertion order, so a client computing shards locally and a server
@@ -15,13 +18,21 @@ routing internally always agree.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..obs import Observability
 from .stats import merge_snapshots
 from .store import ReuseStore, stable_hash
 
 
 class ShardedStore:
-    """N-way sharded front end over independent :class:`ReuseStore` shards."""
+    """N-way sharded front end over independent :class:`ReuseStore` shards.
+
+    :attr:`key_hash` memoises :func:`~repro.service.store.stable_hash` in
+    one LRU memo bounded by the shards' summed ``tag_capacity``, the number
+    of keys the tags can track: a key whose tag is resident is usually
+    still in the memo, so routing it costs no blake2b.
+    """
 
     def __init__(
         self,
@@ -55,6 +66,10 @@ class ShardedStore:
             for i in range(num_shards)
         ]
         self.data_capacity = per_shard_data * num_shards
+        #: memoised ``stable_hash``; every routing site goes through it
+        self.key_hash = lru_cache(
+            maxsize=sum(shard.tag_capacity for shard in self.shards)
+        )(stable_hash)
         #: observability bundle (disabled by default: zero overhead).  When
         #: metrics are on, a collector mirrors each shard's ShardStats into
         #: the registry at snapshot time — the request path stays plain ints.
@@ -66,21 +81,25 @@ class ShardedStore:
 
     def shard_of(self, key: str) -> int:
         """Deterministic shard index for ``key`` (stable across processes)."""
-        return (stable_hash(key) & 0xFFFFFFFF) % self.num_shards
+        return (self.key_hash(key) & 0xFFFFFFFF) % self.num_shards
 
     def shard_for(self, key: str) -> ReuseStore:
         """The shard instance responsible for ``key``."""
         return self.shards[self.shard_of(key)]
 
-    # -- key/value API (delegates under the owning shard's lock) -------------
+    # -- key/value API (delegates to the owning shard) -----------------------
 
     def get(self, key: str):
         """Look up ``key`` on its shard; value bytes or ``None``."""
-        return self.shard_for(key).get(key)
+        key_hash = self.key_hash(key)
+        return (self.shards[(key_hash & 0xFFFFFFFF) % self.num_shards]
+                .get(key, key_hash))
 
     def set(self, key: str, value: bytes) -> bool:
         """Offer ``value`` on the owning shard; True iff stored."""
-        return self.shard_for(key).set(key, value)
+        key_hash = self.key_hash(key)
+        return (self.shards[(key_hash & 0xFFFFFFFF) % self.num_shards]
+                .set(key, value, key_hash))
 
     def get_many(self, keys) -> list:
         """:meth:`get` of every key in ``keys``; one result per key.
@@ -89,11 +108,11 @@ class ShardedStore:
         served in request order, never regrouped by shard: every shard
         sees the same operations in the same order as from singles.
         """
-        shards, num_shards = self.shards, self.num_shards
+        shards, num_shards, hash_of = self.shards, self.num_shards, self.key_hash
         out = []
         append = out.append
         for key in keys:
-            key_hash = stable_hash(key)
+            key_hash = hash_of(key)
             append(shards[(key_hash & 0xFFFFFFFF) % num_shards]
                    .get(key, key_hash))
         return out
@@ -104,11 +123,11 @@ class ShardedStore:
         Hashed once per key and served in request order, as
         :meth:`get_many`.
         """
-        shards, num_shards = self.shards, self.num_shards
+        shards, num_shards, hash_of = self.shards, self.num_shards, self.key_hash
         out = []
         append = out.append
         for key, value in items:
-            key_hash = stable_hash(key)
+            key_hash = hash_of(key)
             append(shards[(key_hash & 0xFFFFFFFF) % num_shards]
                    .set(key, value, key_hash))
         return out

@@ -33,7 +33,7 @@ conventional-cache baseline for apples-to-apples comparisons.
 The tag and data arrays and these transitions are
 :class:`repro.core.reuse_directory.ReuseDirectory`, the same class under the
 simulator's :class:`~repro.core.reuse_cache.ReuseCache`.  The store adds the
-values, byte accounting, listeners and its lock, plus its three policies:
+values, byte accounting and listeners, plus its three policies:
 
 * the tag set is ``(stable_hash(key) >> 32) % sets``, so set counts need
   not be powers of two;
@@ -43,15 +43,15 @@ values, byte accounting, listeners and its lock, plus its three policies:
   after an eviction would otherwise be declined and come back as a GET
   miss plus a SET.
 
-All public methods are thread-safe (one re-entrant lock per store); the
-sharded front end in :mod:`repro.service.sharding` relies on this.
+A store is owned by one thread, the server's event-loop thread, and is not
+thread-safe: it takes no lock, so a second thread calling into it races.
+A listener runs inside a transition and must not re-enter the store.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import threading
 
 from ..core.reuse_directory import ReuseDirectory
 from .stats import ShardStats
@@ -72,7 +72,7 @@ def stable_hash(key: str) -> int:
 
 
 class ReuseStore:
-    """Thread-safe object cache admitting only keys with observed reuse."""
+    """Object cache admitting only keys with observed reuse (not thread-safe)."""
 
     def __init__(
         self,
@@ -115,12 +115,11 @@ class ReuseStore:
 
         self._seed = seed
         self.stats = ShardStats(seed=seed)
-        self._lock = threading.RLock()
         #: optional ``fn(key, kind)`` observing evictions the store decides
         #: internally, with ``kind`` in ``("data", "tag")``.  The cluster
         #: layer uses this to turn a data/tag eviction into the distributed
         #: protocol's DataRepl/TagRepl events (replica invalidation); the
-        #: callback runs under the store lock and must not re-enter the
+        #: callback runs inside the transition and must not re-enter the
         #: store.
         self.evict_listener = None
         #: optional ``fn(key, decision)`` observing every admission-relevant
@@ -128,7 +127,7 @@ class ReuseStore:
         #: ``("tag_alloc", "reuse", "deny", "admit", "update", "delete",
         #: "evict_data", "evict_tag")``.  The observability layer turns
         #: these into per-key audit events (``repro explain``); same
-        #: contract as ``evict_listener``: runs under the store lock, must
+        #: contract as ``evict_listener``: runs inside the transition, must
         #: not re-enter the store.  ``None`` (the default) costs one
         #: ``is not None`` branch per decision point.
         self.decision_listener = None
@@ -144,23 +143,22 @@ class ReuseStore:
         ``stable_hash(key)`` when the caller already has it (computed here
         otherwise, and only on a tag miss).
         """
-        with self._lock:
-            loc = self._index.get(key)
-            if loc is None:
-                self.stats.record_miss()
-                self._alloc_tag(key, key_hash)
-                return None
-            set_idx, way = loc
-            dway = self._fwd[set_idx][way]
-            if dway >= 0:
-                self.rdir.hit(set_idx, way)
-                self.stats.record_hit()
-                return self._values[dway]
+        loc = self._index.get(key)
+        if loc is None:
             self.stats.record_miss()
-            self.rdir.note_reuse(set_idx, way)
-            if self.decision_listener is not None:
-                self.decision_listener(key, "reuse")
+            self._alloc_tag(key, key_hash)
             return None
+        set_idx, way = loc
+        dway = self._fwd[set_idx][way]
+        if dway >= 0:
+            self.rdir.hit(set_idx, way)
+            self.stats.record_hit()
+            return self._values[dway]
+        self.stats.record_miss()
+        self.rdir.note_reuse(set_idx, way)
+        if self.decision_listener is not None:
+            self.decision_listener(key, "reuse")
+        return None
 
     def set(self, key: str, value: bytes, key_hash: int | None = None) -> bool:
         """Offer ``value`` for ``key``; returns True iff the value was stored.
@@ -170,39 +168,38 @@ class ReuseStore:
         Declined offers still tag the key, so the *next* GET+SET pair admits.
         ``key_hash`` is as for :meth:`get`.
         """
-        with self._lock:
-            set_idx, way = (self._index.get(key)
-                            or self._alloc_tag(key, key_hash))
-            dway = self._fwd[set_idx][way]
-            if dway >= 0:  # update in place
-                self.stats.record_update(len(value), len(self._values[dway]))
-                self._values[dway] = value
-                self.rdir.data_repl.on_hit(0, dway)
-                if self.decision_listener is not None:
-                    self.decision_listener(key, "update")
-                return True
-
-            if self.admission == "reuse" and not self.rdir.count[set_idx][way]:
-                self.stats.record_tag_only_set()
-                if self.decision_listener is not None:
-                    self.decision_listener(key, "deny")
-                return False
-
-            dway, victim = self.rdir.alloc_data(set_idx, way)
-            if victim is not None:
-                # Clock evicted a value; its key stays tagged with its
-                # reuse count (S -> TO), so the next offer re-admits it
-                self._free_value(dway)
-                self.stats.record_data_eviction()
-                if self.evict_listener is not None:
-                    self.evict_listener(victim, "data")
-                if self.decision_listener is not None:
-                    self.decision_listener(victim, "evict_data")
+        set_idx, way = (self._index.get(key)
+                        or self._alloc_tag(key, key_hash))
+        dway = self._fwd[set_idx][way]
+        if dway >= 0:  # update in place
+            self.stats.record_update(len(value), len(self._values[dway]))
             self._values[dway] = value
-            self.stats.record_admission(len(value))
+            self.rdir.data_repl.on_hit(0, dway)
             if self.decision_listener is not None:
-                self.decision_listener(key, "admit")
+                self.decision_listener(key, "update")
             return True
+
+        if self.admission == "reuse" and not self.rdir.count[set_idx][way]:
+            self.stats.record_tag_only_set()
+            if self.decision_listener is not None:
+                self.decision_listener(key, "deny")
+            return False
+
+        dway, victim = self.rdir.alloc_data(set_idx, way)
+        if victim is not None:
+            # Clock evicted a value; its key stays tagged with its
+            # reuse count (S -> TO), so the next offer re-admits it
+            self._free_value(dway)
+            self.stats.record_data_eviction()
+            if self.evict_listener is not None:
+                self.evict_listener(victim, "data")
+            if self.decision_listener is not None:
+                self.decision_listener(victim, "evict_data")
+        self._values[dway] = value
+        self.stats.record_admission(len(value))
+        if self.decision_listener is not None:
+            self.decision_listener(key, "admit")
+        return True
 
     def force_set(self, key: str, value: bytes) -> bool:
         """Store ``value`` bypassing the admission filter (always stores).
@@ -212,52 +209,46 @@ class ReuseStore:
         new owner marks the tag reused and admits directly instead of
         making the key re-earn admission from scratch.
         """
-        with self._lock:
-            set_idx, way = self._index.get(key) or self._alloc_tag(key)
-            counts = self.rdir.count[set_idx]
-            counts[way] = max(counts[way], 1)
-            return self.set(key, value)
+        set_idx, way = self._index.get(key) or self._alloc_tag(key)
+        counts = self.rdir.count[set_idx]
+        counts[way] = max(counts[way], 1)
+        return self.set(key, value)
 
     def delete(self, key: str) -> bool:
         """Drop ``key`` entirely (tag and value); True iff a value was held."""
-        with self._lock:
-            loc = self._index.get(key)
-            if loc is None:
-                return False
-            dway = self.rdir.drop_tag(*loc)
-            if dway < 0:
-                return False
-            self._free_value(dway)
-            self.stats.record_delete()
-            if self.decision_listener is not None:
-                self.decision_listener(key, "delete")
-            return True
+        loc = self._index.get(key)
+        if loc is None:
+            return False
+        dway = self.rdir.drop_tag(*loc)
+        if dway < 0:
+            return False
+        self._free_value(dway)
+        self.stats.record_delete()
+        if self.decision_listener is not None:
+            self.decision_listener(key, "delete")
+        return True
 
     def contains(self, key: str) -> bool:
         """True iff a value for ``key`` is currently stored."""
-        with self._lock:
-            loc = self._index.get(key)
-            return loc is not None and self._fwd[loc[0]][loc[1]] >= 0
+        loc = self._index.get(key)
+        return loc is not None and self._fwd[loc[0]][loc[1]] >= 0
 
     def is_tracked(self, key: str) -> bool:
         """True iff ``key`` has a tag-directory entry (seen at least once)."""
-        with self._lock:
-            return key in self._index
+        return key in self._index
 
     def keys(self) -> list:
         """Keys with a stored value, sorted (deterministic migration order)."""
-        with self._lock:
-            return sorted(k for k in self.rdir.data_keys[0] if k is not None)
+        return sorted(k for k in self.rdir.data_keys[0] if k is not None)
 
     def __len__(self) -> int:
         return self.rdir.data_entries()
 
     def clear(self) -> None:
         """Drop every entry and reset counters (stats object is replaced)."""
-        with self._lock:
-            self.rdir.clear()
-            self._values = [None] * self.data_capacity
-            self.stats = ShardStats(seed=self._seed)
+        self.rdir.clear()
+        self._values = [None] * self.data_capacity
+        self.stats = ShardStats(seed=self._seed)
 
     # -- internals -----------------------------------------------------------
 

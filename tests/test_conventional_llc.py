@@ -41,6 +41,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             ConventionalLLC(12, 4)
 
+    @pytest.mark.parametrize("assoc", [0, -4])
+    def test_nonpositive_assoc_names_the_geometry(self, assoc):
+        with pytest.raises(ValueError, match=f"64 lines not divisible into {assoc} ways"):
+            ConventionalLLC(64, assoc)
+
 
 class TestCoherence:
     def test_write_invalidates_sharers(self):

@@ -608,10 +608,23 @@ class TestDecentralisedParallelism:
             "import concurrent.futures as cf\n", module="repro.obs.registry"
         )) == ["REP010"]
 
+    def test_flags_threading_in_service(self):
+        # the service store takes no lock: no thread may reach it
+        findings = lint_snippet(
+            "import threading\n", module="repro.service.store"
+        )
+        assert codes(findings) == ["REP010"]
+        assert "event-loop thread" in findings[0].message
+        assert codes(lint_snippet(
+            "from threading import Lock\n", module="repro.service.sharding"
+        )) == ["REP010"]
+
     def test_runner_package_is_exempt(self):
         src = (
             "from concurrent.futures import ProcessPoolExecutor\n"
             "import multiprocessing\n"
+            "import threading\n"
+            "from threading import Lock\n"
         )
         assert lint_snippet(src, module="repro.runner.engine") == []
         assert lint_snippet(src, module="repro.runner") == []

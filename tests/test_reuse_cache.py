@@ -30,6 +30,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             make(data_lines=16, data_assoc=1)
 
+    def test_nonpositive_assoc_names_the_geometry(self):
+        with pytest.raises(ValueError, match="64 tags not divisible into 0 ways"):
+            ReuseCache(64, 0, 16)
+        with pytest.raises(ValueError,
+                           match="16 data entries not divisible into 0 ways"):
+            ReuseCache(64, 8, 16, data_assoc=0)
+
     def test_full_assoc_means_one_set(self):
         rc = make(data_lines=8, data_assoc="full")
         assert rc.data_sets == 1 and rc.data_assoc == 8

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+from repro.service import sharding as sharding_module
+from repro.service import store as store_module
 from repro.service import (
     CacheClient,
     CacheServer,
@@ -17,6 +19,7 @@ from repro.service import (
     merge_snapshots,
     quantile,
     replay_store,
+    stable_hash,
     value_of,
 )
 from repro.service.cli import build_service_parser, run_service_benchmark
@@ -194,6 +197,52 @@ class TestSharding:
     def test_capacity_split_validated(self):
         with pytest.raises(ValueError):
             ShardedStore(num_shards=8, data_capacity=4)
+
+
+class TestKeyHashMemo:
+    """``ShardedStore.key_hash``: a bounded memo of ``stable_hash``."""
+
+    def test_bound_is_the_shards_tag_capacity(self):
+        st = ShardedStore(num_shards=4, data_capacity=64, tag_capacity=100,
+                          tag_assoc=8)
+        # 25 tags per shard round down to 3 whole 8-way sets
+        assert [s.tag_capacity for s in st.shards] == [24] * 4
+        assert st.key_hash.cache_info().maxsize == 96
+
+    def test_routing_is_unchanged_across_memo_eviction(self):
+        st = ShardedStore(num_shards=4, data_capacity=16, tag_capacity=64)
+        bound = st.key_hash.cache_info().maxsize
+        keys = [f"key-{i}" for i in range(3 * bound)]
+        want = [(stable_hash(k) & 0xFFFFFFFF) % 4 for k in keys]
+        assert [st.shard_of(k) for k in keys] == want
+        info = st.key_hash.cache_info()
+        assert info.currsize == bound and info.misses == 3 * bound
+        # backwards, the newest `bound` keys hit and every older one was
+        # evicted and is hashed again
+        assert [st.shard_of(k) for k in reversed(keys)] == want[::-1]
+        info = st.key_hash.cache_info()
+        assert info.hits == bound and info.misses == 3 * bound + 2 * bound
+        assert all(st.shard_for(k) is st.shards[s] for k, s in zip(keys, want))
+
+    def test_a_tag_miss_hashes_its_key_once(self, monkeypatch):
+        calls = []
+
+        def counting_hash(key):
+            calls.append(key)
+            return stable_hash(key)
+
+        monkeypatch.setattr(store_module, "stable_hash", counting_hash)
+        monkeypatch.setattr(sharding_module, "stable_hash", counting_hash)
+        st = ShardedStore(num_shards=4, data_capacity=16)
+        assert st.get("a") is None  # tag miss: I -> TO
+        assert st.set("b", b"v") is False  # tag miss, declined
+        assert calls == ["a", "b"]
+        assert st.get("b") is None  # reuse
+        assert st.set("b", b"v") is True
+        assert st.get("b") == b"v"
+        assert st.get_many(["a", "b"]) == [None, b"v"]
+        assert st.set_many([("a", b"w")]) == [True]
+        assert calls == ["a", "b"]  # every later routing hit the memo
 
 
 class TestBatchMatchesSingles:
