@@ -80,7 +80,13 @@ from ..coherence.states import State
 from ..service.client import CacheClient
 from ..service.deadline import deadline
 from ..service.protocol import Reply
-from ..service.server import CacheServer, ProtocolError, wire_verb
+from ..service.server import (
+    CacheServer,
+    ProtocolError,
+    del_reply,
+    set_reply,
+    wire_verb,
+)
 from ..service.sharding import ShardedStore
 
 log = get_logger(__name__)
@@ -280,16 +286,40 @@ class PeerClient(CacheClient):
 class ClusterServer(CacheServer):
     """The service verb table plus the cluster's peer verbs, bound to one node.
 
-    SET and DEL (singles and batches) keep the base handlers: they route
-    through the :meth:`_apply_set` / :meth:`_apply_sets` /
-    :meth:`_apply_delete` hooks below, so every write on a cluster node
-    runs the full invalidate-before-ack owner path, whichever framing
-    carried it.
+    SET and DEL (singles and batches) override the base handlers with
+    coroutines that run the full invalidate-before-ack owner write path,
+    so every write on a cluster node waits for its fan-out, in a task
+    under the request deadline.  The overrides keep the base handlers'
+    names and so their table entries; the verbs stay in the service
+    layer of the protocol spec.  GET, MGET and the peer verbs that never
+    await (INVAL, PUTS, RGET, CSTATUS) are plain ``def`` handlers, served
+    inline as their frames are parsed.
     """
 
     def __init__(self, node: "ClusterNode", store, **kwargs):
         super().__init__(store, **kwargs)
         self.node = node
+
+    # -- the owner write path ------------------------------------------------
+
+    async def _verb_set(self, key: str, value: bytes) -> Reply:
+        return set_reply(await self.node.handle_set(key, value))
+
+    async def _verb_del(self, key: str) -> Reply:
+        return del_reply(await self.node.handle_delete(key))
+
+    async def _verb_mset(self, items: list) -> Reply:
+        # item by item, in order, each through the owner write path
+        return Reply("STATUSES", values=[
+            await self.node.handle_set(key, value) for key, value in items
+        ])
+
+    async def _verb_mdel(self, keys: list) -> Reply:
+        return Reply("STATUSES", values=[
+            await self.node.handle_delete(key) for key in keys
+        ])
+
+    # -- peer verbs ----------------------------------------------------------
 
     @wire_verb("REPL")
     async def _verb_repl(self, key: str, version: int, value: bytes) -> Reply:
@@ -298,24 +328,24 @@ class ClusterServer(CacheServer):
         return Reply("STALE", outcome="stale")
 
     @wire_verb("INVAL")
-    async def _verb_inval(self, key: str, version: int) -> Reply:
+    def _verb_inval(self, key: str, version: int) -> Reply:
         dropped = self.node.handle_inval(key, version)
         return Reply("INVALED", outcome="dropped" if dropped else "clean")
 
     @wire_verb("PUTS")
-    async def _verb_puts(self, key: str, holder: str) -> Reply:
+    def _verb_puts(self, key: str, holder: str) -> Reply:
         self.node.handle_puts(key, holder)
         return Reply("OK")
 
     @wire_verb("RGET")
-    async def _verb_rget(self, key: str) -> Reply:
+    def _verb_rget(self, key: str) -> Reply:
         value = self.node.handle_rget(key)
         if value is None:
             return Reply("MISS", outcome="miss")
         return Reply("VALUE", value, outcome="hit")
 
     @wire_verb("CSTATUS")
-    async def _verb_cstatus(self) -> Reply:
+    def _verb_cstatus(self) -> Reply:
         return Reply("CSTATUS", json.dumps(self.node.status()).encode("utf-8"))
 
     @wire_verb("DRAIN")
@@ -325,19 +355,6 @@ class ClusterServer(CacheServer):
         # every other in-flight request) still completes
         asyncio.ensure_future(self.stop())
         return Reply("DRAINING")
-
-    async def _apply_set(self, key: str, value: bytes) -> bool:
-        """Writes go through the owner write path, fan-out included."""
-        return await self.node.handle_set(key, value)
-
-    async def _apply_sets(self, items: list) -> list:
-        """An MSET runs the owner write path item by item, in order."""
-        return [await self.node.handle_set(key, value)
-                for key, value in items]
-
-    async def _apply_delete(self, key: str) -> bool:
-        """Deletes run the same invalidate-before-ack path as writes."""
-        return await self.node.handle_delete(key)
 
     def _record_request(self, cmd: str, key, start: float, elapsed: float,
                         conn_id: int, ctx, outcome) -> None:

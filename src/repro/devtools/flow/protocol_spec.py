@@ -20,8 +20,9 @@ dead protocol surface.
 Layers: ``"service"`` is the base cache protocol served by
 ``repro.service.server.CacheServer``; ``"cluster"`` is the peer protocol
 ``repro.cluster.node.ClusterServer`` adds on top of it.  The cluster
-server inherits the service table — its SET/DEL run the owner write path
-through the base handlers' write hooks — so each verb has one layer.
+server inherits the service table — it overrides the SET/DEL/MSET/MDEL
+handler methods with the owner write path, under the base handlers'
+registrations — so each verb has one layer.
 
 Every verb is an ordinary one: the transport originates no verb of its
 own, so each needs a handler and a client sender.

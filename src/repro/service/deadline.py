@@ -9,6 +9,12 @@ the *current* task instead::
     async with deadline(self.request_timeout):
         reply = await handler(*fields)
 
+The server needs it only for verbs that await (the cluster's writes),
+each of which runs in a task of its own; a verb that never awaits is
+answered inline, as its frame is parsed, and a connection's stalled
+frame header is bounded by a plain ``loop.call_at`` timer instead.  The
+clients bound every call with it.
+
 Entering arms one ``loop.call_at`` timer that cancels the current task;
 leaving disarms it.  When the timer fired, the ``CancelledError`` it
 caused leaves the block as :class:`asyncio.TimeoutError`; any other

@@ -28,6 +28,10 @@ plus either a raw blob (VALUE/STATS/METRICS/TRACE/ERR/CSTATUS bodies) or
 a typed batch payload (VALUES/STATUSES).  Both ends exchange a
 :class:`Reply`.
 
+Both ends parse what a connection receives with :class:`FrameBuffer`,
+one complete frame at a time; :func:`read_frame` reads one frame from
+a ``StreamReader`` for raw test peers.
+
 Errors split by trust in the stream: :class:`FrameError` means the frame
 boundary itself is gone (bad magic or version, truncation, oversize) and
 the connection must drop — this is also how a peer that does not speak
@@ -40,8 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import struct
-
-from .deadline import deadline
 
 #: hard cap on a single value accepted over the wire (16 MiB)
 MAX_VALUE_BYTES = 16 * 1024 * 1024
@@ -299,33 +301,96 @@ class FrameEncoder:
         return self.finish()
 
 
-async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD,
-                     header_timeout: float | None = None):
-    """Read one v2 frame; ``None`` on clean EOF at a frame boundary.
+def check_header(buf, pos: int = 0,
+                 max_payload: int = MAX_FRAME_PAYLOAD) -> tuple:
+    """Unpack the frame header at ``buf[pos]``: ``(verb_id, flags, seq, length)``.
 
-    Truncation mid-frame, a wrong magic/version, or an oversized payload
-    raise :class:`FrameError` — the stream is unframeable and the
-    connection must drop.  With ``header_timeout``, the 12 header bytes
-    must arrive within that many seconds or :class:`asyncio.TimeoutError`
-    is raised; the payload that follows is not timed.
+    A wrong magic or version, or a payload length over ``max_payload``,
+    raises :class:`FrameError`.  :func:`read_frame` and
+    :class:`FrameBuffer` both check every header here.
     """
-    try:
-        if header_timeout is None:
-            header = await reader.readexactly(HEADER_SIZE)
-        else:
-            async with deadline(header_timeout):
-                header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise FrameError("truncated frame header") from None
-    magic, version, verb_id, flags, seq, length = HEADER.unpack(header)
+    magic, version, verb_id, flags, seq, length = HEADER.unpack_from(buf, pos)
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic:#x}")
     if version != VERSION:
         raise FrameError(f"unsupported protocol version {version}")
     if length > max_payload:
         raise FrameError(f"frame payload too large ({length} bytes)")
+    return verb_id, flags, seq, length
+
+
+class FrameBuffer:
+    """The bytes one connection received, cut into frames as they complete.
+
+    Both ends' ``asyncio.Protocol`` feed every ``data_received`` chunk in
+    and take frames out with :meth:`next_frame`.  A chunk that holds only
+    whole frames is parsed in place; only the bytes of an incomplete
+    frame are kept, in one ``bytearray`` that later chunks extend.  Each
+    header is checked (:func:`check_header`) as soon as its 12 bytes are
+    in, so an unframeable stream fails before its payload is buffered.
+    """
+
+    __slots__ = ("_data", "_pos", "_max_payload")
+
+    def __init__(self, max_payload: int = MAX_FRAME_PAYLOAD):
+        self._data = b""
+        self._pos = 0
+        self._max_payload = max_payload
+
+    def feed(self, chunk: bytes) -> None:
+        """Append ``chunk`` to the bytes not yet taken as frames."""
+        data, pos = self._data, self._pos
+        if pos < len(data):
+            if type(data) is bytearray:
+                del data[:pos]
+            else:
+                data = bytearray(memoryview(data)[pos:])
+            data += chunk
+            self._data = data
+        else:
+            # a bytearray chunk is copied: the buffer edits its own only
+            self._data = chunk if type(chunk) is bytes else bytes(chunk)
+        self._pos = 0
+
+    def next_frame(self):
+        """The next complete :class:`Frame`, or ``None`` until one is in.
+
+        Raises :class:`FrameError` on a bad header.
+        """
+        data, pos = self._data, self._pos
+        if len(data) - pos < HEADER_SIZE:
+            return None
+        verb_id, flags, seq, length = check_header(data, pos,
+                                                   self._max_payload)
+        start = pos + HEADER_SIZE
+        stop = start + length
+        if stop > len(data):
+            return None
+        self._pos = stop
+        return Frame(verb_id, flags, seq, bytes(data[start:stop]))
+
+    @property
+    def pending(self) -> int:
+        """Bytes received past the last frame taken (a partial frame)."""
+        return len(self._data) - self._pos
+
+
+async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD):
+    """Read one v2 frame from a ``StreamReader``; ``None`` on clean EOF.
+
+    The servers and :class:`~repro.service.transport.Transport` parse
+    frames with :class:`FrameBuffer`; this stream reader serves raw
+    test peers and tools.  Truncation mid-frame, a wrong magic/version,
+    or an oversized payload raise :class:`FrameError` — the stream is
+    unframeable and the connection must drop.
+    """
+    try:
+        header = await reader.readexactly(HEADER_SIZE)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None  # clean EOF between frames
+        raise FrameError("truncated frame header") from None
+    verb_id, flags, seq, length = check_header(header, 0, max_payload)
     if length:
         try:
             payload = await reader.readexactly(length)

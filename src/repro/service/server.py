@@ -1,10 +1,20 @@
 """Asyncio TCP front end for a :class:`~repro.service.sharding.ShardedStore`.
 
 Every wire verb is one handler, registered once with :func:`wire_verb`:
-a coroutine method taking the verb's typed fields in ``REQUEST_FIELDS``
-order and returning a :class:`~repro.service.protocol.Reply`.
+a method taking the verb's typed fields in ``REQUEST_FIELDS`` order and
+returning a :class:`~repro.service.protocol.Reply`.
 :class:`CacheServer` owns that table; the cluster's ``ClusterServer``
-extends it with its peer verbs.
+extends it with its peer verbs and overrides its write verbs.
+
+Each connection is one ``asyncio.Protocol``, which parses every complete
+frame from its buffer (:class:`~repro.service.protocol.FrameBuffer`) as
+bytes arrive.  A verb whose handler is a plain ``def`` (every service
+verb) is served inline, in arrival order, with one ``transport.write``
+per reply: no task, future or timer per request.  A coroutine handler
+(the cluster's writes, which wait for their invalidation fan-out) runs
+in a task under a :class:`~repro.service.deadline.deadline`, and the
+connection parses no further frame until that task has answered, so
+replies keep request order on every connection.
 
 Connections speak the binary v2 frame protocol of
 :mod:`repro.service.protocol`: pipelined requests, batch verbs and a
@@ -43,9 +53,12 @@ Operational guards:
 
 * ``max_connections`` — further clients get an ``ERR busy`` frame and are
   closed;
-* per-request timeouts: each request runs inside its connection's task
-  under a :class:`~repro.service.deadline.deadline`, so a request costs
-  no Task, timer-future pair or extra event-loop turn of its own;
+* ``request_timeout`` bounds an awaiting request (answered ``ERR
+  timeout``), every frame header from its first byte (the connection
+  drops), and a peer that stops reading its replies: once the socket's
+  send buffer is full, parsing stops, and the connection drops if it
+  stays full that long.  Payloads are not timed, nor is an idle
+  connection between frames;
 * graceful shutdown — :meth:`CacheServer.stop` stops accepting, waits for
   in-flight requests to drain (bounded by ``drain_timeout``), then closes
   idle connections.
@@ -67,6 +80,7 @@ shard's process lane, with the connection id as the thread lane.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import itertools
 import json
 import os
@@ -86,10 +100,16 @@ from ..obs.logging import get_logger
 from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
 from .deadline import deadline
-from .protocol import (
+# bench/serve_traced.py times the server by wrapping decode_request_fields,
+# decode_trace and read_frame by name on this module: all three stay
+# importable here, though the server parses frames with FrameBuffer
+from .protocol import (  # noqa: F401  (read_frame: see above)
+    HEADER_SIZE,
     STATUS_IDS,
+    VERB_IDS,
     VERB_NAMES,
     FieldError,
+    FrameBuffer,
     FrameEncoder,
     FrameError,
     Reply,
@@ -106,24 +126,46 @@ log = get_logger(__name__)
 #: their node name); a plain counter keeps ids deterministic per process
 _SERVER_SEQ = itertools.count(1)
 
+#: the status id of an error reply
+_ERR = STATUS_IDS["ERR"]
+
+#: bytes a connection buffers while its parsing waits (on an awaiting
+#: verb or on a peer that stopped reading); past this it stops reading
+_READ_LIMIT = 64 * 1024
+
+#: what a connection's one timer is armed for
+_HEADER, _STALL = "header", "stall"
+
 
 class ProtocolError(Exception):
     """Client spoke a malformed request; reported as ``ERR <reason>``."""
 
 
-class _Quit(Exception):
-    """Internal: client sent QUIT; close the connection cleanly."""
-
-
 def wire_verb(name: str):
-    """Register the decorated coroutine method as the handler of ``name``.
+    """Register the decorated method as the handler of ``name``.
 
+    A plain ``def`` handler is served inline as its frame is parsed; a
+    coroutine handler runs in a task under the request deadline.
     FLOW003 reads these decorators as the layer's verb table.
     """
     def register(method):
         method.wire_verb = name
         return method
     return register
+
+
+def set_reply(stored: bool) -> Reply:
+    """The reply to a SET that ``stored`` its value or only tagged it."""
+    if stored:
+        return Reply("STORED", outcome="stored")
+    return Reply("TAGGED", outcome="tagged")
+
+
+def del_reply(removed: bool) -> Reply:
+    """The reply to a DEL that ``removed`` its key or found none."""
+    if removed:
+        return Reply("DELETED", outcome="deleted")
+    return Reply("NOTFOUND", outcome="notfound")
 
 
 class CacheServer:
@@ -157,18 +199,24 @@ class CacheServer:
         #: STATS/CSTATUS and ``repro top`` report both
         self.connections_v2 = 0
         self.connections_v1 = 0
-        #: verb -> bound handler, subclass registrations included
-        self._handlers = {
+        handlers = {
             method.wire_verb: getattr(self, name)
             for klass in reversed(type(self).__mro__)
             for name, method in vars(klass).items()
             if hasattr(method, "wire_verb")
         }
+        #: verb id -> (verb, bound handler, whether the handler awaits),
+        #: subclass registrations included
+        self._verbs = {
+            VERB_IDS[verb]: (verb, handler,
+                             inspect.iscoroutinefunction(handler))
+            for verb, handler in handlers.items()
+        }
         if (self.obs.tracer.enabled
                 and hasattr(store, "set_decision_listener")):
             store.set_decision_listener(self._on_store_decision)
         self._server = None
-        self._writers = set()
+        self._conns = set()
         self._inflight = 0
         self._stopping = False
         self._next_conn_id = 0
@@ -180,7 +228,7 @@ class CacheServer:
         if registry.enabled:
             registry.gauge_callback(
                 "repro_service_connections",
-                lambda: float(len(self._writers)),
+                lambda: float(len(self._conns)),
                 help="currently open client connections",
             )
             registry.gauge_callback(
@@ -199,8 +247,9 @@ class CacheServer:
         """Bind and start accepting; ``self.port`` holds the real port."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = clock()
@@ -238,9 +287,9 @@ class CacheServer:
         drain_until = loop.time() + drain_timeout
         while self._inflight and loop.time() < drain_until:
             await asyncio.sleep(0.005)
-        for writer in list(self._writers):
-            writer.close()
-        while self._writers and loop.time() < drain_until:
+        for conn in list(self._conns):
+            conn.transport.close()
+        while self._conns and loop.time() < drain_until:
             await asyncio.sleep(0.005)
         log.info("stopped")
 
@@ -267,7 +316,7 @@ class CacheServer:
     @property
     def connections(self) -> int:
         """Number of currently open client connections."""
-        return len(self._writers)
+        return len(self._conns)
 
     @property
     def draining(self) -> bool:
@@ -290,128 +339,92 @@ class CacheServer:
         """Number of requests currently being processed."""
         return self._inflight
 
-    # -- connection handling --------------------------------------------------
+    # -- request serving ----------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        if self._stopping or len(self._writers) >= self.max_connections:
-            log.warning(
-                "rejecting connection: %s",
-                "shutting down" if self._stopping else "connection cap reached",
-            )
-            writer.write(FrameEncoder().simple(STATUS_IDS["ERR"], 0, b"busy"))
-            try:
-                await writer.drain()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-            writer.close()
-            return
-        self._next_conn_id += 1
-        conn_id = self._next_conn_id
-        log.debug("connection %d opened", conn_id)
-        self._writers.add(writer)
-        try:
-            await self._serve_connection(reader, writer, conn_id)
-        except FrameError as exc:
-            log.warning("connection %d: unframeable stream (%s), dropping",
-                        conn_id, exc)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client vanished mid-request
-        finally:
-            self._writers.discard(writer)
-            log.debug("connection %d closed", conn_id)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def _serve_frame(self, conn: "_Connection", frame) -> None:
+        """Serve one request frame of ``conn``, in its arrival order.
 
-    async def _serve_connection(self, reader, writer, conn_id: int) -> None:
-        """Serve frames one at a time, in arrival order.
-
-        Pipelining falls out of the framing: every request is fully read
-        before dispatch, so the loop never waits on the client mid-request
-        and many frames can be in flight per connection.  A malformed
-        payload or a timed-out handler answers with an ERR frame and the
-        connection stays usable (the stream framing is still trusted);
-        only an unframeable byte stream (:class:`FrameError`), or a first
-        frame header that has not arrived within ``request_timeout``,
-        drops it.  The deadline covers the header only, so a large first
-        payload on a slow link is still read in full.
-
-        Each request runs in this connection's task under a
-        :class:`deadline`, so frames already buffered are served back to
-        back without an event-loop turn between them, unless a handler
-        awaits or the send buffer is full.
+        A plain-``def`` handler is run and answered here, inline.  A
+        coroutine handler is started in a task (:meth:`_serve_awaiting`)
+        and ``conn`` parses no further frame until that task has
+        answered.  A malformed payload is answered with an ERR frame and
+        the connection stays usable.
         """
-        enc = FrameEncoder()
+        entry = self._verbs.get(frame.verb_id)
         try:
-            # a peer that never sends a frame header must not hold its slot
-            frame = await read_frame(reader, header_timeout=self.request_timeout)
-        except FrameError:
-            self.connections_v1 += 1
-            raise
-        except asyncio.TimeoutError:
-            log.warning("connection %d: no frame header within %ss, dropping",
-                        conn_id, self.request_timeout)
-            self.connections_v1 += 1
-            return
-        if frame is not None:
-            self.connections_v2 += 1
-        while frame is not None and not self._stopping:
+            if entry is None:
+                verb = VERB_NAMES.get(frame.verb_id)
+                if verb is None:
+                    raise ProtocolError(f"unknown verb id {frame.verb_id}")
+                raise ProtocolError(f"unknown command {verb!r}")
+            verb, handler, awaits = entry
+            token, rd = decode_trace(frame)
+            fields = decode_request_fields(verb, rd)
+            wire_ctx = parse_token(token) if token is not None else None
+            if awaits:
+                conn.task = asyncio.ensure_future(self._serve_awaiting(
+                    conn, handler, verb, fields, wire_ctx, frame.seq))
+                return
             self._inflight += 1
             try:
-                async with deadline(self.request_timeout):
-                    await self._serve_request(frame, enc, writer, conn_id)
-            except asyncio.TimeoutError:
-                log.warning("connection %d: request timed out", conn_id)
-                writer.write(enc.simple(STATUS_IDS["ERR"], frame.seq,
-                                        b"timeout"))
-                await writer.drain()
-            except (ProtocolError, FieldError) as exc:
-                writer.write(enc.simple(STATUS_IDS["ERR"], frame.seq,
-                                        str(exc).encode("utf-8")))
-                await writer.drain()
-            except _Quit:
-                break
+                start = clock()
+                if self.obs.tracer.enabled:
+                    ctx = self._trace_ids.begin(wire_ctx)
+                    with use_context(ctx):
+                        reply = handler(*fields)
+                else:
+                    ctx = None
+                    reply = handler(*fields)
+                self._answer(conn, verb, fields, reply, frame.seq, start, ctx)
             finally:
                 self._inflight -= 1
-            frame = await read_frame(reader)
+        except (ProtocolError, FieldError) as exc:
+            conn.reply_error(frame.seq, str(exc).encode("utf-8"))
 
-    async def _serve_request(self, frame, enc, writer, conn_id: int) -> None:
-        """Decode one frame's trace token and typed fields and serve it."""
-        verb = VERB_NAMES.get(frame.verb_id)
-        if verb is None:
-            raise ProtocolError(f"unknown verb id {frame.verb_id}")
-        token, rd = decode_trace(frame)
-        fields = decode_request_fields(verb, rd)
-        handler = self._handlers.get(verb)
-        if handler is None:
-            raise ProtocolError(f"unknown command {verb!r}")
-        wire_ctx = parse_token(token) if token is not None else None
-        await self._serve(handler, verb, fields, wire_ctx, conn_id, writer,
-                          enc, frame.seq)
+    async def _serve_awaiting(self, conn: "_Connection", handler, verb: str,
+                              fields: list, wire_ctx, seq: int) -> None:
+        """Run one coroutine handler under the request deadline, answer it.
 
-    async def _serve(self, handler, verb: str, fields: list, wire_ctx,
-                     conn_id: int, writer, enc, seq: int) -> None:
-        """Run one decoded request through its handler and answer it.
-
+        Past ``request_timeout`` the request is answered ``ERR timeout``.
+        Whatever the outcome, ``conn`` then resumes parsing its buffer.
         With tracing enabled the handler runs under the request's span
         context (:func:`use_context`), which is how fan-outs deep inside
-        the cluster layer find their parent.  ``enc`` is the
-        connection's :class:`FrameEncoder`.
+        the cluster layer find their parent.
         """
-        start = clock()
-        if self.obs.tracer.enabled:
-            ctx = self._trace_ids.begin(wire_ctx)
-            with use_context(ctx):
-                reply = await handler(*fields)
-        else:
-            ctx = None
-            reply = await handler(*fields)
-        writer.write(encode_reply(enc, reply, seq))
-        await writer.drain()
+        self._inflight += 1
+        try:
+            async with deadline(self.request_timeout):
+                start = clock()
+                if self.obs.tracer.enabled:
+                    ctx = self._trace_ids.begin(wire_ctx)
+                    with use_context(ctx):
+                        reply = await handler(*fields)
+                else:
+                    ctx = None
+                    reply = await handler(*fields)
+                if not conn.transport.is_closing():
+                    self._answer(conn, verb, fields, reply, seq, start, ctx)
+        except asyncio.TimeoutError:
+            log.warning("connection %d: request timed out", conn.conn_id)
+            conn.reply_error(seq, b"timeout")
+        except (ProtocolError, FieldError) as exc:
+            conn.reply_error(seq, str(exc).encode("utf-8"))
+        except Exception:
+            log.exception("connection %d: %s failed, dropping",
+                          conn.conn_id, verb)
+            conn.transport.close()
+        finally:
+            self._inflight -= 1
+            conn.task = None
+            conn.resume()
+
+    def _answer(self, conn: "_Connection", verb: str, fields: list,
+                reply: Reply, seq: int, start: float, ctx) -> None:
+        """Write ``reply`` as one frame, then record the request."""
+        conn.transport.write(encode_reply(conn.enc, reply, seq))
         if reply.status == "BYE":
-            raise _Quit
+            conn.transport.close()  # after the reply is flushed
+            return
         # latency is attributed to the first key's shard; a batch to its
         # first item's — the approximation STATS makes for per-shard latency
         key = fields[0] if fields else None
@@ -419,87 +432,81 @@ class CacheServer:
             key = key[0] if key else None
             if isinstance(key, tuple):
                 key = key[0]
-        self._record_request(verb, key, start, clock() - start, conn_id,
-                             ctx, reply.outcome)
+        self._record_request(verb, key, start, clock() - start,
+                             conn.conn_id, ctx, reply.outcome)
 
     # -- the verb table ---------------------------------------------------------
     #
     # One handler per verb.  Each takes the verb's fields in
-    # REQUEST_FIELDS order and returns a Reply.
+    # REQUEST_FIELDS order and returns a Reply.  None of these awaits, so
+    # each is a plain def and is served inline; a subclass may register a
+    # coroutine handler in its place (the cluster's writes do).
 
     @wire_verb("GET")
-    async def _verb_get(self, key: str) -> Reply:
+    def _verb_get(self, key: str) -> Reply:
         value = self.store.get(key)
         if value is None:
             return Reply("MISS", outcome="miss")
         return Reply("VALUE", value, outcome="hit")
 
     @wire_verb("SET")
-    async def _verb_set(self, key: str, value: bytes) -> Reply:
-        if await self._apply_set(key, value):
-            return Reply("STORED", outcome="stored")
-        return Reply("TAGGED", outcome="tagged")
+    def _verb_set(self, key: str, value: bytes) -> Reply:
+        return set_reply(self.store.set(key, value))
 
     @wire_verb("DEL")
-    async def _verb_del(self, key: str) -> Reply:
-        if await self._apply_delete(key):
-            return Reply("DELETED", outcome="deleted")
-        return Reply("NOTFOUND", outcome="notfound")
+    def _verb_del(self, key: str) -> Reply:
+        return del_reply(self.store.delete(key))
 
     @wire_verb("MGET")
-    async def _verb_mget(self, keys: list) -> Reply:
+    def _verb_mget(self, keys: list) -> Reply:
         return Reply("VALUES", values=self.store.get_many(keys))
 
     @wire_verb("MSET")
-    async def _verb_mset(self, items: list) -> Reply:
-        return Reply("STATUSES", values=await self._apply_sets(items))
+    def _verb_mset(self, items: list) -> Reply:
+        return Reply("STATUSES", values=self.store.set_many(items))
 
     @wire_verb("MDEL")
-    async def _verb_mdel(self, keys: list) -> Reply:
-        return Reply("STATUSES", values=[
-            await self._apply_delete(key) for key in keys
-        ])
+    def _verb_mdel(self, keys: list) -> Reply:
+        delete = self.store.delete
+        return Reply("STATUSES", values=[delete(key) for key in keys])
 
     @wire_verb("STATS")
-    async def _verb_stats(self) -> Reply:
+    def _verb_stats(self) -> Reply:
         return Reply("STATS", self._stats_payload())
 
     @wire_verb("METRICS")
-    async def _verb_metrics(self) -> Reply:
+    def _verb_metrics(self) -> Reply:
         return Reply("METRICS",
                      self.obs.registry.to_prometheus().encode("utf-8"))
 
     @wire_verb("TRACE")
-    async def _verb_trace(self) -> Reply:
+    def _verb_trace(self) -> Reply:
         return Reply("TRACE", self.obs.tracer.drain().encode("utf-8"))
 
     @wire_verb("PING")
-    async def _verb_ping(self) -> Reply:
+    def _verb_ping(self) -> Reply:
         return Reply("PONG")
 
     @wire_verb("QUIT")
-    async def _verb_quit(self) -> Reply:
+    def _verb_quit(self) -> Reply:
         return Reply("BYE")  # the connection closes after it
 
-    # -- write hooks (the cluster layer overrides these for coherence) --------
+    def record_connection(self, framed: bool) -> None:
+        """Count a connection: its first frame decoded, or it dropped first.
 
-    async def _apply_set(self, key: str, value: bytes) -> bool:
-        """Apply one SET; subclasses add cross-node invalidation."""
-        return self.store.set(key, value)
-
-    async def _apply_sets(self, items: list) -> list:
-        """Apply one MSET's items in order; one stored-bool per item."""
-        return self.store.set_many(items)
-
-    async def _apply_delete(self, key: str) -> bool:
-        """Apply one DEL; subclasses add cross-node invalidation."""
-        return self.store.delete(key)
+        STATS reports the two counts as ``connections_v2`` and
+        ``connections_v1``.
+        """
+        if framed:
+            self.connections_v2 += 1
+        else:
+            self.connections_v1 += 1
 
     def server_info(self) -> dict:
         """The ``"server"`` block of STATS: uptime and connection mix."""
         return {
             "uptime_s": self.uptime_s,
-            "connections_open": len(self._writers),
+            "connections_open": len(self._conns),
             "connections_v1": self.connections_v1,
             "connections_v2": self.connections_v2,
             "draining": self._stopping,
@@ -572,6 +579,192 @@ class CacheServer:
             name, cat=CAT_AUDIT, ts=clock(), pid=self.store.shard_of(key),
             tid=0, args=leaf_args(current_context(), key=key),
         )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames parsed from its buffer, in order.
+
+    ``data_received`` feeds a :class:`FrameBuffer` and hands every
+    complete frame to :meth:`CacheServer._serve_frame`.  Parsing stops
+    while a coroutine verb's task is answering (so replies keep request
+    order), while the peer is not reading its replies
+    (``pause_writing``), and once the connection closes.  While parsing
+    is stopped the connection reads at most ``_READ_LIMIT`` bytes ahead.
+
+    One ``call_at`` timer bounds what a peer can hold a connection slot
+    with.  It runs while part of a frame header (1 to 11 bytes) is
+    buffered, from connect until the first header is in, and while
+    writing is paused; when it fires the connection drops.  A payload is
+    not timed, nor is an idle connection between frames.
+    """
+
+    __slots__ = ("server", "transport", "frames", "enc", "conn_id", "task",
+                 "paused", "eof", "decoded", "timer", "timer_for")
+
+    def __init__(self, server: CacheServer):
+        self.server = server
+        self.transport = None
+        self.frames = FrameBuffer()
+        self.enc = FrameEncoder()
+        self.conn_id = 0
+        #: the task answering a coroutine verb (parsing waits for it)
+        self.task = None
+        #: the peer's receive window is full (pause_writing)
+        self.paused = False
+        #: the peer half-closed; close once the buffer is served
+        self.eof = False
+        #: a first frame decoded (the peer speaks v2)
+        self.decoded = False
+        self.timer = None
+        self.timer_for = None
+
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        server = self.server
+        if server._stopping or len(server._conns) >= server.max_connections:
+            log.warning(
+                "rejecting connection: %s",
+                "shutting down" if server._stopping
+                else "connection cap reached",
+            )
+            transport.write(self.enc.simple(_ERR, 0, b"busy"))
+            transport.close()
+            return
+        server._next_conn_id += 1
+        self.conn_id = server._next_conn_id
+        server._conns.add(self)
+        log.debug("connection %d opened", self.conn_id)
+        # a peer that never sends a frame header must not hold its slot
+        self._retime()
+
+    def data_received(self, data: bytes) -> None:
+        self.frames.feed(data)
+        if self.task is None and not self.paused:
+            self._serve_buffered()
+        elif self.frames.pending > _READ_LIMIT:
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.task is None and not self.paused:
+            self._close_at_eof()
+        return True  # the transport stays open until the answers are out
+
+    def connection_lost(self, exc) -> None:
+        self._disarm()
+        self.server._conns.discard(self)
+        if self.conn_id:
+            log.debug("connection %d closed", self.conn_id)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self._retime()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.resume()
+
+    # -- serving ------------------------------------------------------------
+
+    def _serve_buffered(self) -> None:
+        """Serve the buffered frames in order until one must wait."""
+        server, frames, transport = self.server, self.frames, self.transport
+        try:
+            while (self.task is None and not self.paused
+                   and not transport.is_closing()):
+                frame = frames.next_frame()
+                if frame is None:
+                    break
+                if not self.decoded:
+                    self.decoded = True
+                    server.record_connection(framed=True)
+                if server._stopping:
+                    transport.close()
+                    break
+                server._serve_frame(self, frame)
+        except FrameError as exc:
+            log.warning("connection %d: unframeable stream (%s), dropping",
+                        self.conn_id, exc)
+            if not self.decoded:
+                server.record_connection(framed=False)
+            transport.close()
+            return
+        if self.eof and self.task is None and not self.paused:
+            self._close_at_eof()
+        else:
+            self._retime()
+
+    def resume(self) -> None:
+        """Parsing may go on: the task answered or the peer reads again."""
+        transport = self.transport
+        if transport.is_closing():
+            return
+        transport.resume_reading()
+        self._serve_buffered()
+
+    def reply_error(self, seq: int, reason: bytes) -> None:
+        """Answer request ``seq`` with ``ERR reason``, if still connected."""
+        if not self.transport.is_closing():
+            self.transport.write(self.enc.simple(_ERR, seq, reason))
+
+    def _close_at_eof(self) -> None:
+        """The peer half-closed and every whole frame is served: close."""
+        if self.frames.pending:
+            log.warning("connection %d: truncated frame at EOF, dropping",
+                        self.conn_id)
+            if not self.decoded:
+                self.server.record_connection(framed=False)
+        self.transport.close()
+
+    # -- the connection's one timer -------------------------------------------
+
+    def _retime(self) -> None:
+        """Arm the timer for what the connection now waits on, if anything.
+
+        A header timer keeps running while more header bytes trickle in:
+        the header's deadline counts from its first byte.
+        """
+        if self.paused:
+            want = _STALL
+        elif self.task is not None:
+            want = None  # the task runs under its own deadline
+        else:
+            pending = self.frames.pending
+            if pending < HEADER_SIZE and (pending or not self.decoded):
+                want = _HEADER
+            else:
+                want = None
+        if want == self.timer_for:
+            return
+        self._disarm()
+        if want is not None:
+            loop = asyncio.get_running_loop()
+            self.timer = loop.call_at(
+                loop.time() + self.server.request_timeout, self._expire)
+            self.timer_for = want
+
+    def _disarm(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = self.timer_for = None
+
+    def _expire(self) -> None:
+        stalled = self.timer_for == _STALL
+        self.timer = self.timer_for = None
+        timeout = self.server.request_timeout
+        if stalled:
+            # close() would wait for the peer to read what is queued
+            log.warning("connection %d: replies unread for %ss, dropping",
+                        self.conn_id, timeout)
+            self.transport.abort()
+            return
+        log.warning("connection %d: no frame header within %ss, dropping",
+                    self.conn_id, timeout)
+        if not self.decoded:
+            self.server.record_connection(framed=False)
+        self.transport.close()
 
 
 async def run_server(server: CacheServer) -> None:

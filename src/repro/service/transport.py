@@ -6,11 +6,16 @@ through :class:`Transport`: wire protocol v2 frames
 (:mod:`repro.service.protocol`) pipelined over one multiplexed
 connection, with retry and exponential backoff.
 
+The connection is one ``asyncio.Protocol``: each reply frame is parsed
+from the connection's :class:`~repro.service.protocol.FrameBuffer` as
+its bytes arrive and resolves its caller's future there, so there is no
+reader task and no read call per reply.
+
 There is no handshake.  Every frame header carries the magic and
-version bytes, and :func:`~repro.service.protocol.read_frame` rejects a
-wrong one with :class:`~repro.service.protocol.FrameError`, so a peer
-that does not speak v2 fails closed on its first reply: the connection
-drops and the call fails as a transport error.
+version bytes, and the frame parser rejects a wrong one with
+:class:`~repro.service.protocol.FrameError`, so a peer that does not
+speak v2 fails closed on its first reply: the connection drops and the
+call fails as a transport error.
 """
 
 from __future__ import annotations
@@ -20,102 +25,138 @@ import asyncio
 from ..obs.dist import wire_token
 from .deadline import deadline
 from .protocol import (
+    STATUS_IDS,
+    STATUS_NAMES,
+    FrameBuffer,
     FrameEncoder,
     FrameError,
     PayloadReader,
     Reply,
-    STATUS_NAMES,
     encode_request,
-    read_frame,
 )
+
+#: the status id of an error reply
+_ERR = STATUS_IDS["ERR"]
 
 
 class ServerError(Exception):
     """An ``ERR`` answer from the server (not retried)."""
 
 
-class _MuxConn:
-    """One multiplexed connection: many in-flight frames, one reader.
+class _MuxConn(asyncio.Protocol):
+    """One multiplexed connection: many in-flight frames, one buffer.
 
-    Requests are tagged with a per-connection sequence id; a background
-    read loop matches response frames back to caller futures, so any
-    number of tasks can pipeline through one socket.  A caller that
-    times out or is cancelled just abandons its sequence id — the late
-    response is dropped on arrival and the connection stays healthy.
+    Requests are tagged with a per-connection sequence id.  The replies
+    are parsed from the connection's :class:`FrameBuffer` as they arrive
+    (``data_received``), and each resolves its caller's future there, so
+    any number of tasks can pipeline through one socket without a reader
+    task.  A caller that times out or is cancelled just abandons its
+    sequence id: the late reply is dropped on arrival and the connection
+    stays healthy.
     """
 
-    __slots__ = ("reader", "writer", "enc", "pending", "next_seq", "dead",
-                 "task")
+    __slots__ = ("transport", "frames", "enc", "pending", "next_seq",
+                 "dead", "error", "paused", "drained", "lost")
 
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
+    def __init__(self):
+        loop = asyncio.get_running_loop()
+        self.transport = None
+        self.frames = FrameBuffer()
         self.enc = FrameEncoder()
         self.pending = {}  # seq -> Future[Frame]
         self.next_seq = 1
         self.dead = False
-        self.task = asyncio.ensure_future(self._read_loop())
+        #: why the connection died (raised to a caller that finds it dead)
+        self.error = None
+        #: the server's receive window is full (pause_writing)
+        self.paused = False
+        #: resolved by resume_writing while callers wait for the window
+        self.drained = None
+        #: resolved once the socket is closed
+        self.lost = loop.create_future()
 
-    async def _read_loop(self):
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        frames, pending = self.frames, self.pending
+        frames.feed(data)
         try:
-            while True:
-                frame = await read_frame(self.reader)
-                if frame is None:
-                    raise ConnectionError("server closed connection")
-                if frame.seq == 0 and STATUS_NAMES.get(frame.verb_id) == "ERR":
+            frame = frames.next_frame()
+            while frame is not None:
+                if frame.seq == 0 and frame.verb_id == _ERR:
                     # no request has seq 0: the server turned us away
-                    raise ConnectionError(
+                    self._fail(ConnectionError(
                         "server rejected connection: "
-                        + frame.payload.decode("utf-8", "replace"))
-                fut = self.pending.pop(frame.seq, None)
+                        + frame.payload.decode("utf-8", "replace")))
+                    return
+                fut = pending.pop(frame.seq, None)
                 if fut is not None and not fut.done():
                     fut.set_result(frame)
-        except asyncio.CancelledError:
-            raise
-        except (FrameError, ConnectionError, OSError,
-                asyncio.IncompleteReadError) as exc:
+                frame = frames.next_frame()
+        except FrameError as exc:
             self._fail(exc)
+
+    def eof_received(self) -> bool:
+        self._fail(ConnectionError("server closed connection"))
+        return False
+
+    def connection_lost(self, exc) -> None:
+        self._fail(exc or ConnectionError("server closed connection"))
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        drained, self.drained = self.drained, None
+        if drained is not None and not drained.done():
+            drained.set_result(None)
+
+    # -- calls --------------------------------------------------------------
 
     def _fail(self, exc) -> None:
         """Mark the connection dead and fail every in-flight caller."""
-        self.dead = True
+        if not self.dead:
+            self.dead = True
+            self.error = exc
+            self.transport.close()
         pending, self.pending = self.pending, {}
         for fut in pending.values():
             if not fut.done():
                 fut.set_exception(ConnectionError(str(exc)))
-        self.writer.close()
+        self.resume_writing()  # wake writers; their replies never come
 
     async def call(self, verb: str, fields, token, timeout: float):
         """Send one frame and await its matching response frame."""
+        if self.dead:
+            raise ConnectionError(str(self.error))
         seq = self.next_seq
         self.next_seq = (self.next_seq % 0xFFFFFFFF) + 1
         payload = encode_request(self.enc, verb, fields, seq, token)
-        fut = asyncio.get_event_loop().create_future()
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
         self.pending[seq] = fut
         try:
-            self.writer.write(payload)
-            await self.writer.drain()
+            self.transport.write(payload)
             async with deadline(timeout):
+                if self.paused:
+                    if self.drained is None:
+                        self.drained = loop.create_future()
+                    # shared by every waiting caller: one caller's
+                    # timeout must not cancel it under the others
+                    await asyncio.shield(self.drained)
                 return await fut
         finally:
             self.pending.pop(seq, None)
 
     async def aclose(self):
-        self.dead = True
-        self.task.cancel()
-        try:
-            await self.task
-        except (asyncio.CancelledError, Exception):
-            pass
-        pending, self.pending = self.pending, {}
-        for fut in pending.values():
-            if not fut.done():
-                fut.set_exception(ConnectionError("transport closed"))
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._fail(ConnectionError("transport closed"))
+        await self.lost
 
 
 class Transport:
@@ -187,11 +228,12 @@ class Transport:
         async with self._dial_lock:
             conn = self._conn
             if conn is None or conn.dead:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
+                loop = asyncio.get_running_loop()
+                _, conn = await asyncio.wait_for(
+                    loop.create_connection(_MuxConn, self.host, self.port),
                     self.timeout,
                 )
-                conn = self._conn = _MuxConn(reader, writer)
+                self._conn = conn
             return conn
 
     def _reply(self, frame) -> Reply:

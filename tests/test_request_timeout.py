@@ -42,16 +42,16 @@ class _SlowServer(CacheServer):
         #: the trace context active as each frame is dispatched
         self.ambient = []
 
-    async def _serve_request(self, frame, *args):
+    def _serve_frame(self, conn, frame):
         self.ambient.append(current_context())
-        return await super()._serve_request(frame, *args)
+        return super()._serve_frame(conn, frame)
 
     @wire_verb("GET")
     async def _verb_get(self, key: str):
         if key.startswith("slow"):
             self.store.get(key)
             await asyncio.sleep(30)
-        return await super()._verb_get(key)
+        return super()._verb_get(key)
 
 
 async def _slow_server(obs=None):

@@ -389,7 +389,7 @@ class _HeldGetServer(CacheServer):
     async def _verb_get(self, key: str):
         if key == "held":
             await self.release.wait()
-        return await super()._verb_get(key)
+        return super()._verb_get(key)
 
 
 class TestServerProtocol:
@@ -686,13 +686,13 @@ class TestClient:
         async def body():
             server = await _started_server()
             served = []
-            serve = server._serve_request
+            serve = server._serve_frame
 
-            async def counting(frame, *args):
+            def counting(conn, frame):
                 served.append(VERB_NAMES[frame.verb_id])
-                return await serve(frame, *args)
+                return serve(conn, frame)
 
-            server._serve_request = counting
+            server._serve_frame = counting
             try:
                 async with CacheClient("127.0.0.1", server.port) as c:
                     # RGET is a cluster verb: a plain cache server answers ERR
