@@ -534,12 +534,12 @@ class UnaccountedHostTimingRule(Rule):
 
     ``repro.obs.prof.clock`` / ``cpu_clock`` are the sanctioned access
     points for ``time.perf_counter`` / ``time.process_time``: timing that
-    goes through them can be phase-attributed, land in the obs registry
-    and show up in the runner's per-cell accounts.  A direct clock read
-    anywhere else produces a number no dashboard will ever see.  :mod:`repro.obs` and :mod:`repro.runner` host
-    the wrappers and the per-cell measurement loop, so they are exempt;
-    a rare justified site elsewhere opts out with
-    ``# repro: noqa=REP011``.
+    goes through them can land in the obs registry and show up in the
+    runner's per-cell accounts.  A direct clock read anywhere else
+    produces a number no dashboard will ever see.  :mod:`repro.obs` and
+    :mod:`repro.runner` host the wrappers and the per-cell measurement
+    loop, so they are exempt; a rare justified site elsewhere opts out
+    with ``# repro: noqa=REP011``.
     """
 
     id = "REP011"
@@ -578,7 +578,7 @@ class UnaccountedHostTimingRule(Rule):
                 self, node,
                 f"direct {name} bypasses the perf accounting layer; use "
                 "repro.obs.prof.clock (wall) or cpu_clock (CPU) so the "
-                "interval can be phase-attributed and baselined",
+                "interval can be accounted and baselined",
             )
 
     def check_ImportFrom(self, node: ast.ImportFrom, ctx) -> None:
@@ -678,13 +678,13 @@ class RawTransportRule(Rule):
 
 @register
 class UnscopedSpanRule(Rule):
-    """Spans and phase timers must be context-managed outside :mod:`repro.obs`.
+    """Spans must be context-managed outside :mod:`repro.obs`.
 
-    ``tracer.span(...)`` and ``prof.phase(...)`` return context managers
-    whose exit records the timed event; calling one without ``with``
-    either silently records nothing (the generator never runs) or, with
-    a manual ``.start()``/``.stop()`` pair, leaks the span on any
-    exception between the two — a trace with holes exactly where the
+    ``tracer.span(...)`` returns a context manager whose exit records the
+    timed event; calling it without ``with`` either silently records
+    nothing (the generator never runs) or, with a manual
+    ``.start()``/``.stop()`` pair, leaks the span on any exception
+    between the two — a trace with holes exactly where the
     interesting failures happened.  :mod:`repro.obs` itself implements
     the managers, so it is exempt.
     """
@@ -692,16 +692,16 @@ class UnscopedSpanRule(Rule):
     id = "REP013"
     name = "unscoped-span"
     description = (
-        "tracer span / phase timer used without 'with' (or via manual "
+        "tracer span used without 'with' (or via manual "
         "start/stop) outside repro.obs"
     )
     scope = ("repro",)
 
     #: attribute calls that produce a context-managed timing scope
-    _SCOPE_FACTORIES = frozenset({"span", "phase"})
+    _SCOPE_FACTORIES = frozenset({"span"})
     #: receiver-name fragments that mark a manual lifecycle call as a
     #: span/timer object (``span.start()``, ``timer.stop()``)
-    _SCOPED_RECEIVERS = ("span", "timer", "phase")
+    _SCOPED_RECEIVERS = ("span", "timer")
 
     def _exempt(self, ctx) -> bool:
         return ctx.module == "repro.obs" or ctx.module.startswith("repro.obs.")

@@ -48,17 +48,24 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
+def quantile(values, q: float) -> float:
+    """Linear-interpolated quantile of ``values`` (``q`` in [0, 1]; 0 if empty)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    vals = sorted(values)
+    if not vals:
+        return 0.0
+    pos = q * (len(vals) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(vals) - 1)
+    frac = pos - lo
+    return vals[lo] * (1 - frac) + vals[hi] * frac
+
+
 def quartiles(values):
     """(min, q1, median, q3, max) — the five numbers of paper Fig. 10."""
     vals = sorted(values)
     if not vals:
         raise ValueError("quartiles of empty sequence")
-
-    def _quantile(q: float) -> float:
-        pos = q * (len(vals) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(vals) - 1)
-        frac = pos - lo
-        return vals[lo] * (1 - frac) + vals[hi] * frac
-
-    return vals[0], _quantile(0.25), _quantile(0.5), _quantile(0.75), vals[-1]
+    return (vals[0], quantile(vals, 0.25), quantile(vals, 0.5),
+            quantile(vals, 0.75), vals[-1])

@@ -61,11 +61,6 @@ from .dist import (
 )
 from .flight import FlightRecorder, load_flight, render_flight
 from .http import ObsHTTPServer
-from .prof import (
-    NULL_PHASE_TIMER,
-    PhaseTimer,
-    phase_shape,
-)
 from .registry import (
     LATENCY_BOUNDS_S,
     Counter,
@@ -107,9 +102,6 @@ __all__ = [
     "Tracer",
     "TraceEvent",
     "NULL_TRACER",
-    "PhaseTimer",
-    "NULL_PHASE_TIMER",
-    "phase_shape",
     "diff_snapshots",
     "merge_registry_snapshots",
     "format_prometheus",
@@ -153,20 +145,16 @@ __all__ = [
 
 
 class Observability:
-    """One registry + one tracer + one phase timer, threaded as a unit."""
+    """One registry + one tracer, threaded as a unit."""
 
-    def __init__(self, registry: MetricsRegistry, tracer, prof=None):
+    def __init__(self, registry: MetricsRegistry, tracer):
         self.registry = registry
         self.tracer = tracer
-        #: phase timer (``with obs.prof.phase("simulate")``); defaults to
-        #: the shared no-op so existing two-argument callers stay valid
-        self.prof = prof if prof is not None else NULL_PHASE_TIMER
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """The no-op bundle: null metrics, disabled tracer, null phases."""
-        return cls(MetricsRegistry(enabled=False), NULL_TRACER,
-                   NULL_PHASE_TIMER)
+        """The no-op bundle: null metrics and a disabled tracer."""
+        return cls(MetricsRegistry(enabled=False), NULL_TRACER)
 
     @classmethod
     def enabled(
@@ -175,15 +163,8 @@ class Observability:
         trace_capacity: int = 65536,
         sample_every: int = 1,
         time_unit: str = "cycles",
-        profile: bool = False,
     ) -> "Observability":
-        """Metrics on; tracing and phase profiling optional.
-
-        With ``profile=True`` the bundle carries a live
-        :class:`~repro.obs.prof.PhaseTimer` feeding the registry's
-        ``repro_phase_seconds`` histograms.
-        """
-        registry = MetricsRegistry(enabled=True)
+        """Metrics on; tracing optional."""
         tracer = (
             Tracer(
                 capacity=trace_capacity,
@@ -193,14 +174,9 @@ class Observability:
             if tracing
             else NULL_TRACER
         )
-        prof = (
-            PhaseTimer(enabled=True, registry=registry)
-            if profile
-            else NULL_PHASE_TIMER
-        )
-        return cls(registry, tracer, prof)
+        return cls(MetricsRegistry(enabled=True), tracer)
 
     @property
     def active(self) -> bool:
-        """True when the registry, tracer or phase timer does real work."""
-        return self.registry.enabled or self.tracer.enabled or self.prof.enabled
+        """True when the registry or tracer does real work."""
+        return self.registry.enabled or self.tracer.enabled

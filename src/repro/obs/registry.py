@@ -122,8 +122,8 @@ class Histogram:
     Buckets are cumulative-at-export like Prometheus, but stored per-bucket;
     an implicit ``+Inf`` bucket catches overflows.  :meth:`quantile` gives a
     bucket-interpolated estimate good to one bucket's relative width (a
-    factor-2 grid bounds the error at 2x, plenty for dashboards; exact
-    quantiles stay with the reservoir in :mod:`repro.service.stats`).
+    factor-2 grid bounds the error at 2x, plenty for dashboards and for the
+    STATS percentiles of :mod:`repro.service.stats`).
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum")

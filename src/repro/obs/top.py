@@ -8,7 +8,7 @@ without sockets and reusable against recorded STATS dumps.
 With a previous snapshot and the poll interval, per-shard request rates are
 derived from counter deltas; without one, the frame shows lifetime totals
 only.  Layout: a cluster header, a per-shard table (hit rate, p50/p99,
-occupancy, evictions, request rate) and a hit-rate bar chart per shard
+latency samples, evictions, request rate) and a hit-rate bar chart per shard
 (:func:`repro.metrics.textplot.bar_chart`).
 """
 
@@ -79,18 +79,18 @@ def render_dashboard(
         ),
         "",
         f"{'shard':>5} {'gets':>9} {'hit rate':>9} {'p50 ms':>8} {'p99 ms':>8} "
-        f"{'busy s':>7} {'occup':>6} {'tagged':>8} {'evict':>7} {'req/s':>8}",
+        f"{'busy s':>7} {'samples':>8} {'tagged':>8} {'evict':>7} {'req/s':>8}",
     ]
     for i, shard in enumerate(shards):
         old = prev_shards[i] if i < len(prev_shards) else None
         rps = _rate(shard, old, "gets", interval)
-        occupancy = shard.get("reservoir_occupancy", shard.get("latency_samples", 0))
         lines.append(
             f"{i:>5} {shard.get('gets', 0):>9} {shard.get('hit_rate', 0.0):>9.4f} "
             f"{shard.get('p50_s', 0.0) * 1e3:>8.3f} "
             f"{shard.get('p99_s', 0.0) * 1e3:>8.3f} "
             f"{shard.get('busy_s', 0.0):>7.2f} "
-            f"{occupancy:>6} {shard.get('tag_only_sets', 0):>8} "
+            f"{shard.get('latency_samples', 0):>8} "
+            f"{shard.get('tag_only_sets', 0):>8} "
             f"{shard.get('data_evictions', 0) + shard.get('tag_evictions', 0):>7} "
             f"{rps:>8.0f}"
         )
@@ -100,7 +100,7 @@ def render_dashboard(
             f"{total.get('p50_s', 0.0) * 1e3:>8.3f} "
             f"{total.get('p99_s', 0.0) * 1e3:>8.3f} "
             f"{total.get('busy_s', 0.0):>7.2f} "
-            f"{total.get('latency_samples', 0):>6} "
+            f"{total.get('latency_samples', 0):>8} "
             f"{total.get('tag_only_sets', 0):>8} "
             f"{total.get('data_evictions', 0) + total.get('tag_evictions', 0):>7} "
             f"{total_rps:>8.0f}"

@@ -24,7 +24,7 @@ from .client import CacheClient, ServerError
 from .loadgen import LoadResult, key_of, replay_store, run_load, value_of
 from .server import CacheServer, ProtocolError, run_server
 from .sharding import ShardedStore
-from .stats import ShardStats, merge_snapshots, quantile
+from .stats import ShardStats, merge_snapshots
 from .store import ReuseStore, stable_hash
 
 __all__ = [
@@ -43,5 +43,4 @@ __all__ = [
     "value_of",
     "stable_hash",
     "merge_snapshots",
-    "quantile",
 ]

@@ -24,11 +24,11 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
+from ..metrics.perf import quantile
 from ..obs.logging import get_logger
 from ..obs.prof import clock
 from ..workloads.trace import Trace, Workload
 from .client import CacheClient
-from .stats import quantile
 
 log = get_logger(__name__)
 

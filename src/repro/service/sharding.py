@@ -201,9 +201,6 @@ class ShardedStore:
             registry.gauge(
                 "repro_service_shard_p99_seconds", shard=label
             ).set(snap["p99_s"])
-            registry.gauge(
-                "repro_service_shard_reservoir_occupancy", shard=label
-            ).set(float(snap["reservoir_occupancy"]))
 
     def stats_snapshot(self) -> dict:
         """Per-shard snapshots plus the cluster-wide aggregate."""

@@ -2,48 +2,34 @@
 
 Each shard owns one :class:`ShardStats`: monotonic counters mirroring the
 simulator's accounting (hits, misses, reuse admissions, evictions on both
-the tag and data sides) plus a bounded latency reservoir from which p50/p99
-are computed on demand.  Counters are plain ints mutated under the shard
-lock through the ``record_*`` methods — :class:`ReuseStore` never pokes the
+the tag and data sides) plus one latency :class:`~repro.obs.registry.Histogram`
+from which p50/p99 are read on demand.  Counters are plain ints mutated
+through the ``record_*`` methods — :class:`ReuseStore` never pokes the
 fields directly, so the obs registry's collectors (and the REP009 lint rule)
 see one well-defined write path per statistic.
 
-Latencies use **seeded reservoir sampling** (Vitter's Algorithm R): every
-request has an equal probability of being retained, so the quantiles
-estimate the whole run rather than just the most recent window, and the
-seeded :class:`random.Random` keeps a replayed workload byte-for-byte
-reproducible (no global RNG, per REP001).  ``reservoir_occupancy`` /
-``reservoir_capacity`` in the snapshot expose how full the reservoir is;
-``latency_samples`` counts every latency ever offered.
+The histogram is the registry's log-bucketed one (``LATENCY_BOUNDS_S``,
+factor-2 buckets) but is not registered anywhere: STATS reads it directly.
+Every request lands in it, so the quantiles describe the whole run, and a
+reported p50/p99 lies in the same bucket as the exact order statistic, i.e.
+within a factor of 2 of it.  ``latency_samples`` is the histogram's count
+and ``busy_s`` its sum.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-
-#: default number of latency samples retained per shard
-LATENCY_WINDOW = 4096
+from ..obs.registry import Histogram
 
 
-def quantile(samples: list, q: float) -> float:
-    """Linear-interpolated quantile of ``samples`` (``q`` in [0, 1])."""
-    if not samples:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    ordered = sorted(samples)
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+def _latency_histogram() -> Histogram:
+    return Histogram("repro_service_shard_latency_seconds", {})
 
 
 @dataclass
 class ShardStats:
-    """Counters and latency reservoir for one shard."""
+    """Counters and latency histogram for one shard."""
 
     #: GETs served from the data store
     hits: int = 0
@@ -63,39 +49,17 @@ class ShardStats:
     bytes_stored: int = 0
     #: total bytes ever written into the data store
     bytes_written: int = 0
-    #: summed request service time in seconds — the shard's *busy* time.
-    #: Shards share one event loop, so per-shard CPU cannot be read from the
-    #: OS; busy seconds are the serving-side analogue (request wall time
-    #: attributed to the shard that owned the key).
-    busy_s: float = 0.0
-    #: retained request latencies in seconds (the reservoir)
-    latencies: list = field(default_factory=list, repr=False)
-    latency_window: int = LATENCY_WINDOW
-    #: latencies ever offered to the reservoir (retained or not)
-    latency_count: int = 0
-    #: seed of the reservoir's private RNG (the shard's seed)
-    seed: int = 0
-
-    def __post_init__(self):
-        self._rng = random.Random(self.seed)
+    #: request service times in seconds.  Its sum is the shard's *busy*
+    #: time: shards share one event loop, so per-shard CPU cannot be read
+    #: from the OS; busy seconds are the serving-side analogue (request wall
+    #: time attributed to the shard that owned the key).
+    latency: Histogram = field(default_factory=_latency_histogram, repr=False)
 
     # -- recording (one method per statistic; see module docstring) ------------
 
     def record_latency(self, seconds: float) -> None:
-        """Offer one request latency to the reservoir (Algorithm R).
-
-        The first ``latency_window`` samples are always kept; afterwards
-        sample *i* replaces a uniformly chosen slot with probability
-        ``window / i``, giving every request the same retention probability.
-        """
-        self.latency_count += 1
-        self.busy_s += seconds
-        if len(self.latencies) < self.latency_window:
-            self.latencies.append(seconds)
-        else:
-            slot = self._rng.randrange(self.latency_count)
-            if slot < self.latency_window:
-                self.latencies[slot] = seconds
+        """One request's service time."""
+        self.latency.observe(seconds)
 
     def record_hit(self) -> None:
         """A GET served from the data store."""
@@ -149,13 +113,6 @@ class ShardStats:
         total = self.gets
         return self.hits / total if total else 0.0
 
-    def latency_quantiles(self) -> dict:
-        """p50/p99 over the retained reservoir, in seconds."""
-        return {
-            "p50_s": quantile(self.latencies, 0.50),
-            "p99_s": quantile(self.latencies, 0.99),
-        }
-
     def snapshot(self) -> dict:
         """JSON-safe view of the counters (used by the STATS command)."""
         return {
@@ -170,11 +127,10 @@ class ShardStats:
             "deletes": self.deletes,
             "bytes_stored": self.bytes_stored,
             "bytes_written": self.bytes_written,
-            "latency_samples": self.latency_count,
-            "busy_s": self.busy_s,
-            "reservoir_occupancy": len(self.latencies),
-            "reservoir_capacity": self.latency_window,
-            **self.latency_quantiles(),
+            "latency_samples": self.latency.count,
+            "busy_s": self.latency.sum,
+            "p50_s": self.latency.quantile(0.50),
+            "p99_s": self.latency.quantile(0.99),
         }
 
 
@@ -189,7 +145,6 @@ def merge_snapshots(snapshots: list) -> dict:
         "hits", "misses", "gets", "reuse_admissions", "tag_only_sets",
         "data_evictions", "tag_evictions", "deletes",
         "bytes_stored", "bytes_written", "latency_samples",
-        "reservoir_occupancy", "reservoir_capacity",
     )}
     p50 = p99 = 0.0
     busy_s = 0.0

@@ -113,8 +113,7 @@ class ReuseStore:
         self._fwd = self.rdir.fwd
         self._values = [None] * data_capacity  # data way -> value bytes
 
-        self._seed = seed
-        self.stats = ShardStats(seed=seed)
+        self.stats = ShardStats()
         #: optional ``fn(key, kind)`` observing evictions the store decides
         #: internally, with ``kind`` in ``("data", "tag")``.  The cluster
         #: layer uses this to turn a data/tag eviction into the distributed
@@ -248,7 +247,7 @@ class ReuseStore:
         """Drop every entry and reset counters (stats object is replaced)."""
         self.rdir.clear()
         self._values = [None] * self.data_capacity
-        self.stats = ShardStats(seed=self._seed)
+        self.stats = ShardStats()
 
     # -- internals -----------------------------------------------------------
 

@@ -778,13 +778,6 @@ class TestUnscopedSpan:
         assert codes(findings) == ["REP013"]
         assert "with" in findings[0].message
 
-    def test_flags_bare_phase_call(self):
-        assert codes(lint_snippet(
-            "def run(prof):\n"
-            "    prof.phase('simulate')\n",
-            module="repro.runner.engine",
-        )) == ["REP013"]
-
     def test_flags_manual_start_stop_lifecycle(self):
         findings = lint_snippet(
             "def run(span, timer):\n"
@@ -796,10 +789,9 @@ class TestUnscopedSpan:
 
     def test_with_block_is_legal(self):
         assert lint_snippet(
-            "def handle(tracer, prof):\n"
+            "def handle(tracer):\n"
             "    with tracer.span('request'):\n"
-            "        with prof.phase('parse'):\n"
-            "            pass\n",
+            "        pass\n",
             module="repro.service.server",
         ) == []
 

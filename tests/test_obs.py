@@ -550,7 +550,7 @@ class TestCoherenceTracing:
 def _stats_snapshot(gets=100, hit_rate=0.5):
     shard = {
         "gets": gets, "hit_rate": hit_rate, "p50_s": 0.001, "p99_s": 0.002,
-        "reservoir_occupancy": 10, "tag_only_sets": 3, "data_evictions": 1,
+        "latency_samples": 10, "tag_only_sets": 3, "data_evictions": 1,
         "tag_evictions": 0, "reuse_admissions": 5,
     }
     return {

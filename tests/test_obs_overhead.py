@@ -128,26 +128,3 @@ class TestObservabilityNeutrality:
         assert len(perfs) == 1, f"obs mode changed results: {perfs}"
         assert runs[0].performance == pytest.approx(runs[1].performance)
 
-
-class TestPhaseTimerOverhead:
-    """An inactive phase-timer site must cost next to nothing."""
-
-    def test_disabled_phase_site_is_nearly_free(self):
-        from repro.obs.prof import NULL_PHASE_TIMER, PhaseTimer
-
-        n = 100_000
-        start = time.perf_counter()
-        for _ in range(n):
-            with NULL_PHASE_TIMER.phase("hot"):
-                pass
-        disabled_s = time.perf_counter() - start
-        enabled = PhaseTimer()
-        start = time.perf_counter()
-        for _ in range(n):
-            with enabled.phase("hot"):
-                pass
-        enabled_s = time.perf_counter() - start
-        # the disabled site must be cheaper than the measuring one and
-        # stay in the tens-of-nanoseconds-per-call regime
-        assert disabled_s < enabled_s
-        assert disabled_s / n < 2e-6

@@ -3,11 +3,15 @@ reuse-based admission (store semantics, sharding, protocol, concurrency,
 graceful shutdown, load generation)."""
 
 import asyncio
+import bisect
 import json
+import math
 import random
 
 import pytest
 
+from repro.metrics.perf import quantile
+from repro.obs.registry import LATENCY_BOUNDS_S
 from repro.service import sharding as sharding_module
 from repro.service import store as store_module
 from repro.service import (
@@ -17,7 +21,6 @@ from repro.service import (
     ServerError,
     ShardedStore,
     merge_snapshots,
-    quantile,
     replay_store,
     stable_hash,
     value_of,
@@ -293,6 +296,20 @@ class TestBatchMatchesSingles:
 # ---------------------------------------------------------------------------
 
 
+def _seeded_latencies(seed: int, n: int = 1000) -> list:
+    """``n`` request latencies spread from a few µs to a few ms."""
+    rng = random.Random(seed)
+    return [rng.lognormvariate(math.log(50e-6), 1.0) for _ in range(n)]
+
+
+def _assert_in_bucket_of(estimate: float, exact: float) -> None:
+    """``estimate`` lies in the LATENCY_BOUNDS_S bucket holding ``exact``."""
+    i = bisect.bisect_left(LATENCY_BOUNDS_S, exact)
+    lo = LATENCY_BOUNDS_S[i - 1] if i else 0.0
+    assert lo <= estimate <= LATENCY_BOUNDS_S[i]
+    assert exact / 2 <= estimate <= exact * 2
+
+
 class TestStats:
     def test_quantile_interpolates(self):
         assert quantile([4.0, 1.0, 3.0, 2.0], 0.5) == pytest.approx(2.5)
@@ -300,32 +317,31 @@ class TestStats:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
-    def test_latency_reservoir_bounded_and_deterministic(self):
-        # reservoir sampling: occupancy is capped, every offer is counted,
-        # and the seeded RNG makes the retained set reproducible
-        a = ShardStats(latency_window=4, seed=7)
-        b = ShardStats(latency_window=4, seed=7)
-        for v in range(100):
-            a.record_latency(float(v))
-            b.record_latency(float(v))
-        assert len(a.latencies) == 4
-        assert a.latency_count == 100
-        assert a.latencies == b.latencies
-        # a different seed retains a different sample (overwhelmingly likely
-        # over 100 offers into 4 slots)
-        c = ShardStats(latency_window=4, seed=8)
-        for v in range(100):
-            c.record_latency(float(v))
-        assert c.latencies != a.latencies
+    def test_percentiles_fall_in_the_bucket_of_the_exact_sample(self):
+        for seed in range(5):
+            samples = _seeded_latencies(seed)
+            st = ShardStats()
+            for v in samples:
+                st.record_latency(v)
+            snap = st.snapshot()
+            ordered = sorted(samples)
+            for key, q in (("p50_s", 0.50), ("p99_s", 0.99)):
+                # the ceil(q*n)-th smallest sample, 1-based
+                exact = ordered[math.ceil(q * len(ordered)) - 1]
+                _assert_in_bucket_of(snap[key], exact)
 
-    def test_latency_reservoir_snapshot_keys(self):
-        st = ShardStats(latency_window=4)
-        for v in (1.0, 2.0):
-            st.record_latency(v)
-        snap = st.snapshot()
-        assert snap["reservoir_occupancy"] == 2
-        assert snap["reservoir_capacity"] == 4
-        assert snap["latency_samples"] == 2
+    def test_sample_count_and_busy_seconds_are_exact(self):
+        for seed in range(5):
+            samples = _seeded_latencies(seed)
+            st = ShardStats()
+            for v in samples:
+                st.record_latency(v)
+            busy_s = 0.0
+            for v in samples:
+                busy_s += v
+            snap = st.snapshot()
+            assert snap["latency_samples"] == len(samples)
+            assert snap["busy_s"] == busy_s
 
     def test_merge_snapshots(self):
         a, b = ShardStats(), ShardStats()
@@ -335,7 +351,7 @@ class TestStats:
         total = merge_snapshots([a.snapshot(), b.snapshot()])
         assert total["hits"] == 4 and total["misses"] == 4
         assert total["hit_rate"] == pytest.approx(0.5)
-        assert total["p99_s"] == pytest.approx(0.5)
+        _assert_in_bucket_of(total["p99_s"], 0.5)
 
     def test_busy_seconds_accumulate_and_merge(self):
         a, b = ShardStats(), ShardStats()
@@ -625,6 +641,8 @@ class TestGracefulShutdown:
             await server.stop(drain_timeout=1.0)
             assert await reader.read() == b""   # EOF: server closed it
             assert server.connections == 0
+            writer.close()
+            await writer.wait_closed()
         run(body())
 
     def test_quit_closes_only_its_own_connection(self):
