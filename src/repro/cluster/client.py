@@ -124,21 +124,26 @@ class ClusterClient:
 
     # -- operations ------------------------------------------------------------
 
-    def _read_order(self, key: str) -> list:
-        """Nodes to try for a read: preference list, replica-rotated."""
+    def _read_order(self, key: str) -> tuple:
+        """``(owner, nodes to try for a read)`` from one ring walk.
+
+        The nodes are the key's preference list, replica-rotated; its
+        head is the owner (``preference(key, 1)[0] == owner(key)``).
+        """
         width = self.replicas if self.read_replicas else 1
         pref = self.ring.preference(key, width)
+        owner = pref[0]
         if len(pref) > 1:
             self._reads += 1
             start = self._reads % len(pref)
             pref = pref[start:] + pref[:start]
-        return pref
+        return owner, pref
 
     async def get(self, key: str, trace=None):
         """Value bytes for ``key`` or None; replica-spread, never stale."""
-        owner = self.ring.owner(key)
+        owner, order = self._read_order(key)
         last_exc = None
-        for name in self._read_order(key):
+        for name in order:
             if name in self._down:
                 continue
             client = self._client_for(name)

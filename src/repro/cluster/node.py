@@ -289,7 +289,7 @@ class ClusterServer(CacheServer):
     SET and DEL (singles and batches) override the base handlers with
     coroutines that run the full invalidate-before-ack owner write path,
     so every write on a cluster node waits for its fan-out, in a task
-    under the request deadline.  The overrides keep the base handlers'
+    bounded by the request timeout.  The overrides keep the base handlers'
     names and so their table entries; the verbs stay in the service
     layer of the protocol spec.  GET, MGET and the peer verbs that never
     await (INVAL, PUTS, RGET, CSTATUS) are plain ``def`` handlers, served
@@ -416,6 +416,8 @@ class ClusterNode:
         #: request metric handles, looked up on first use (record_request)
         self._request_counters = {}  # verb -> counter
         self._request_latency = None
+        #: fan-out and peer-verb counters, looked up on first use (_counter)
+        self._counters = {}  # (name, *label values) -> counter
         store.set_evict_listener(self._on_store_evict)
         #: one id allocator for the node's request spans *and* its fan-out
         #: spans (the server shares it), prefixed with the node name so a
@@ -713,18 +715,15 @@ class ClusterNode:
                 # one immediate retry: a dropped connection or a slow
                 # peer, not necessarily a dead one
                 failed = await self._inval_round(failed, key, version)
-        registry = self.obs.registry
-        if registry.enabled:
-            registry.counter(
+        if self.obs.registry.enabled:
+            self._counter(
                 "repro_cluster_invalidations_total",
-                help="INVAL messages fanned out to replica holders",
-                node=self.name,
+                "INVAL messages fanned out to replica holders",
             ).inc(len(targets))
             if failed:
-                registry.counter(
+                self._counter(
                     "repro_cluster_inval_failures_total",
-                    help="INVAL sends with no ack after retry",
-                    node=self.name,
+                    "INVAL sends with no ack after retry",
                 ).inc(len(failed))
         # repro: atomic=_settle_debt re-reads the pending set after the acks and merges into it (subtract acked, union failed), which commutes with concurrent rounds
         self._settle_debt(key, set(targets).difference(failed), failed)
@@ -843,10 +842,9 @@ class ClusterNode:
                     if accepted is False:
                         self.directory.note_replica_evicted(key, target)
                     if self.obs.registry.enabled:
-                        self.obs.registry.counter(
+                        self._counter(
                             "repro_cluster_replications_total",
-                            help="replica pushes, by acceptance",
-                            node=self.name,
+                            "replica pushes, by acceptance",
                             accepted=("unknown" if accepted is None
                                       else str(accepted).lower()),
                         ).inc()
@@ -921,10 +919,9 @@ class ClusterNode:
     def handle_inval(self, key: str, version: int) -> bool:
         dropped = self.replica_store.invalidate(key, version)
         if self.obs.registry.enabled:
-            self.obs.registry.counter(
+            self._counter(
                 "repro_cluster_invals_received_total",
-                help="INVAL messages applied to the local replica store",
-                node=self.name,
+                "INVAL messages applied to the local replica store",
             ).inc()
         if dropped:
             self._audit_dropped(key, version)
@@ -947,10 +944,9 @@ class ClusterNode:
     def handle_rget(self, key: str):
         value = self.replica_store.get(key)
         if self.obs.registry.enabled:
-            self.obs.registry.counter(
+            self._counter(
                 "repro_cluster_replica_reads_total",
-                help="RGET lookups against the local replica store",
-                node=self.name,
+                "RGET lookups against the local replica store",
                 outcome="hit" if value is not None else "miss",
             ).inc()
         return value
@@ -966,6 +962,19 @@ class ClusterNode:
             pass  # best-effort notice; the owner's INVAL still finds nothing
 
     # -- introspection --------------------------------------------------------
+
+    def _counter(self, name: str, help: str, **labels):
+        """This node's counter ``name`` for ``labels``, looked up once.
+
+        The handle is resolved on its first use, so a counter never
+        incremented exports no series.
+        """
+        key = (name, *labels.values())
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self.obs.registry.counter(
+                name, help=help, node=self.name, **labels)
+        return counter
 
     def record_request(self, cmd: str, elapsed: float, conn_id: int,
                        start: float | None = None, ctx=None,

@@ -13,17 +13,29 @@ per-node share near ``1/N`` and — the property the cluster's join/leave
 path relies on — adding a node to an ``N``-node ring moves roughly
 ``1/(N+1)`` of the keys *to the new node only*; ownership between surviving
 nodes never changes.
+
+:attr:`HashRing.key_point` memoises each key's blake2b position in one
+LRU memo of :data:`KEY_POINT_MEMO` keys, the discipline
+:attr:`~repro.service.sharding.ShardedStore.key_hash` applies one level
+down: a hot key is hashed once, not on every ``owner``/``preference``
+walk.  A key's position depends only on ``(seed, key)``, never on
+membership, so ``add``/``remove`` leave the memo valid.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from functools import lru_cache, partial
 
-__all__ = ["HashRing", "RingEmptyError", "DEFAULT_VNODES"]
+__all__ = ["HashRing", "RingEmptyError", "DEFAULT_VNODES", "KEY_POINT_MEMO"]
 
 #: virtual nodes per physical node (128 keeps share imbalance within ~20%)
 DEFAULT_VNODES = 128
+
+#: keys whose ring position one ring memoises (LRU): room for a working
+#: set of hot keys, at about 120 bytes a key plus the key string it holds
+KEY_POINT_MEMO = 16384
 
 
 class RingEmptyError(LookupError):
@@ -47,6 +59,9 @@ class HashRing:
             raise ValueError(f"vnodes must be positive, got {vnodes}")
         self.vnodes = vnodes
         self.seed = seed
+        #: ``key_point(key)``: the key's own 64-bit ring position, memoised
+        self.key_point = lru_cache(maxsize=KEY_POINT_MEMO)(
+            partial(_point, seed, "key"))
         self._points = []  # sorted ring positions
         self._owners = []  # node name at the same index
         self._nodes = set()
@@ -95,10 +110,6 @@ class HashRing:
         self._owners = [self._owners[i] for i in keep]
 
     # -- placement -----------------------------------------------------------
-
-    def key_point(self, key: str) -> int:
-        """The key's own 64-bit ring position."""
-        return _point(self.seed, "key", key)
 
     def owner(self, key: str) -> str:
         """The node owning ``key`` (first point clockwise from the key)."""

@@ -6,20 +6,23 @@ turns for every call.  On the unbatched serving path that scaffolding
 cost more than the store it guarded.  :class:`deadline` bounds a block of
 the *current* task instead::
 
-    async with deadline(self.request_timeout):
-        reply = await handler(*fields)
+    async with deadline(self.peer_timeout):
+        return await peer.inval(key, version)
 
-The server needs it only for verbs that await (the cluster's writes),
-each of which runs in a task of its own; a verb that never awaits is
-answered inline, as its frame is parsed, and a connection's stalled
-frame header is bounded by a plain ``loop.call_at`` timer instead.  The
-clients bound every call with it.
+Only the cluster node's peer calls use it (``ClusterNode._inval_one``,
+``_push_one`` and ``_send_puts``): each bounds one call inside the task
+that answers a cluster write or a ``REPL``.  The serving and client connections need
+no per-request timer at all.  Each keeps one ``loop.call_at`` timer:
+the server's bounds a stalled frame header, an unread reply and the task
+answering an awaiting verb; the client transport's bounds every
+pipelined call, all of which share one timeout.
 
 Entering arms one ``loop.call_at`` timer that cancels the current task;
 leaving disarms it.  When the timer fired, the ``CancelledError`` it
 caused leaves the block as :class:`asyncio.TimeoutError`; any other
-cancellation passes through unchanged, so nested deadlines — a peer-call
-deadline inside a request deadline — each claim only their own expiry.
+cancellation passes through unchanged, so nested deadlines each claim
+only their own expiry, and a peer-call deadline inside a task the
+server's connection timer cancels passes that cancel through.
 Where ``Task.uncancel`` exists (Python 3.11+) the deadline also withdraws
 the cancel request it made: ``task.cancelling()`` stays balanced, and an
 outside ``cancel()`` landing in the same loop step as the expiry still

@@ -12,9 +12,10 @@ bytes arrive.  A verb whose handler is a plain ``def`` (every service
 verb) is served inline, in arrival order, with one ``transport.write``
 per reply: no task, future or timer per request.  A coroutine handler
 (the cluster's writes, which wait for their invalidation fan-out) runs
-in a task under a :class:`~repro.service.deadline.deadline`, and the
-connection parses no further frame until that task has answered, so
-replies keep request order on every connection.
+in a task, and the connection parses no further frame until that task
+has answered, so replies keep request order on every connection.  The
+connection's one ``call_at`` timer bounds that task too, with no timer
+of its own.
 
 Connections speak the binary v2 frame protocol of
 :mod:`repro.service.protocol`: pipelined requests, batch verbs and a
@@ -99,7 +100,6 @@ from ..obs.dist import (
 from ..obs.logging import get_logger
 from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
-from .deadline import deadline
 # bench/serve_traced.py times the server by wrapping decode_request_fields,
 # decode_trace and read_frame by name on this module: all three stay
 # importable here, though the server parses frames with FrameBuffer
@@ -134,7 +134,10 @@ _ERR = STATUS_IDS["ERR"]
 _READ_LIMIT = 64 * 1024
 
 #: what a connection's one timer is armed for
-_HEADER, _STALL = "header", "stall"
+_HEADER, _STALL, _TASK = "header", "stall", "task"
+
+#: Task.uncancel/cancelling arrived in 3.11
+_COUNTS_CANCELS = hasattr(asyncio.Task, "uncancel")
 
 
 class ProtocolError(Exception):
@@ -145,7 +148,7 @@ def wire_verb(name: str):
     """Register the decorated method as the handler of ``name``.
 
     A plain ``def`` handler is served inline as its frame is parsed; a
-    coroutine handler runs in a task under the request deadline.
+    coroutine handler runs in a task bounded by ``request_timeout``.
     FLOW003 reads these decorators as the layer's verb table.
     """
     def register(method):
@@ -362,7 +365,7 @@ class CacheServer:
             fields = decode_request_fields(verb, rd)
             wire_ctx = parse_token(token) if token is not None else None
             if awaits:
-                conn.task = asyncio.ensure_future(self._serve_awaiting(
+                conn.start_task(self._serve_awaiting(
                     conn, handler, verb, fields, wire_ctx, frame.seq))
                 return
             self._inflight += 1
@@ -383,28 +386,35 @@ class CacheServer:
 
     async def _serve_awaiting(self, conn: "_Connection", handler, verb: str,
                               fields: list, wire_ctx, seq: int) -> None:
-        """Run one coroutine handler under the request deadline, answer it.
+        """Run one coroutine handler in ``conn``'s task and answer it.
 
-        Past ``request_timeout`` the request is answered ``ERR timeout``.
-        Whatever the outcome, ``conn`` then resumes parsing its buffer.
-        With tracing enabled the handler runs under the request's span
-        context (:func:`use_context`), which is how fan-outs deep inside
-        the cluster layer find their parent.
+        Past ``request_timeout`` the connection's timer cancels the task
+        and the request is answered ``ERR timeout``; a cancel the timer
+        did not make propagates.  Whatever the outcome, ``conn`` then
+        resumes parsing its buffer.  With tracing enabled the handler
+        runs under the request's span context (:func:`use_context`),
+        which is how fan-outs deep inside the cluster layer find their
+        parent.
         """
         self._inflight += 1
         try:
-            async with deadline(self.request_timeout):
-                start = clock()
-                if self.obs.tracer.enabled:
-                    ctx = self._trace_ids.begin(wire_ctx)
-                    with use_context(ctx):
-                        reply = await handler(*fields)
-                else:
-                    ctx = None
+            start = clock()
+            if self.obs.tracer.enabled:
+                ctx = self._trace_ids.begin(wire_ctx)
+                with use_context(ctx):
                     reply = await handler(*fields)
-                if not conn.transport.is_closing():
-                    self._answer(conn, verb, fields, reply, seq, start, ctx)
-        except asyncio.TimeoutError:
+            else:
+                ctx = None
+                reply = await handler(*fields)
+            if not conn.transport.is_closing():
+                self._answer(conn, verb, fields, reply, seq, start, ctx)
+        except asyncio.CancelledError:
+            # the timer's cancel is the timeout; any cancel beyond it
+            # (or instead of it) is someone else's, and propagates
+            if not conn.task_expired or (
+                    _COUNTS_CANCELS
+                    and asyncio.current_task().uncancel() > 0):
+                raise
             log.warning("connection %d: request timed out", conn.conn_id)
             conn.reply_error(seq, b"timeout")
         except (ProtocolError, FieldError) as exc:
@@ -591,32 +601,53 @@ class _Connection(asyncio.Protocol):
     (``pause_writing``), and once the connection closes.  While parsing
     is stopped the connection reads at most ``_READ_LIMIT`` bytes ahead.
 
-    One ``call_at`` timer bounds what a peer can hold a connection slot
-    with.  It runs while part of a frame header (1 to 11 bytes) is
-    buffered, from connect until the first header is in, and while
-    writing is paused; when it fires the connection drops.  A payload is
-    not timed, nor is an idle connection between frames.
+    One ``call_at`` timer bounds, by ``request_timeout``, what a peer can
+    hold a connection slot with and how long a request may run.  It
+    runs while a coroutine verb's task is answering, from the task's
+    start (the task is cancelled and answered ``ERR timeout``); while
+    writing is paused, from the pause; and while part of a frame header
+    (1 to 11 bytes) is buffered, from its first byte, or from connect
+    until the first header is in.  In the last two cases the connection
+    drops.  A payload is not timed, nor is an idle connection between
+    frames.
+
+    The timer is re-pointed, not re-armed: each wait's due time is
+    fixed when the wait begins, and a timer that fires before the
+    current wait is due re-arms itself for it.  A wait always falls due
+    after every earlier one, so an armed timer is never late, and a
+    connection arms at most about one ``call_at`` per
+    ``request_timeout`` however many requests it serves.
     """
 
-    __slots__ = ("server", "transport", "frames", "enc", "conn_id", "task",
-                 "paused", "eof", "decoded", "timer", "timer_for")
+    __slots__ = ("server", "loop", "transport", "frames", "enc", "conn_id",
+                 "task", "task_due", "task_expired", "paused", "stall_due",
+                 "eof", "decoded", "timer", "timer_for", "due")
 
     def __init__(self, server: CacheServer):
         self.server = server
+        self.loop = asyncio.get_running_loop()
         self.transport = None
         self.frames = FrameBuffer()
         self.enc = FrameEncoder()
         self.conn_id = 0
         #: the task answering a coroutine verb (parsing waits for it)
         self.task = None
-        #: the peer's receive window is full (pause_writing)
+        #: when the task falls due, and whether the timer cancelled it
+        self.task_due = 0.0
+        self.task_expired = False
+        #: the peer's receive window is full (pause_writing), since when
         self.paused = False
+        self.stall_due = 0.0
         #: the peer half-closed; close once the buffer is served
         self.eof = False
         #: a first frame decoded (the peer speaks v2)
         self.decoded = False
+        #: the armed call_at handle, if any (it may fall due before the
+        #: current wait does, and then re-arms itself: _expire)
         self.timer = None
+        #: what the connection waits on now, if anything, and its due time
         self.timer_for = None
+        self.due = 0.0
 
     # -- asyncio.Protocol ---------------------------------------------------
 
@@ -660,6 +691,7 @@ class _Connection(asyncio.Protocol):
 
     def pause_writing(self) -> None:
         self.paused = True
+        self.stall_due = self.loop.time() + self.server.request_timeout
         self._retime()
 
     def resume_writing(self) -> None:
@@ -696,6 +728,12 @@ class _Connection(asyncio.Protocol):
         else:
             self._retime()
 
+    def start_task(self, coro) -> None:
+        """Answer a coroutine verb in a task; parsing waits for it."""
+        self.task = asyncio.ensure_future(coro)
+        self.task_due = self.loop.time() + self.server.request_timeout
+        self.task_expired = False
+
     def resume(self) -> None:
         """Parsing may go on: the task answered or the peer reads again."""
         transport = self.transport
@@ -721,40 +759,52 @@ class _Connection(asyncio.Protocol):
     # -- the connection's one timer -------------------------------------------
 
     def _retime(self) -> None:
-        """Arm the timer for what the connection now waits on, if anything.
+        """Point the timer at what the connection now waits on, if anything.
 
-        A header timer keeps running while more header bytes trickle in:
-        the header's deadline counts from its first byte.
+        A running task's due time comes first (parsing, and so a task's
+        start, never happens while writing is paused, so it is the
+        earlier one); a pause keeps its due time through the task.  A
+        header's due time counts from its first byte, however slowly the
+        rest trickles in.
         """
-        if self.paused:
-            want = _STALL
-        elif self.task is not None:
-            want = None  # the task runs under its own deadline
+        if self.task is not None:
+            want, due = _TASK, self.task_due
+        elif self.paused:
+            want, due = _STALL, self.stall_due
         else:
             pending = self.frames.pending
             if pending < HEADER_SIZE and (pending or not self.decoded):
                 want = _HEADER
+                due = (self.due if self.timer_for == _HEADER else
+                       self.loop.time() + self.server.request_timeout)
             else:
-                want = None
-        if want == self.timer_for:
-            return
-        self._disarm()
-        if want is not None:
-            loop = asyncio.get_running_loop()
-            self.timer = loop.call_at(
-                loop.time() + self.server.request_timeout, self._expire)
-            self.timer_for = want
+                want, due = None, 0.0
+        self.timer_for, self.due = want, due
+        if want is not None and self.timer is None:
+            self.timer = self.loop.call_at(due, self._expire)
 
     def _disarm(self) -> None:
         if self.timer is not None:
             self.timer.cancel()
-            self.timer = self.timer_for = None
+        self.timer = self.timer_for = None
 
     def _expire(self) -> None:
-        stalled = self.timer_for == _STALL
-        self.timer = self.timer_for = None
+        self.timer = None
+        want = self.timer_for
+        if want is None:
+            return  # the wait it was armed for ended in time
+        if self.due > self.loop.time():
+            # armed for an earlier wait that ended: time the current one
+            self.timer = self.loop.call_at(self.due, self._expire)
+            return
+        self.timer_for = None
         timeout = self.server.request_timeout
-        if stalled:
+        if want == _TASK:
+            if self.task is not None:
+                self.task_expired = True
+                self.task.cancel()  # answered ERR timeout by the task
+            return
+        if want == _STALL:
             # close() would wait for the peer to read what is queued
             log.warning("connection %d: replies unread for %ss, dropping",
                         self.conn_id, timeout)

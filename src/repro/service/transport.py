@@ -9,7 +9,9 @@ connection, with retry and exponential backoff.
 The connection is one ``asyncio.Protocol``: each reply frame is parsed
 from the connection's :class:`~repro.service.protocol.FrameBuffer` as
 its bytes arrive and resolves its caller's future there, so there is no
-reader task and no read call per reply.
+reader task and no read call per reply.  One ``call_at`` timer per
+connection, not one per call, bounds every in-flight call by the
+Transport's ``timeout``.
 
 There is no handshake.  Every frame header carries the magic and
 version bytes, and the frame parser rejects a wrong one with
@@ -23,7 +25,6 @@ from __future__ import annotations
 import asyncio
 
 from ..obs.dist import wire_token
-from .deadline import deadline
 from .protocol import (
     STATUS_IDS,
     STATUS_NAMES,
@@ -44,26 +45,38 @@ class ServerError(Exception):
 
 
 class _MuxConn(asyncio.Protocol):
-    """One multiplexed connection: many in-flight frames, one buffer.
+    """One multiplexed connection: many in-flight frames, one buffer, one timer.
 
     Requests are tagged with a per-connection sequence id.  The replies
     are parsed from the connection's :class:`FrameBuffer` as they arrive
     (``data_received``), and each resolves its caller's future there, so
     any number of tasks can pipeline through one socket without a reader
-    task.  A caller that times out or is cancelled just abandons its
-    sequence id: the late reply is dropped on arrival and the connection
-    stays healthy.
+    task.
+
+    Every call on the connection shares its ``timeout``, so calls fall
+    due in the order they were sent.  ``pending`` holds them in that
+    order with their due times, and one ``call_at`` timer is armed for
+    the oldest: when it fires, every overdue call fails with
+    :class:`asyncio.TimeoutError` and the timer re-arms for the next
+    one.  A call answered in time arms no timer of its own.  A caller
+    that times out or is cancelled just abandons its sequence id: the
+    late reply is dropped on arrival and the connection stays healthy.
     """
 
-    __slots__ = ("transport", "frames", "enc", "pending", "next_seq",
-                 "dead", "error", "paused", "drained", "lost")
+    __slots__ = ("loop", "timeout", "timer", "transport", "frames", "enc",
+                 "pending", "next_seq", "dead", "error", "paused",
+                 "drained", "lost")
 
-    def __init__(self):
-        loop = asyncio.get_running_loop()
+    def __init__(self, timeout: float):
+        self.loop = loop = asyncio.get_running_loop()
+        #: seconds every call may take, from its send to its reply
+        self.timeout = timeout
+        #: the call_at handle due with the oldest pending call, if armed
+        self.timer = None
         self.transport = None
         self.frames = FrameBuffer()
         self.enc = FrameEncoder()
-        self.pending = {}  # seq -> Future[Frame]
+        self.pending = {}  # seq -> (Future[Frame], due time), in send order
         self.next_seq = 1
         self.dead = False
         #: why the connection died (raised to a caller that finds it dead)
@@ -92,9 +105,9 @@ class _MuxConn(asyncio.Protocol):
                         "server rejected connection: "
                         + frame.payload.decode("utf-8", "replace")))
                     return
-                fut = pending.pop(frame.seq, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(frame)
+                entry = pending.pop(frame.seq, None)
+                if entry is not None and not entry[0].done():
+                    entry[0].set_result(frame)
                 frame = frames.next_frame()
         except FrameError as exc:
             self._fail(exc)
@@ -125,32 +138,59 @@ class _MuxConn(asyncio.Protocol):
             self.dead = True
             self.error = exc
             self.transport.close()
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
         pending, self.pending = self.pending, {}
-        for fut in pending.values():
+        for fut, _ in pending.values():
             if not fut.done():
                 fut.set_exception(ConnectionError(str(exc)))
         self.resume_writing()  # wake writers; their replies never come
 
-    async def call(self, verb: str, fields, token, timeout: float):
-        """Send one frame and await its matching response frame."""
+    def _expire(self) -> None:
+        """The timer: fail every overdue call, re-arm for the next one."""
+        self.timer = None
+        now = self.loop.time()
+        pending = self.pending
+        overdue = []
+        for seq, (_, due) in pending.items():
+            if due > now:
+                self.timer = self.loop.call_at(due, self._expire)
+                break
+            overdue.append(seq)
+        for seq in overdue:
+            fut = pending.pop(seq)[0]
+            if not fut.done():
+                fut.set_exception(asyncio.TimeoutError())
+
+    async def call(self, verb: str, fields, token):
+        """Send one frame and await its matching response frame.
+
+        Raises :class:`asyncio.TimeoutError` once ``timeout`` has passed
+        since the send without a reply.
+        """
         if self.dead:
             raise ConnectionError(str(self.error))
         seq = self.next_seq
-        self.next_seq = (self.next_seq % 0xFFFFFFFF) + 1
+        self.next_seq = (seq % 0xFFFFFFFF) + 1
         payload = encode_request(self.enc, verb, fields, seq, token)
-        loop = asyncio.get_running_loop()
+        loop = self.loop
         fut = loop.create_future()
-        self.pending[seq] = fut
+        due = loop.time() + self.timeout
+        self.pending[seq] = (fut, due)
+        if self.timer is None:
+            self.timer = loop.call_at(due, self._expire)
         try:
             self.transport.write(payload)
-            async with deadline(timeout):
-                if self.paused:
-                    if self.drained is None:
-                        self.drained = loop.create_future()
-                    # shared by every waiting caller: one caller's
-                    # timeout must not cancel it under the others
-                    await asyncio.shield(self.drained)
-                return await fut
+            if self.paused:
+                if self.drained is None:
+                    self.drained = loop.create_future()
+                # until the window reopens or the call ends (timed out,
+                # failed): asyncio.wait cancels neither future, so the
+                # shared drained future stays for the other callers
+                await asyncio.wait((self.drained, fut),
+                                   return_when=asyncio.FIRST_COMPLETED)
+            return await fut
         finally:
             self.pending.pop(seq, None)
 
@@ -167,7 +207,9 @@ class Transport:
     connection is dialed on first use and redialed after it drops.
     Transient transport failures are retried with exponential backoff up
     to ``max_retries`` attempts; ``ERR`` answers raise
-    :class:`ServerError` immediately and are never retried.
+    :class:`ServerError` immediately and are never retried.  Each
+    attempt is bounded by ``timeout``, timed by the connection's one
+    timer (:class:`_MuxConn`), not by a timer per call.
     """
 
     def __init__(
@@ -204,7 +246,7 @@ class Transport:
                 conn = self._conn
                 if conn is None or conn.dead:
                     conn = await self._dial()
-                frame = await conn.call(verb, fields, token, self.timeout)
+                frame = await conn.call(verb, fields, token)
                 return self._reply(frame)
             except asyncio.CancelledError:
                 raise
@@ -230,7 +272,8 @@ class Transport:
             if conn is None or conn.dead:
                 loop = asyncio.get_running_loop()
                 _, conn = await asyncio.wait_for(
-                    loop.create_connection(_MuxConn, self.host, self.port),
+                    loop.create_connection(lambda: _MuxConn(self.timeout),
+                                           self.host, self.port),
                     self.timeout,
                 )
                 self._conn = conn

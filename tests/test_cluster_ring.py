@@ -2,14 +2,18 @@
 keys to owner nodes (emptiness, ownership, bounded movement on join,
 deterministic cross-process placement)."""
 
+import asyncio
+import bisect
+import hashlib
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from repro.cluster import HashRing, RingEmptyError
-from repro.cluster.ring import DEFAULT_VNODES, _point
+from repro.cluster import ClusterClient, HashRing, RingEmptyError
+from repro.cluster import ring as ring_module
+from repro.cluster.ring import DEFAULT_VNODES, KEY_POINT_MEMO, _point
 
 KEYS = [f"key:{i}" for i in range(400)]
 
@@ -143,3 +147,128 @@ class TestDeterminism:
 
     def test_default_vnodes_constant(self):
         assert HashRing(["a"]).vnodes == DEFAULT_VNODES
+
+
+def _unmemoised_preference(ring, key, n):
+    """``ring.preference(key, n)`` walked from a freshly hashed key point."""
+    points, owners = ring._points, ring._owners
+    start = bisect.bisect_right(points, _point(ring.seed, "key", key))
+    want, found = min(n, len(ring)), []
+    for step in range(len(points)):
+        owner = owners[(start + step) % len(points)]
+        if owner not in found:
+            found.append(owner)
+            if len(found) == want:
+                break
+    return found
+
+
+class TestKeyPointMemo:
+    """``HashRing.key_point``: a bounded memo of the key's blake2b point."""
+
+    KEYS = [f"key:{i}" for i in range(10_000)]
+
+    def _assert_unmemoised_placement(self, ring):
+        for key in self.KEYS:
+            want = _unmemoised_preference(ring, key, 3)
+            assert ring.preference(key, 3) == want
+            assert ring.preference(key, 1) == want[:1]
+            assert ring.owner(key) == want[0]
+
+    def test_bound_is_the_documented_constant(self):
+        assert HashRing(["a"]).key_point.cache_info().maxsize == KEY_POINT_MEMO
+        # the benchmark's cluster workload touches 8,874 distinct keys
+        assert KEY_POINT_MEMO >= 8874
+
+    def test_placement_is_unchanged_across_membership_and_eviction(self):
+        ring = HashRing(["n0", "n1", "n2"])
+        self._assert_unmemoised_placement(ring)
+        # key points do not depend on membership: the memo stays valid
+        misses = ring.key_point.cache_info().misses
+        ring.add("n3")
+        self._assert_unmemoised_placement(ring)
+        ring.remove("n1")
+        self._assert_unmemoised_placement(ring)
+        assert ring.key_point.cache_info().misses == misses
+        for i in range(3 * KEY_POINT_MEMO):
+            ring.owner(f"evict:{i}")
+        info = ring.key_point.cache_info()
+        assert info.currsize == KEY_POINT_MEMO
+        self._assert_unmemoised_placement(ring)  # every key hashed again
+        assert ring.key_point.cache_info().misses == (
+            info.misses + len(self.KEYS))
+
+    def test_fingerprint_and_placement_digest_are_unchanged(self):
+        # pinned from the unmemoised ring: routing is byte-identical
+        for nodes, fingerprint, placement in (
+            (["node0", "node1"], "e6fcac00999db563daa517216c5d50ea",
+             "b1869775139d0ddc7c981be27803e10d"),
+            (["node0", "node1", "node2"], "6d4017f85329da7ddbfee81b972c4215",
+             "497bb435ae133e28f2f4e0327c1de192"),
+        ):
+            ring = HashRing(nodes, seed=2013)
+            assert ring.fingerprint() == fingerprint
+            digest = hashlib.blake2b(digest_size=16)
+            for key in self.KEYS:
+                digest.update((ring.owner(key) + ","
+                               + ",".join(ring.preference(key, 2))
+                               + ";").encode())
+            assert digest.hexdigest() == placement
+
+    def test_one_blake2b_per_distinct_key(self, monkeypatch):
+        ring = HashRing(["n0", "n1", "n2"])
+        hashed = []
+        blake2b = hashlib.blake2b
+
+        def counting_blake2b(data, **kwargs):
+            hashed.append(data)
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(ring_module.hashlib, "blake2b", counting_blake2b)
+        keys = [f"hot:{i}" for i in range(100)]
+        for _ in range(5):
+            for key in keys:
+                ring.owner(key)
+                ring.preference(key, 2)
+                ring.key_point(key)
+        assert hashed == [f"{ring.seed}:key:{key}".encode() for key in keys]
+
+    def test_cluster_client_get_walks_the_ring_once(self):
+        class _Peer:
+            def __init__(self, name, served):
+                self.name, self.served = name, served
+
+            async def get(self, key, trace=None):
+                self.served.append((key, self.name, "GET"))
+                return b"v"
+
+            async def rget(self, key, trace=None):
+                self.served.append((key, self.name, "RGET"))
+                return None  # a replica miss falls back to the owner
+
+        nodes = {"n0": ("127.0.0.1", 1), "n1": ("127.0.0.1", 2),
+                 "n2": ("127.0.0.1", 3)}
+        keys = [f"key:{i}" for i in range(20)]
+        owner_of = {key: HashRing(nodes).owner(key) for key in keys}
+
+        async def body(read_replicas):
+            client = ClusterClient(nodes, replicas=2,
+                                   read_replicas=read_replicas)
+            served = []
+            client._clients = {name: _Peer(name, served) for name in nodes}
+            ring, walks = client.ring, []
+            for name in ("owner", "preference"):
+                method = getattr(ring, name)
+                setattr(ring, name, lambda *a, _m=method, _n=name:
+                        walks.append(_n) or _m(*a))
+            for key in keys:
+                assert await client.get(key) == b"v"
+            assert walks == ["preference"] * len(keys)
+            # the owner answers GET, a replica holder only RGET
+            for key, name, verb in served:
+                assert (name == owner_of[key]) == (verb == "GET")
+            return [verb for _, _, verb in served]
+
+        assert asyncio.run(body(False)) == ["GET"] * len(keys)
+        spread = asyncio.run(body(True))
+        assert spread.count("GET") == len(keys) and "RGET" in spread

@@ -221,11 +221,11 @@ class TestReplyOrder:
 class TestClientParsing:
     def test_split_interleaved_replies_reach_their_own_callers(self):
         async def body():
-            conn = _MuxConn()
+            conn = _MuxConn(timeout=5.0)
             transport = _FakeTransport()
             conn.connection_made(transport)
             keys = [f"k{i}" for i in range(40)]
-            calls = [asyncio.ensure_future(conn.call("GET", [key], None, 5.0))
+            calls = [asyncio.ensure_future(conn.call("GET", [key], None))
                      for key in keys]
             await asyncio.sleep(0)  # every call has written its frame
             sent = FrameBuffer()
@@ -255,16 +255,16 @@ class TestClientParsing:
 
     def test_busy_rejection_fails_every_caller_with_its_reason(self):
         async def body():
-            conn = _MuxConn()
+            conn = _MuxConn(timeout=5.0)
             conn.connection_made(_FakeTransport())
-            call = asyncio.ensure_future(conn.call("PING", [], None, 5.0))
+            call = asyncio.ensure_future(conn.call("PING", [], None))
             await asyncio.sleep(0)
             conn.data_received(FrameEncoder().simple(
                 STATUS_IDS["ERR"], 0, b"busy"))
             with pytest.raises(ConnectionError, match="rejected.*busy"):
                 await call
             with pytest.raises(ConnectionError, match="busy"):
-                await conn.call("PING", [], None, 5.0)
+                await conn.call("PING", [], None)
         run(body())
 
 

@@ -369,6 +369,7 @@ class TestTransport:
                 await reader.read(1)
                 writer.write(b"ERR unknown command\n")
                 await writer.drain()
+                writer.close()
 
             server = await asyncio.start_server(text_server, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
