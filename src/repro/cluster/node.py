@@ -78,7 +78,6 @@ from ..obs.prof import clock
 from ..coherence.distributed import ReplicaDirectory
 from ..coherence.states import State
 from ..service.client import CacheClient
-from ..service.deadline import deadline
 from ..service.protocol import Reply
 from ..service.server import (
     CacheServer,
@@ -100,8 +99,8 @@ CLUSTER_VERBS = ("SET", "DEL", "REPL", "INVAL", "PUTS", "RGET", "CSTATUS",
 CAT_CLUSTER = "cluster"
 
 #: seconds a replica-store version floor survives even past the count
-#: bound — long enough to fence any REPL push still in flight (transport
-#: retries included) when the INVAL that raced ahead of it was applied
+#: bound — long enough to fence any REPL push still in flight when the
+#: INVAL that raced ahead of it was applied
 FLOOR_MIN_AGE = 60.0
 
 
@@ -457,12 +456,20 @@ class ClusterNode:
             await peer.close()
 
     def connect_peer(self, name: str, host: str, port: int) -> None:
-        """Register (or re-register) a peer's address."""
+        """Register (or re-register) a peer's address.
+
+        The peer's client makes one attempt per call (``max_retries=0``),
+        timed by its connection's one timer at ``peer_timeout``: a dial
+        of at most ``peer_timeout``, then a reply of at most
+        ``peer_timeout``.  The node's own rounds are the only retry
+        policy (:meth:`_invalidate`, :meth:`_replicate`).
+        """
         old = self._peers.pop(name, None)
         if old is not None:
             # close asynchronously; the client may be mid-request elsewhere
             asyncio.ensure_future(old.close())
-        self._peers[name] = PeerClient(host, port, timeout=self.peer_timeout)
+        self._peers[name] = PeerClient(host, port, max_retries=0,
+                                       timeout=self.peer_timeout)
 
     async def disconnect_peer(self, name: str) -> None:
         peer = self._peers.pop(name, None)
@@ -692,6 +699,8 @@ class ClusterNode:
         operation fails (:class:`InvalidationError`) rather than acking a
         write whose old copies may still be served — a slow peer keeps
         its replica; only the version floor on *recovery* is not enough.
+        A fan-out cancelled mid-round (the triggering request timed out)
+        parks every target it did not see ack before the cancel goes on.
         """
         targets = sorted(
             (set(holders) | self._pending_invals.get(key, set()))
@@ -709,12 +718,22 @@ class ClusterNode:
         # the rounds run under the fan-out span (a no-op re-set when
         # tracing is off), so each _inval_one picks the parent up from the
         # contextvar — keeping its signature patchable in tests
+        unacked = targets
         with use_context(ctx if ctx is not None else current_context()):
-            failed = await self._inval_round(targets, key, version)
-            if failed:
-                # one immediate retry: a dropped connection or a slow
-                # peer, not necessarily a dead one
-                failed = await self._inval_round(failed, key, version)
+            try:
+                failed = await self._inval_round(targets, key, version)
+                if failed:
+                    # one immediate retry: a dropped connection or a slow
+                    # peer, not necessarily a dead one
+                    unacked = failed
+                    failed = await self._inval_round(failed, key, version)
+            except asyncio.CancelledError:
+                # the triggering request timed out mid-round: the holders
+                # are already gone from the directory, so one not seen to
+                # ack is parked, or no later fan-out reaches it
+                # repro: atomic=_settle_debt merges into the pending set (union failed), which commutes with concurrent rounds
+                self._settle_debt(key, (), unacked)
+                raise
         if self.obs.registry.enabled:
             self._counter(
                 "repro_cluster_invalidations_total",
@@ -725,6 +744,13 @@ class ClusterNode:
                     "repro_cluster_inval_failures_total",
                     "INVAL sends with no ack after retry",
                 ).inc(len(failed))
+        if failed:
+            log.warning(
+                "%s: %d invalidation(s) for %r unacked after retry; holders "
+                "%s parked pending — no write to the key acks until they "
+                "answer or leave the cluster",
+                self.name, len(failed), key, failed,
+            )
         # repro: atomic=_settle_debt re-reads the pending set after the acks and merges into it (subtract acked, union failed), which commutes with concurrent rounds
         self._settle_debt(key, set(targets).difference(failed), failed)
         if tr.enabled:
@@ -753,12 +779,6 @@ class ClusterNode:
                 pend = self._pending_invals.setdefault(key, set())
             pend.difference_update(acked)
             pend.update(failed)
-            log.warning(
-                "%s: %d invalidation(s) for %r unacked after retry; holders "
-                "%s parked pending — no write to the key acks until they "
-                "answer or leave the cluster",
-                self.name, len(failed), key, failed,
-            )
         elif pend is not None:
             pend.difference_update(acked)
             if not pend:
@@ -779,13 +799,17 @@ class ClusterNode:
         return [h for h, r in zip(targets, results) if r is not True]
 
     async def _inval_one(self, holder: str, key: str, version: int) -> bool:
+        """One INVAL, one transport attempt: True iff the holder acked.
+
+        A refused, reset or silent peer raises ``ConnectionError`` after
+        one attempt; :meth:`_invalidate`'s second round is the retry.
+        """
         peer = self._peers.get(holder)
         if peer is None:
             # not a member any more: it left read routing with its peer
             # registration, so there is no replica left to invalidate
             return True
-        async with deadline(self.peer_timeout):
-            return await peer.inval(key, version)
+        return await peer.inval(key, version)
 
     def _push_targets(self, key: str) -> list:
         """The key's ring successors a write of it pushes to.
@@ -892,15 +916,18 @@ class ClusterNode:
 
     async def _push_one(self, target: str, key: str, version: int,
                         value: bytes):
-        """One REPL push: True accepted, False STALE, None no answer."""
+        """One REPL push: True accepted, False STALE, None no answer.
+
+        One transport attempt; :meth:`_replicate` retries a push it owes
+        a holder once.
+        """
         peer = self._peers.get(target)
         if peer is None:
             # left the cluster mid-write, and read routing with it: no
             # copy of it can be served, as if it had answered STALE
             return False
         try:
-            async with deadline(self.peer_timeout):
-                return await peer.repl(key, version, value)
+            return await peer.repl(key, version, value)
         except (ConnectionError, asyncio.TimeoutError, OSError):
             return None  # unknown: the push may still land
 
@@ -952,12 +979,12 @@ class ClusterNode:
         return value
 
     async def _send_puts(self, key: str, owner: str) -> None:
+        """Tell ``owner`` its replica of ``key`` left: one attempt, no retry."""
         peer = self._peers.get(owner)
         if peer is None:
             return
         try:
-            async with deadline(self.peer_timeout):
-                await peer.puts(key, self.name, trace=current_context())
+            await peer.puts(key, self.name, trace=current_context())
         except (ConnectionError, asyncio.TimeoutError, OSError):
             pass  # best-effort notice; the owner's INVAL still finds nothing
 

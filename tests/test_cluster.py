@@ -595,6 +595,47 @@ class TestInvalFencing:
 
         run(body())
 
+    def test_a_write_timed_out_mid_fanout_leaves_no_stale_replica(self):
+        # after a join, an old holder is still tracked but no longer a
+        # push target, so an overwrite INVALs it; the write times out
+        # mid-round, and the next acked write must still reach it
+        async def body():
+            cluster = LocalCluster(2, admission="always", replicas=2,
+                                   data_capacity_per_node=512)
+            for node in cluster.nodes.values():
+                node.server.request_timeout = 0.3
+            async with cluster:
+                client = cluster.client()
+                keys = [f"jk{i}" for i in range(200)]
+                for key in keys:
+                    assert await client.set(key, b"v1")
+                await cluster.add_node()
+                key, owner, holder = next(
+                    (key, owner, cluster.nodes[h])
+                    for key in keys
+                    for owner in [cluster.nodes[cluster.ring.owner(key)]]
+                    for h in owner.directory.holders_of(key)
+                    if h not in cluster.ring.preference(key, 2)
+                    and cluster.nodes[h].replica_store.get(key) == b"v1")
+                peer = owner._peers[holder.name]
+
+                async def slow_inval(key, version, trace=None):
+                    await asyncio.sleep(1.0)
+                    return await PeerClient.inval(peer, key, version)
+
+                peer.inval = slow_inval
+                with pytest.raises(ServerError, match="timeout"):
+                    await client.set(key, b"v2")
+                del peer.inval
+                assert await client.set(key, b"v3")
+                reader = PeerClient(holder.host, holder.port)
+                try:
+                    assert await reader.rget(key) in (None, b"v3")
+                finally:
+                    await reader.close()
+
+        run(body())
+
     def test_relinquish_waits_for_the_key_write_lock(self):
         # migration must not interleave with a half-done write to the key
         async def body():

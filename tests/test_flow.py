@@ -101,11 +101,10 @@ class TestAsyncAtomicity:
         # read-modify-write across an await inside it is still a race
         findings = analyze_snippet("""
         import asyncio
-        from repro.service.deadline import deadline
 
         class Counter:
             async def bump(self):
-                async with deadline(self.timeout):
+                async with asyncio.timeout(self.timeout):
                     v = self.count
                     await asyncio.sleep(0)
                     self.count = v + 1
@@ -117,13 +116,12 @@ class TestAsyncAtomicity:
         # around an in-task deadline
         assert analyze_snippet("""
         import asyncio
-        from repro.service.deadline import deadline
 
         class Server:
             async def serve(self, request):
                 self._inflight += 1
                 try:
-                    async with deadline(self.request_timeout):
+                    async with asyncio.timeout(self.request_timeout):
                         await request()
                 except asyncio.TimeoutError:
                     pass

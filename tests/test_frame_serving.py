@@ -329,3 +329,45 @@ class TestSlotHolders:
             finally:
                 await server.stop()
         run(body())
+
+
+class TestInTaskServing:
+    def test_pipelined_requests_create_no_task_per_request(self):
+        requests = 64
+
+        async def body():
+            server = CacheServer(ShardedStore(num_shards=2, data_capacity=64),
+                                 port=0)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                enc = FrameEncoder()
+                writer.write(bytes(encode_request(enc, "PING", [], 0)))
+                await writer.drain()
+                await read_frame(reader)  # the connection task is running
+                loop.set_task_factory(counting_factory)
+                try:
+                    writer.write(b"".join(
+                        bytes(encode_request(enc, "GET", [f"k{i}"], i))
+                        for i in range(1, requests + 1)))
+                    await writer.drain()
+                    seen = []
+                    for _ in range(requests):
+                        frame = await read_frame(reader)
+                        seen.append((frame.seq, STATUS_NAMES[frame.verb_id]))
+                finally:
+                    loop.set_task_factory(None)
+                assert seen == [(i, "MISS") for i in range(1, requests + 1)]
+                assert created == []
+                writer.close()
+            finally:
+                await server.stop()
+        run(body())

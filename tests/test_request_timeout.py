@@ -5,19 +5,25 @@ A handler slower than ``request_timeout`` is answered with an
 in-flight count returns to zero, and with tracing on no trace context
 leaks from the cancelled handler into the next request.  Each end times
 its requests with its connection's one timer: the server's bounds the
-task answering an awaiting verb, the client's every pipelined call.
+task answering an awaiting verb, the client's every pipelined call.  A
+cluster node's peer calls are timed by that client timer alone: one
+attempt each, retried only by the node's own second round.
 """
 
 import asyncio
+import logging
+import socket
 from functools import partial
 
 import pytest
 
+from repro.cluster import ClusterNode, HashRing, InvalidationError
 from repro.obs import Observability
 from repro.obs.dist import TraceContext, current_context, wire_token
 from repro.service import CacheServer, ShardedStore
 from repro.service.protocol import (
     STATUS_NAMES,
+    VERB_NAMES,
     FrameBuffer,
     FrameEncoder,
     Reply,
@@ -458,4 +464,154 @@ class TestClientTimer:
             finally:
                 await peer.close()
                 await transport.close()
+        run(body())
+
+
+#: the cluster node's peer timeout in the tests below
+PEER_TIMEOUT_S = 0.2
+
+
+async def _recording(verbs, reader, writer, release):
+    """Read every request and record its verb; answer none."""
+    frames = FrameBuffer()
+    while True:
+        data = await reader.read(65536)
+        if not data:
+            return
+        frames.feed(data)
+        frame = frames.next_frame()
+        while frame is not None:
+            verbs.append(VERB_NAMES[frame.verb_id])
+            frame = frames.next_frame()
+
+
+def _owner(port):
+    """A cluster node (not serving) whose one peer, ``holder``, is at
+    ``port``."""
+    node = ClusterNode("owner", ShardedStore(num_shards=1, data_capacity=64),
+                       HashRing(), peer_timeout=PEER_TIMEOUT_S)
+    node.connect_peer("holder", "127.0.0.1", port)
+    return node
+
+
+def _count_dials(loop):
+    """Wrap ``loop.create_connection``; returns the list of dials made
+    (``del loop.create_connection`` restores the loop's own)."""
+    dials = []
+    create_connection = loop.create_connection
+
+    def counting(*args, **kwargs):
+        dials.append(args[1:3])
+        return create_connection(*args, **kwargs)
+
+    loop.create_connection = counting
+    return dials
+
+
+class TestPeerCallTimer:
+    """A node's peer call is one transport attempt under the client
+    connection's one timer; the node's second round is the only retry."""
+
+    def test_a_silent_holder_gets_one_inval_per_round(self):
+        async def body():
+            verbs = []
+            holder = await _RawServer(partial(_recording, verbs)).start()
+            node = _owner(holder.port)
+            loop = asyncio.get_running_loop()
+            try:
+                start = loop.time()
+                with pytest.raises(InvalidationError):
+                    await node._invalidate("k", 1, ["holder"])
+                elapsed = loop.time() - start
+                await asyncio.sleep(0.01)  # the last frame has arrived
+                assert verbs == ["INVAL", "INVAL"]
+                assert elapsed < 3 * PEER_TIMEOUT_S
+                assert node._pending_invals["k"] == {"holder"}
+            finally:
+                await node._peers["holder"].close()
+                await holder.close()
+        run(body())
+
+    def test_concurrent_fanouts_to_a_silent_holder_share_the_timer(self):
+        fanouts = 50
+
+        async def body():
+            holder = await _RawServer(_silent).start()
+            node = _owner(holder.port)
+            loop = asyncio.get_running_loop()
+            try:
+                conn = await node._peers["holder"].transport._dial()
+                armed = _count_call_at(loop)
+                try:
+                    sent = asyncio.gather(
+                        *[node._invalidate(f"k{i}", 1, ["holder"])
+                          for i in range(fanouts)],
+                        return_exceptions=True)
+                    while len(conn.pending) < fanouts:
+                        await asyncio.sleep(0)
+                    # one timer for the oldest INVAL, not one per call
+                    assert len(armed) == 1
+                    results = await sent
+                finally:
+                    del loop.call_at
+                for result in results:
+                    assert isinstance(result, InvalidationError)
+                assert all(node._pending_invals[f"k{i}"] == {"holder"}
+                           for i in range(fanouts))
+            finally:
+                await node._peers["holder"].close()
+                await holder.close()
+        run(body())
+
+    def test_a_refused_holder_fails_after_one_dial_per_round(self):
+        async def body():
+            # bound, never listening: every dial is refused
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                node = _owner(sock.getsockname()[1])
+                loop = asyncio.get_running_loop()
+                dials = _count_dials(loop)
+                try:
+                    start = loop.time()
+                    with pytest.raises(InvalidationError):
+                        await node._invalidate("k", 1, ["holder"])
+                    elapsed = loop.time() - start
+                finally:
+                    del loop.create_connection
+                    await node._peers["holder"].close()
+                assert len(dials) == 2
+                # no backoff: neither round waits for the timer
+                assert elapsed < PEER_TIMEOUT_S
+                assert node._pending_invals["k"] == {"holder"}
+        run(body())
+
+    def test_a_cancelled_fanout_parks_its_holders(self):
+        # the request running the fan-out times out mid-round: the holder
+        # was popped from the directory, so unparked nothing reaches it
+        async def body():
+            verbs = []
+            holder = await _RawServer(partial(_recording, verbs)).start()
+            node = _owner(holder.port)
+            warnings = []
+            handler = logging.Handler(logging.WARNING)
+            handler.emit = warnings.append
+            logger = logging.getLogger("repro.cluster.node")
+            logger.addHandler(handler)
+            try:
+                task = asyncio.ensure_future(
+                    node._invalidate("k", 1, ["holder"]))
+                for _ in range(100):
+                    if verbs:
+                        break
+                    await asyncio.sleep(0.005)
+                assert verbs == ["INVAL"]
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert node._pending_invals["k"] == {"holder"}
+                assert warnings == []  # a cancel is not an unacked retry
+            finally:
+                logger.removeHandler(handler)
+                await node._peers["holder"].close()
+                await holder.close()
         run(body())
