@@ -884,6 +884,13 @@ class ClusterNode:
                         # that untracked it mid-push may owe it a newer
                         # INVAL this push cannot discharge
                         self._settle_debt(key, (target,), ())
+        except asyncio.CancelledError:
+            # the write timed out mid-round, before its store changed:
+            # every target pushed so far may hold this version, newer
+            # than the owner's, so each is parked for the next fan-out
+            # repro: atomic=_settle_debt merges into the pending set (union failed), which commutes with concurrent rounds
+            self._settle_debt(key, (), targets[:i + 1])
+            raise
         finally:
             if tr.enabled:
                 tr.emit(

@@ -28,9 +28,9 @@ plus either a raw blob (VALUE/STATS/METRICS/TRACE/ERR/CSTATUS bodies) or
 a typed batch payload (VALUES/STATUSES).  Both ends exchange a
 :class:`Reply`.
 
-Both ends parse what a connection receives with :class:`FrameBuffer`,
-one complete frame at a time; :func:`read_frame` reads one frame from
-a ``StreamReader`` for raw test peers.
+Both ends receive into one reused :class:`FrameBuffer` per connection
+and parse it one complete frame at a time; :func:`read_frame` reads one
+frame from a ``StreamReader`` for raw test peers.
 
 Errors split by trust in the stream: :class:`FrameError` means the frame
 boundary itself is gone (bad magic or version, truncation, oversize) and
@@ -319,60 +319,107 @@ def check_header(buf, pos: int = 0,
     return verb_id, flags, seq, length
 
 
-class FrameBuffer:
-    """The bytes one connection received, cut into frames as they complete.
+#: a :class:`FrameBuffer`'s size while no frame larger than it is in
+#: flight: the one ``bytearray`` each connection receives into
+RECV_BUFFER_BYTES = 64 * 1024
 
-    Both ends' ``asyncio.Protocol`` feed every ``data_received`` chunk in
-    and take frames out with :meth:`next_frame`.  A chunk that holds only
-    whole frames is parsed in place; only the bytes of an incomplete
-    frame are kept, in one ``bytearray`` that later chunks extend.  Each
-    header is checked (:func:`check_header`) as soon as its 12 bytes are
-    in, so an unframeable stream fails before its payload is buffered.
+
+class FrameBuffer:
+    """One connection's receive buffer, cut into frames as they complete.
+
+    Both ends' ``asyncio.BufferedProtocol`` receive straight into it:
+    :meth:`get_buffer` hands out the free tail of one reused
+    ``bytearray`` and :meth:`buffer_updated` records how many bytes the
+    socket wrote there, so a read allocates nothing.  :meth:`next_frame`
+    takes complete frames from between the read and the write cursor,
+    copying each payload once, into its :class:`Frame`.  Each header is
+    checked (:func:`check_header`) as soon as its 12 bytes are in, so an
+    unframeable stream fails before its payload is buffered.
+
+    The buffer is compacted, grown and shrunk only in :meth:`get_buffer`
+    (asyncio keeps the last view alive while :meth:`buffer_updated`
+    runs).  It holds :data:`RECV_BUFFER_BYTES` until it is full; then it
+    grows to twice its size or to fit the frame at the read cursor,
+    whichever is larger, once that frame's header has passed
+    :func:`check_header`, so an oversized length fails before anything
+    is allocated.  Once drained, it returns to its initial size.
     """
 
-    __slots__ = ("_data", "_pos", "_max_payload")
+    __slots__ = ("_buf", "_view", "_start", "_end", "_max_payload")
 
     def __init__(self, max_payload: int = MAX_FRAME_PAYLOAD):
-        self._data = b""
-        self._pos = 0
+        self._buf = bytearray(RECV_BUFFER_BYTES)
+        self._view = memoryview(self._buf)
+        #: the read cursor (the next frame's first byte) and the write one
+        self._start = self._end = 0
         self._max_payload = max_payload
 
-    def feed(self, chunk: bytes) -> None:
-        """Append ``chunk`` to the bytes not yet taken as frames."""
-        data, pos = self._data, self._pos
-        if pos < len(data):
-            if type(data) is bytearray:
-                del data[:pos]
-            else:
-                data = bytearray(memoryview(data)[pos:])
-            data += chunk
-            self._data = data
-        else:
-            # a bytearray chunk is copied: the buffer edits its own only
-            self._data = chunk if type(chunk) is bytes else bytes(chunk)
-        self._pos = 0
+    def get_buffer(self, sizehint: int = -1) -> memoryview:
+        """The free tail to receive into; never empty.
+
+        ``sizehint`` is ignored, as asyncio allows.  Raises
+        :class:`FrameError` if the buffer is full and the header at the
+        read cursor is bad.
+        """
+        start, end = self._start, self._end
+        if start == end:
+            if len(self._buf) > RECV_BUFFER_BYTES:
+                self._resize(RECV_BUFFER_BYTES)
+            self._start = self._end = 0
+        elif start:
+            # move the partial frame to the front
+            view = self._view
+            view[:end - start] = view[start:end]
+            self._start, self._end = 0, end - start
+        if self._end == len(self._buf):
+            length = check_header(self._buf, 0, self._max_payload)[3]
+            self._resize(max(HEADER_SIZE + length, 2 * len(self._buf)))
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """``nbytes`` were written at the start of the last free tail."""
+        self._end += nbytes
+
+    def _resize(self, size: int) -> None:
+        """Move the pending bytes into a new buffer of ``size`` bytes."""
+        start, end = self._start, self._end
+        buf = bytearray(size)
+        buf[:end - start] = self._view[start:end]
+        self._buf, self._view = buf, memoryview(buf)
+        self._start, self._end = 0, end - start
+
+    def feed(self, chunk) -> None:
+        """Copy ``chunk`` in as socket reads would (raw test peers)."""
+        chunk = memoryview(chunk)
+        while chunk:
+            free = self.get_buffer()
+            n = min(len(free), len(chunk))
+            free[:n] = chunk[:n]
+            self.buffer_updated(n)
+            chunk = chunk[n:]
 
     def next_frame(self):
         """The next complete :class:`Frame`, or ``None`` until one is in.
 
         Raises :class:`FrameError` on a bad header.
         """
-        data, pos = self._data, self._pos
-        if len(data) - pos < HEADER_SIZE:
+        start = self._start
+        if self._end - start < HEADER_SIZE:
             return None
-        verb_id, flags, seq, length = check_header(data, pos,
+        verb_id, flags, seq, length = check_header(self._buf, start,
                                                    self._max_payload)
-        start = pos + HEADER_SIZE
-        stop = start + length
-        if stop > len(data):
+        stop = start + HEADER_SIZE + length
+        if stop > self._end:
             return None
-        self._pos = stop
-        return Frame(verb_id, flags, seq, bytes(data[start:stop]))
+        self._start = stop
+        return Frame(verb_id, flags, seq,
+                     bytes(self._view[start + HEADER_SIZE:stop]))
 
     @property
     def pending(self) -> int:
-        """Bytes received past the last frame taken (a partial frame)."""
-        return len(self._data) - self._pos
+        """Bytes received past the last frame taken: a partial frame, or
+        whole frames its owner has not parsed yet."""
+        return self._end - self._start
 
 
 async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD):

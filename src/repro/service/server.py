@@ -6,16 +6,17 @@ returning a :class:`~repro.service.protocol.Reply`.
 :class:`CacheServer` owns that table; the cluster's ``ClusterServer``
 extends it with its peer verbs and overrides its write verbs.
 
-Each connection is one ``asyncio.Protocol``, which parses every complete
-frame from its buffer (:class:`~repro.service.protocol.FrameBuffer`) as
-bytes arrive.  A verb whose handler is a plain ``def`` (every service
-verb) is served inline, in arrival order, with one ``transport.write``
-per reply: no task, future or timer per request.  A coroutine handler
-(the cluster's writes, which wait for their invalidation fan-out) runs
-in a task, and the connection parses no further frame until that task
-has answered, so replies keep request order on every connection.  The
-connection's one ``call_at`` timer bounds that task too, with no timer
-of its own.
+Each connection is one ``asyncio.BufferedProtocol``: the socket is read
+straight into the connection's one reused buffer
+(:class:`~repro.service.protocol.FrameBuffer`), and every complete frame
+is parsed from it as bytes arrive.  A verb whose handler is a plain
+``def`` (every service verb) is served inline, in arrival order, with
+one ``transport.write`` per reply: no task, future or timer per
+request.  A coroutine handler (the cluster's writes, which wait for
+their invalidation fan-out) runs in a task, and the connection parses
+no further frame until that task has answered, so replies keep request
+order on every connection.  The connection's one ``call_at`` timer
+bounds that task too, with no timer of its own.
 
 Connections speak the binary v2 frame protocol of
 :mod:`repro.service.protocol`: pipelined requests, batch verbs and a
@@ -105,6 +106,7 @@ from ..obs.tracing import CAT_REQUEST
 # importable here, though the server parses frames with FrameBuffer
 from .protocol import (  # noqa: F401  (read_frame: see above)
     HEADER_SIZE,
+    RECV_BUFFER_BYTES,
     STATUS_IDS,
     VERB_IDS,
     VERB_NAMES,
@@ -130,8 +132,11 @@ _SERVER_SEQ = itertools.count(1)
 _ERR = STATUS_IDS["ERR"]
 
 #: bytes a connection buffers while its parsing waits (on an awaiting
-#: verb or on a peer that stopped reading); past this it stops reading
-_READ_LIMIT = 64 * 1024
+#: verb or on a peer that stopped reading); at this it stops reading.
+#: It is the receive buffer's initial size, so the buffer never fills
+#: with frames nobody parsed: only a frame whose header was checked
+#: makes it grow
+_READ_LIMIT = RECV_BUFFER_BYTES
 
 #: what a connection's one timer is armed for
 _HEADER, _STALL, _TASK = "header", "stall", "task"
@@ -591,15 +596,18 @@ class CacheServer:
         )
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames parsed from its buffer, in order.
 
-    ``data_received`` feeds a :class:`FrameBuffer` and hands every
-    complete frame to :meth:`CacheServer._serve_frame`.  Parsing stops
-    while a coroutine verb's task is answering (so replies keep request
-    order), while the peer is not reading its replies
-    (``pause_writing``), and once the connection closes.  While parsing
-    is stopped the connection reads at most ``_READ_LIMIT`` bytes ahead.
+    The socket is read into the connection's :class:`FrameBuffer`
+    (``get_buffer``), and ``buffer_updated`` hands every complete frame
+    to :meth:`CacheServer._serve_frame`.  Parsing stops while a
+    coroutine verb's task is answering (so replies keep request order),
+    while the peer is not reading its replies (``pause_writing``), and
+    once the connection closes.  While parsing is stopped the connection
+    reads at most ``_READ_LIMIT`` bytes ahead, no more than the buffer
+    holds, so the buffer grows only for a frame whose header has been
+    checked.
 
     One ``call_at`` timer bounds, by ``request_timeout``, what a peer can
     hold a connection slot with and how long a request may run.  It
@@ -649,7 +657,7 @@ class _Connection(asyncio.Protocol):
         self.timer_for = None
         self.due = 0.0
 
-    # -- asyncio.Protocol ---------------------------------------------------
+    # -- asyncio.BufferedProtocol -------------------------------------------
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -670,11 +678,14 @@ class _Connection(asyncio.Protocol):
         # a peer that never sends a frame header must not hold its slot
         self._retime()
 
-    def data_received(self, data: bytes) -> None:
-        self.frames.feed(data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.frames.get_buffer(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.frames.buffer_updated(nbytes)
         if self.task is None and not self.paused:
             self._serve_buffered()
-        elif self.frames.pending > _READ_LIMIT:
+        elif self.frames.pending >= _READ_LIMIT:
             self.transport.pause_reading()
 
     def eof_received(self) -> bool:

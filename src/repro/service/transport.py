@@ -6,12 +6,13 @@ through :class:`Transport`: wire protocol v2 frames
 (:mod:`repro.service.protocol`) pipelined over one multiplexed
 connection, with retry and exponential backoff.
 
-The connection is one ``asyncio.Protocol``: each reply frame is parsed
-from the connection's :class:`~repro.service.protocol.FrameBuffer` as
-its bytes arrive and resolves its caller's future there, so there is no
-reader task and no read call per reply.  One ``call_at`` timer per
-connection, not one per call, bounds every in-flight call by the
-Transport's ``timeout``.
+The connection is one ``asyncio.BufferedProtocol``: the socket is read
+straight into the connection's one reused
+:class:`~repro.service.protocol.FrameBuffer`, and each reply frame is
+parsed from it as its bytes arrive and resolves its caller's future
+there, so there is no reader task and no read call per reply.  One
+``call_at`` timer per connection, not one per call, bounds every
+in-flight call by the Transport's ``timeout``.
 
 There is no handshake.  Every frame header carries the magic and
 version bytes, and the frame parser rejects a wrong one with
@@ -44,14 +45,14 @@ class ServerError(Exception):
     """An ``ERR`` answer from the server (not retried)."""
 
 
-class _MuxConn(asyncio.Protocol):
+class _MuxConn(asyncio.BufferedProtocol):
     """One multiplexed connection: many in-flight frames, one buffer, one timer.
 
-    Requests are tagged with a per-connection sequence id.  The replies
-    are parsed from the connection's :class:`FrameBuffer` as they arrive
-    (``data_received``), and each resolves its caller's future there, so
-    any number of tasks can pipeline through one socket without a reader
-    task.
+    Requests are tagged with a per-connection sequence id.  The socket
+    is read into the connection's :class:`FrameBuffer` (``get_buffer``);
+    the replies are parsed from it as they arrive (``buffer_updated``),
+    and each resolves its caller's future there, so any number of tasks
+    can pipeline through one socket without a reader task.
 
     Every call on the connection shares its ``timeout``, so calls fall
     due in the order they were sent.  ``pending`` holds them in that
@@ -88,14 +89,17 @@ class _MuxConn(asyncio.Protocol):
         #: resolved once the socket is closed
         self.lost = loop.create_future()
 
-    # -- asyncio.Protocol ---------------------------------------------------
+    # -- asyncio.BufferedProtocol -------------------------------------------
 
     def connection_made(self, transport) -> None:
         self.transport = transport
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.frames.get_buffer(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
         frames, pending = self.frames, self.pending
-        frames.feed(data)
+        frames.buffer_updated(nbytes)
         try:
             frame = frames.next_frame()
             while frame is not None:

@@ -636,6 +636,44 @@ class TestInvalFencing:
 
         run(body())
 
+    def test_a_write_timed_out_mid_push_parks_its_pushed_targets(self):
+        # an overwrite pushes before its store changes: the first target
+        # accepts v2, the second is held past request_timeout, and the
+        # owner keeps v1, so the accepted copy must not go unparked
+        async def body():
+            cluster = LocalCluster(3, admission="always", replicas=3,
+                                   data_capacity_per_node=512)
+            for node in cluster.nodes.values():
+                node.server.request_timeout = 0.3
+            async with cluster:
+                client = cluster.client()
+                key = "rk"
+                assert await client.set(key, b"v1")
+                assert await client.set(key, b"v1")  # an update: push first
+                owner = cluster.nodes[cluster.ring.owner(key)]
+                first, second = (
+                    n for n in cluster.ring.preference(key, 3)
+                    if n != owner.name)
+                peer = owner._peers[second]
+
+                async def slow_repl(key, version, value, trace=None):
+                    await asyncio.sleep(1.0)
+                    return await PeerClient.repl(peer, key, version, value)
+
+                peer.repl = slow_repl
+                with pytest.raises(ServerError, match="timeout"):
+                    await client.set(key, b"v2")
+                del peer.repl
+                assert owner.store.get(key) == b"v1"
+                assert cluster.nodes[first].replica_store.get(key) == b"v2"
+                assert owner._pending_invals.get(key) == {first, second}
+                # the next acked write reaches both again
+                assert await client.set(key, b"v3")
+                for name in (first, second):
+                    assert cluster.nodes[name].replica_store.get(key) == b"v3"
+
+        run(body())
+
     def test_relinquish_waits_for_the_key_write_lock(self):
         # migration must not interleave with a half-done write to the key
         async def body():
