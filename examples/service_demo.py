@@ -14,7 +14,8 @@ Run from the repo root::
 
 import asyncio
 
-from repro.service import CacheClient, CacheServer, ShardedStore, run_load
+from repro.service import CacheClient, CacheServer, ShardedStore
+from repro.service.loadgen import replay_with_client
 from repro.workloads.mixes import build_workload
 
 
@@ -41,10 +42,8 @@ async def main() -> None:
 
         print("\nreplaying a 2-core synthetic workload as GET/SET traffic ...")
         workload = build_workload(["gcc", "mcf"], n_refs=5_000, seed=7)
-        result = await run_load("127.0.0.1", server.port, workload)
-        print(f"  {result.ops} requests in {result.wall_s:.2f}s "
-              f"({result.throughput:.0f} rps)")
-        print(f"  hit rate {result.hit_rate:.3f}, "
+        result = await replay_with_client(client, workload)
+        print(f"  {result.ops} requests, hit rate {result.hit_rate:.3f}, "
               f"stored {result.sets_stored}, declined {result.sets_tagged}")
 
         stats = await client.stats()

@@ -17,12 +17,13 @@ interrupted sweeps resume from cache with byte-identical output.
 An unknown command prints the command groups below and exits 2;
 ``python -m repro --help`` prints them and exits 0.
 
-Serving mode (see ``docs/service.md``) lives under two extra subcommands
-dispatched to :mod:`repro.service.cli`::
+Serving mode (see ``docs/service.md``) lives under one extra subcommand
+dispatched to :mod:`repro.service.cli`; its studies are registry
+experiments like the figures::
 
     python -m repro serve --shards 4 --data-capacity 4096
     python -m repro serve --obs-port 9900 --flight-dir ./flight
-    python -m repro bench-service --refs 20000 --json BENCH_service.json
+    python -m repro run service-admission cluster-scaling --json serving.json
 
 Static checks (see ``docs/devtools.md``) live under three more
 subcommands dispatched to :mod:`repro.devtools.cli`::
@@ -54,7 +55,6 @@ Cluster mode (see ``docs/cluster.md``) dispatches to
 
     python -m repro cluster serve --nodes 3 --data-capacity 512
     python -m repro cluster serve --nodes 3 --obs-port 9900
-    python -m repro cluster bench --node-counts 1 2 3 --json BENCH_cluster.json
     python -m repro cluster smoke
     python -m repro cluster trace --nodes 3 --out cluster-trace.json
 """

@@ -1,14 +1,8 @@
-"""CLI verbs for the cache cluster: ``repro cluster serve|bench|status|smoke``.
+"""CLI verbs for the cache cluster: ``repro cluster serve|status|smoke|trace``.
 
 ``serve`` boots an N-node :class:`~repro.cluster.local.LocalCluster` in the
 foreground (SIGINT/SIGTERM drain every node before exit) and prints the
 node addresses clients route to.
-
-``bench`` measures the cluster's reason to exist: replaying the same
-workload at **equal per-node RAM** over growing node counts, aggregate
-hit capacity must grow — the scaled-out version of the paper's
-hit-rate-per-MB argument.  :func:`run_cluster_benchmark` is importable so
-``benchmarks/bench_cluster.py`` persists the sweep to ``BENCH_cluster.json``.
 
 ``status`` queries a running cluster's ``CSTATUS`` blocks over the wire
 (``--node name=host:port``, repeatable).
@@ -23,6 +17,10 @@ drive a deterministic write/invalidate storm and drain every ring over the
 ``TRACE`` verb, or (with ``--node``) drain already-running nodes; the
 per-node batches merge into one causally-validated Chrome trace
 (``repro obs validate --causal`` compatible, cross-node edges included).
+
+The scaling sweep — hit rate against node count at equal per-node RAM —
+is the registry experiment ``cluster-scaling``
+(``repro run cluster-scaling``).
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ import signal
 from ..obs import Observability, validate_chrome_trace
 from ..obs.dist import merge_node_traces
 from ..obs.logging import configure as configure_logging
-from ..service.loadgen import VALUE_BYTES, replay_interleaved, replay_with_client
+from ..service.loadgen import replay_interleaved, replay_with_client
 from ..service.sharding import ShardedStore
 from ..workloads.mixes import EXAMPLE_MIX, build_workload
-from .client import ClusterClient
+from .client import ClusterClient, parse_node_specs
 from .consistency import run_storm
 from .local import LocalCluster
 
@@ -89,25 +87,6 @@ def build_cluster_parser() -> argparse.ArgumentParser:
     serve.add_argument("--flight-dir", metavar="DIR", default=".",
                        help="directory for flight-recorder bundles "
                             "(SIGUSR2 dumps one per node)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="show aggregate hit capacity scaling with node count "
-             "at equal per-node RAM",
-    )
-    add_cluster_args(bench)
-    bench.set_defaults(data_capacity=256)
-    bench.add_argument("--node-counts", type=int, nargs="*",
-                       default=[1, 2, 3], help="cluster sizes to sweep")
-    bench.add_argument("--refs", type=int, default=12_000,
-                       help="memory references per core")
-    bench.add_argument("--scale", type=int, default=32,
-                       help="workload footprint divisor (matches simulator)")
-    bench.add_argument("--mix", nargs="*", default=None,
-                       help=f"application mix (default: {' '.join(EXAMPLE_MIX)})")
-    bench.add_argument("--value-bytes", type=int, default=VALUE_BYTES)
-    bench.add_argument("--json", metavar="FILE", default=None,
-                       help="also dump the sweep as JSON")
 
     status = sub.add_parser("status", help="query CSTATUS from running nodes")
     status.add_argument("--node", action="append", required=True,
@@ -273,128 +252,7 @@ def cmd_cluster_serve(args) -> int:
     return 0
 
 
-# -- bench --------------------------------------------------------------------
-
-
-async def _bench_one(num_nodes: int, workload, args) -> dict:
-    cluster = LocalCluster(
-        num_nodes=num_nodes,
-        data_capacity_per_node=args.data_capacity,
-        tag_capacity_per_node=args.tag_capacity,
-        shards_per_node=args.shards,
-        admission=args.admission,
-        replicas=args.replicas,
-        seed=args.seed,
-    )
-    async with cluster:
-        client = cluster.client()
-        # deterministic interleave: the sweep compares hit rates across
-        # topologies, so the arrival order must not vary with node count
-        result = await replay_interleaved(
-            client, workload, value_bytes=args.value_bytes, sample_every=4,
-        )
-        stats = await client.stats()
-    summary = result.summary()
-    summary["nodes"] = num_nodes
-    summary["data_capacity_entries"] = args.data_capacity * num_nodes
-    data_bytes = args.data_capacity * num_nodes * args.value_bytes
-    summary["data_capacity_bytes"] = data_bytes
-    summary["stored_entries"] = stats["total"]["stored_entries"]
-    summary["server_hit_rate"] = stats["total"]["hit_rate"]
-    return summary
-
-
-def run_cluster_benchmark(args=None, **overrides) -> dict:
-    """Sweep cluster sizes at equal per-node RAM; returns a JSON-safe dict.
-
-    The headline claim is ``monotonic_hit_rate``: with the workload
-    footprint held fixed and per-node capacity held fixed, adding nodes
-    adds aggregate capacity, and the client-observed hit rate must grow
-    monotonically along ``node_counts``.
-    """
-    if args is None:
-        args = build_cluster_parser().parse_args(["bench"])
-    for name, value in overrides.items():
-        setattr(args, name, value)
-    mix = args.mix if args.mix else EXAMPLE_MIX
-    workload = build_workload(mix, n_refs=args.refs, seed=args.seed,
-                              scale=args.scale)
-
-    async def _run():
-        out = []
-        for n in args.node_counts:
-            out.append(await _bench_one(n, workload, args))
-        return out
-
-    sweep = asyncio.run(_run())
-    hit_rates = [row["hit_rate"] for row in sweep]
-    return {
-        "workload": workload.name,
-        "refs_per_core": args.refs,
-        "cores": workload.num_cores,
-        "scale": args.scale,
-        "data_capacity_per_node": args.data_capacity,
-        "replicas": args.replicas,
-        "value_bytes": args.value_bytes,
-        "node_counts": list(args.node_counts),
-        "sweep": sweep,
-        "hit_rates": hit_rates,
-        "monotonic_hit_rate": all(
-            b >= a for a, b in zip(hit_rates, hit_rates[1:])
-        ),
-    }
-
-
-def format_cluster_benchmark(result: dict) -> str:
-    """Human-readable table of the scaling sweep."""
-    lines = [
-        f"cluster benchmark — workload {result['workload']} "
-        f"({result['cores']} cores x {result['refs_per_core']} refs, "
-        f"{result['data_capacity_per_node']} entries/node)",
-        f"{'nodes':>5} {'capacity':>9} {'hit rate':>9} {'stored':>8} "
-        f"{'rps':>9} {'p50 ms':>8} {'p99 ms':>8}",
-    ]
-    for row in result["sweep"]:
-        lines.append(
-            f"{row['nodes']:>5} {row['data_capacity_entries']:>9} "
-            f"{row['hit_rate']:>9.4f} {row['stored_entries']:>8} "
-            f"{row['throughput_rps']:>9.0f} {row['p50_ms']:>8.3f} "
-            f"{row['p99_ms']:>8.3f}"
-        )
-    verdict = "grows monotonically" if result["monotonic_hit_rate"] \
-        else "DOES NOT grow monotonically"
-    lines.append(
-        f"aggregate hit capacity {verdict} with node count "
-        f"at equal per-node RAM"
-    )
-    return "\n".join(lines)
-
-
-def cmd_cluster_bench(args) -> int:
-    result = run_cluster_benchmark(args)
-    print(format_cluster_benchmark(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-        print(f"wrote {args.json}")
-    return 0 if result["monotonic_hit_rate"] else 1
-
-
 # -- status -------------------------------------------------------------------
-
-
-def _parse_node_args(specs) -> dict:
-    nodes = {}
-    for spec in specs:
-        try:
-            name, addr = spec.split("=", 1)
-            host, port = addr.rsplit(":", 1)
-            nodes[name] = (host, int(port))
-        except ValueError:
-            raise SystemExit(
-                f"bad --node {spec!r}; expected NAME=HOST:PORT"
-            ) from None
-    return nodes
 
 
 async def _cluster_status(nodes: dict, seed: int) -> dict:
@@ -403,7 +261,7 @@ async def _cluster_status(nodes: dict, seed: int) -> dict:
 
 
 def cmd_cluster_status(args) -> int:
-    nodes = _parse_node_args(args.node)
+    nodes = parse_node_specs(args.node)
     status = asyncio.run(_cluster_status(nodes, args.seed))
     print(json.dumps(status, indent=2, sort_keys=True))
     return 0 if not any(
@@ -421,7 +279,7 @@ async def _smoke(args) -> dict:
     cluster = _build_cluster(args)
     async with cluster:
         client = cluster.client(read_replicas=True)
-        load = await replay_with_client(client, workload, sample_every=8)
+        load = await replay_with_client(client, workload)
         storm = await run_storm(
             client, writes_per_writer=args.storm_writes,
         )
@@ -496,7 +354,7 @@ async def collect_cluster_trace(args) -> dict:
     importable so tests drive the same path as ``repro cluster trace``.
     """
     if args.node:
-        nodes = _parse_node_args(args.node)
+        nodes = parse_node_specs(args.node)
         async with ClusterClient(nodes, seed=args.seed) as client:
             node_events = await client.traces()
         storm = None
@@ -515,7 +373,7 @@ async def collect_cluster_trace(args) -> dict:
             if args.refs:
                 workload = build_workload(EXAMPLE_MIX, n_refs=args.refs,
                                           seed=args.seed, scale=args.scale)
-                await replay_interleaved(client, workload, sample_every=8)
+                await replay_interleaved(client, workload)
             storm = await _sequential_storm(client, args.storm_writes)
             # let the final request's span land in its ring before draining
             # (spans are recorded right after the response is flushed)
@@ -582,7 +440,6 @@ def main(argv) -> int:
         check_store_sizes(args)
     handler = {
         "serve": cmd_cluster_serve,
-        "bench": cmd_cluster_bench,
         "status": cmd_cluster_status,
         "smoke": cmd_cluster_smoke,
         "trace": cmd_cluster_trace,

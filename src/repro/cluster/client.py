@@ -34,6 +34,23 @@ log = get_logger(__name__)
 DOWN_AFTER = 3
 
 
+def parse_node_specs(specs) -> dict:
+    """``NAME=HOST:PORT`` strings (the CLIs' ``--node``) as the
+    ``{name: (host, port)}`` map :class:`ClusterClient` takes; a malformed
+    spec ends the command with one error line."""
+    nodes = {}
+    for spec in specs:
+        try:
+            name, addr = spec.split("=", 1)
+            host, port = addr.rsplit(":", 1)
+            nodes[name] = (host, int(port))
+        except ValueError:
+            raise SystemExit(
+                f"bad --node {spec!r}; expected NAME=HOST:PORT"
+            ) from None
+    return nodes
+
+
 class ClusterError(Exception):
     """Cluster-level routing failure."""
 

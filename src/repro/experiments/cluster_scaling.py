@@ -9,19 +9,25 @@ the same question.  Two claims are measured:
 * aggregate hit capacity: the client-observed hit rate must grow
   monotonically with node count (more nodes = more aggregate data RAM for
   the same workload footprint);
-* the admission comparison one level up: at every cluster size, the
-  reuse-admission cluster is also swept so the selective-allocation gain
-  can be read against admit-always at cluster scale.
+* the admission comparison one level up: every cluster size is swept
+  under both reuse admission and admit-always, so the
+  selective-allocation gain can be read at cluster scale.
 
-Unlike the figure reproductions this driver runs live asyncio servers,
-not simulator cells, so the ``runner`` argument is accepted for registry
-uniformity but unused — there is nothing to cache or parallelise below
-the event loop.
+Every cluster replays in :func:`~repro.service.loadgen.replay_interleaved`'s
+deterministic order, so the node count is the only variable, and the rows
+hold counts only: the result is byte-identical on every run.  Unlike the
+figure reproductions this driver runs live asyncio servers, not simulator
+cells, so the ``runner`` argument is accepted for registry uniformity but
+unused — there is nothing to cache or parallelise below the event loop.
 """
 
 from __future__ import annotations
 
-from ..cluster.cli import run_cluster_benchmark
+import asyncio
+
+from ..cluster.local import LocalCluster
+from ..service.loadgen import VALUE_BYTES, replay_interleaved
+from ..workloads.mixes import EXAMPLE_MIX, build_workload
 from .common import ExperimentParams
 
 #: cluster sizes the study sweeps
@@ -31,25 +37,65 @@ NODE_COUNTS = (1, 2, 3)
 #: downsized regime where admission quality matters, cf. paper Fig. 6)
 DATA_CAPACITY_PER_NODE = 256
 
+#: references per core at most: live servers, so keep the wall short
+MAX_REFS = 12_000
+
+
+async def _replay_cluster(num_nodes: int, admission: str, workload,
+                          seed: int) -> dict:
+    """Replay the workload through one cluster size; summarise the counts."""
+    cluster = LocalCluster(
+        num_nodes=num_nodes,
+        data_capacity_per_node=DATA_CAPACITY_PER_NODE,
+        admission=admission,
+        seed=seed,
+    )
+    async with cluster:
+        client = cluster.client()
+        result = await replay_interleaved(client, workload)
+        stats = await client.stats()
+    entries = DATA_CAPACITY_PER_NODE * num_nodes
+    return {
+        **result.summary(),
+        "nodes": num_nodes,
+        "data_capacity_entries": entries,
+        "data_capacity_bytes": entries * VALUE_BYTES,
+        "stored_entries": stats["total"]["stored_entries"],
+        "server_hit_rate": stats["total"]["hit_rate"],
+    }
+
+
+async def _sweep(admission: str, workload, seed: int) -> dict:
+    rows = [await _replay_cluster(n, admission, workload, seed)
+            for n in NODE_COUNTS]
+    hit_rates = [row["hit_rate"] for row in rows]
+    return {
+        "sweep": rows,
+        "hit_rates": hit_rates,
+        "monotonic_hit_rate": all(
+            b >= a for a, b in zip(hit_rates, hit_rates[1:])
+        ),
+    }
+
 
 def run_cluster_scaling(params: ExperimentParams | None = None, runner=None):
     """Sweep node counts under both admission policies; returns a dict."""
     if params is None:
         params = ExperimentParams.from_env()
-    refs = min(params.n_refs, 12_000)  # live servers: keep the wall short
-    sweeps = {}
-    for admission in ("reuse", "always"):
-        sweeps[admission] = run_cluster_benchmark(
-            node_counts=list(NODE_COUNTS),
-            data_capacity=DATA_CAPACITY_PER_NODE,
-            admission=admission,
-            refs=refs,
-            scale=params.scale,
-            seed=params.seed,
-        )
+    refs = min(params.n_refs, MAX_REFS)
+    workload = build_workload(EXAMPLE_MIX, n_refs=refs, seed=params.seed,
+                              scale=params.scale)
+
+    async def _run():
+        return {admission: await _sweep(admission, workload, params.seed)
+                for admission in ("reuse", "always")}
+
+    sweeps = asyncio.run(_run())
     reuse_rates = sweeps["reuse"]["hit_rates"]
     always_rates = sweeps["always"]["hit_rates"]
     return {
+        "workload": workload.name,
+        "cores": workload.num_cores,
         "node_counts": list(NODE_COUNTS),
         "data_capacity_per_node": DATA_CAPACITY_PER_NODE,
         "refs_per_core": refs,

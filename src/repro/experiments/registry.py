@@ -41,6 +41,7 @@ from . import mlp as _mlp
 from . import opt_bound as _opt_bound
 from . import prefetch as _prefetch
 from . import robustness as _robustness
+from . import service_admission as _service_admission
 from . import tables as _tables
 from . import traffic as _traffic
 from . import zoo as _zoo
@@ -209,6 +210,14 @@ def _register_all() -> None:
     for name, title, run, fmt in extensions:
         register(ExperimentSpec(name, title, run, fmt, tags=("extension",)))
 
+    register(ExperimentSpec(
+        "service-admission",
+        "Serving: reuse admission vs admit-always on a live server at "
+        "equal data capacity",
+        _service_admission.run_service_admission,
+        _service_admission.format_service_admission,
+        tags=("extension", "service"),
+    ))
     register(ExperimentSpec(
         "cluster-scaling",
         "Cluster scaling: aggregate hit capacity vs node count at equal "

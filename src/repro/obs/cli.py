@@ -57,7 +57,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..cluster.client import ClusterClient
+from ..cluster.client import ClusterClient, parse_node_specs
 from ..hierarchy.config import LLCSpec, SystemConfig
 from ..hierarchy.system import System
 from ..service.client import CacheClient
@@ -243,20 +243,6 @@ async def _top_loop(args) -> int:
         await client.close()
 
 
-def _parse_node_specs(specs) -> dict:
-    nodes = {}
-    for spec in specs:
-        try:
-            name, addr = spec.split("=", 1)
-            host, port = addr.rsplit(":", 1)
-            nodes[name] = (host, int(port))
-        except ValueError:
-            raise SystemExit(
-                f"bad --node {spec!r}; expected NAME=HOST:PORT"
-            ) from None
-    return nodes
-
-
 async def _top_cluster_loop(args) -> int:
     """Poll CSTATUS/STATS across the cluster and redraw the dashboard.
 
@@ -267,7 +253,7 @@ async def _top_cluster_loop(args) -> int:
     taken, and treats a failed STATS fan-in as "no hit-rate line this
     frame" rather than a crash.
     """
-    nodes = _parse_node_specs(args.node)
+    nodes = parse_node_specs(args.node)
     registry = MetricsRegistry(enabled=True)
     slos = {
         # fraction of node-polls answered: burns when nodes are down

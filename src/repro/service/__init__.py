@@ -12,16 +12,16 @@ real GET/SET traffic with the same decision logic:
 * :class:`~repro.service.client.CacheClient` — asyncio client with
   retry/backoff over one multiplexed connection;
 * :mod:`~repro.service.loadgen` — replays :mod:`repro.workloads` traces as
-  cache traffic, closed-loop, so hit rates line up with the simulator's;
+  read-through cache traffic, so hit rates line up with the simulator's;
 * :class:`~repro.service.stats.ShardStats` — per-shard counters and
   latency quantiles surfaced through STATS.
 
 Start a server with ``python -m repro serve`` (or the ``repro`` console
-script); benchmark admission policies with ``repro bench-service``.
+script); compare admission policies with ``repro run service-admission``.
 """
 
 from .client import CacheClient, ServerError
-from .loadgen import LoadResult, key_of, replay_store, run_load, value_of
+from .loadgen import LoadResult, key_of, replay_store, value_of
 from .server import CacheServer, ProtocolError, run_server
 from .sharding import ShardedStore
 from .stats import ShardStats, merge_snapshots
@@ -37,7 +37,6 @@ __all__ = [
     "ShardStats",
     "LoadResult",
     "run_server",
-    "run_load",
     "replay_store",
     "key_of",
     "value_of",

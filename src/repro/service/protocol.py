@@ -672,17 +672,3 @@ def encode_reply(enc: FrameEncoder, reply: Reply, seq: int) -> bytes:
         buf += bytes([1 if flag else 0 for flag in values])
     return enc.finish()
 
-
-
-def install_uvloop() -> bool:
-    """Install uvloop's event-loop policy if the package is available.
-
-    Purely optional: the container may not ship uvloop, so this gates on
-    ImportError and reports whether the fast loop is in effect.
-    """
-    try:
-        import uvloop  # type: ignore
-    except ImportError:
-        return False
-    uvloop.install()
-    return True

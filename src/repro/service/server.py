@@ -528,14 +528,19 @@ class CacheServer:
             "eventloop_lag_s": self.eventloop_lag,
         }
 
-    def _stats_payload(self) -> bytes:
-        """The STATS JSON document (also read by the telemetry sampler)."""
+    def stats_snapshot(self) -> dict:
+        """The STATS document: the store's counters plus the ``process``,
+        ``server`` and (with metrics on) ``obs`` blocks."""
         snapshot = self.store.stats_snapshot()
         snapshot["process"] = {"pid": os.getpid(), **process_resources()}
         snapshot["server"] = self.server_info()
         if self.obs.registry.enabled:
             snapshot["obs"] = self.obs.registry.snapshot()
-        return json.dumps(snapshot).encode("utf-8")
+        return snapshot
+
+    def _stats_payload(self) -> bytes:
+        """The STATS reply: :meth:`stats_snapshot` as JSON."""
+        return json.dumps(self.stats_snapshot()).encode("utf-8")
 
     def _record_request(self, cmd: str, key, start: float, elapsed: float,
                         conn_id: int, ctx, outcome) -> None:

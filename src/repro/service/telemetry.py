@@ -69,7 +69,7 @@ class ServiceTelemetry:
             timeseries=self.timeseries,
             tracer=server.obs.tracer,
             alerts=self.alerts,
-            stats_fn=self._stats,
+            stats_fn=server.stats_snapshot,
         )
         self.http = ObsHTTPServer(
             registry=registry,
@@ -93,11 +93,6 @@ class ServiceTelemetry:
             "draining": draining,
             "uptime_s": self.server.uptime_s,
         }
-
-    def _stats(self) -> dict:
-        import json
-
-        return json.loads(self.server._stats_payload().decode("utf-8"))
 
     def _log_transition(self, event) -> None:
         message = "alert %s: %s -> %s (value=%s)"

@@ -1041,7 +1041,7 @@ class TestClusterCliSizes:
     """``repro cluster`` rejects store sizes with one error line and exit 1,
     as ``repro serve`` does, before any node starts."""
 
-    @pytest.mark.parametrize("subcommand", ["serve", "bench", "smoke", "trace"])
+    @pytest.mark.parametrize("subcommand", ["serve", "smoke", "trace"])
     def test_tag_capacity_below_data_store_is_an_error_line(self, subcommand):
         from repro.cluster.cli import main
 
@@ -1073,3 +1073,47 @@ class TestClusterCliSizes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("repro cluster smoke: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestClusterCliSurface:
+    def test_bench_is_no_longer_a_subcommand(self, capsys):
+        from repro.cluster.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["bench"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["n0", "n0=127.0.0.1", "n0=host:port"])
+    def test_a_bad_node_spec_is_one_error_line(self, spec):
+        from repro.cluster.client import parse_node_specs
+
+        with pytest.raises(SystemExit) as info:
+            parse_node_specs(["n1=127.0.0.1:9000", spec])
+        assert info.value.code == (
+            f"bad --node {spec!r}; expected NAME=HOST:PORT")
+
+    def test_node_specs_parse_to_client_addresses(self):
+        from repro.cluster.client import parse_node_specs
+
+        assert parse_node_specs(["a=127.0.0.1:9000", "b=::1:9001"]) == {
+            "a": ("127.0.0.1", 9000), "b": ("::1", 9001)}
+
+
+class TestClusterScalingExperiment:
+    def test_tiny_sweep_is_deterministic_and_monotonic(self):
+        from repro.experiments.cluster_scaling import run_cluster_scaling
+        from repro.experiments.common import ExperimentParams
+
+        params = ExperimentParams(n_refs=300)
+        first = run_cluster_scaling(params)
+        assert run_cluster_scaling(params) == first
+        assert first["node_counts"] == [1, 2, 3]
+        assert first["monotonic_hit_rate"], first["reuse"]["hit_rates"]
+        for admission in ("reuse", "always"):
+            rows = first[admission]["sweep"]
+            assert [row["nodes"] for row in rows] == [1, 2, 3]
+            for row in rows:
+                assert row["gets"] == 300 * first["cores"]
+                assert row["server_hit_rate"] == row["hit_rate"]
+                assert row["stored_entries"] <= row["data_capacity_entries"]

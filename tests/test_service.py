@@ -25,7 +25,7 @@ from repro.service import (
     stable_hash,
     value_of,
 )
-from repro.service.cli import build_service_parser, run_service_benchmark
+from repro.service.cli import build_service_parser
 from repro.service.protocol import (
     STATUS_NAMES,
     VERB_IDS,
@@ -746,35 +746,42 @@ class TestLoadgen:
         assert rates["reuse"] > rates["always"]
 
     def test_replay_matches_server_accounting(self):
+        from repro.service.loadgen import replay_with_client
+
         async def body():
             server = await _started_server(num_shards=2, data_capacity=128)
             wl = build_workload(["gcc"], n_refs=400, seed=7, scale=32)
-            from repro.service import run_load
-            result = await run_load("127.0.0.1", server.port, wl,
-                                    sample_every=2)
+            async with CacheClient("127.0.0.1", server.port) as client:
+                result = await replay_with_client(client, wl)
+                stats = await client.stats()
             await server.stop()
-            return result
-        result = run(body())
+            return result, stats
+        result, stats = run(body())
         assert result.gets == 400
         assert result.ops == result.gets + result.sets
-        total = result.server_stats["total"]
+        total = stats["total"]
         assert total["gets"] == result.gets
         assert total["hits"] == result.hits
-        assert result.latencies_s and result.throughput > 0
+        assert total["reuse_admissions"] == result.sets_stored
+        assert total["tag_only_sets"] == result.sets_tagged
 
 
 class TestServiceCLI:
     def test_parser_defaults(self):
         args = build_service_parser().parse_args(["serve"])
         assert args.shards == 4 and args.admission == "reuse"
-        args = build_service_parser().parse_args(["bench-service"])
-        assert args.data_capacity == 512  # downsized regime by default
+        assert args.data_capacity == 4096
 
     def test_main_dispatches_service_commands(self, capsys):
         from repro.__main__ import main
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        assert "serve" in out and "bench-service" in out
+        assert "serve" in out and "bench-service" not in out
+
+    def test_bench_service_is_an_unknown_command(self, capsys):
+        from repro.__main__ import main
+        assert main(["bench-service"]) == 2
+        assert "unknown command 'bench-service'" in capsys.readouterr().err
 
     def test_serve_rejects_tags_that_round_below_the_data_store(self):
         from repro.service.cli import main
@@ -783,23 +790,46 @@ class TestServiceCLI:
         with pytest.raises(SystemExit, match="24 in whole 8-way sets"):
             main(argv)
 
-    def test_bench_service_writes_comparison(self, tmp_path, capsys):
+
+class TestServiceAdmission:
+    """The ``service-admission`` experiment: two live servers, one order."""
+
+    def test_counts_equal_replay_store_and_repeat(self):
+        from repro.experiments.common import ExperimentParams
+        from repro.experiments.service_admission import (
+            admission_store,
+            run_service_admission,
+        )
+
+        params = ExperimentParams(n_refs=300, seed=7)
+        first = run_service_admission(params)
+        assert run_service_admission(params) == first
+        wl = build_workload(EXAMPLE_MIX, n_refs=300, seed=7, scale=32)
+        for admission in ("reuse", "always"):
+            row = first[admission]
+            baseline = replay_store(admission_store(admission, 7), wl)
+            assert row["gets"] == baseline.gets == 300 * len(EXAMPLE_MIX)
+            assert (row["hits"], row["sets_stored"], row["sets_tagged"]) == (
+                baseline.hits, baseline.sets_stored, baseline.sets_tagged)
+            # the server counted what the client saw
+            assert row["server_hit_rate"] == row["hit_rate"]
+        assert first["always"]["sets_tagged"] == 0
+
+    def test_run_writes_the_comparison_as_json(self, tmp_path, capsys):
         from repro.__main__ import main
-        out_json = tmp_path / "bench.json"
-        code = main(["bench-service", "--refs", "300", "--shards", "2",
-                     "--data-capacity", "128", "--json", str(out_json)])
+
+        out_json = tmp_path / "admission.json"
+        code = main(["run", "service-admission", "--refs", "200",
+                     "--no-cache", "--json", str(out_json)])
         assert code == 0
         assert "hit-rate gain" in capsys.readouterr().out
-        data = json.loads(out_json.read_text())
-        assert set(data) >= {"reuse", "always", "hit_rate_gain"}
+        data = json.loads(out_json.read_text())["service-admission"]
+        assert set(data) >= {"reuse", "always", "hit_rate_per_mb_gain"}
+        assert data["refs_per_core"] == 200
         for mode in ("reuse", "always"):
-            assert data[mode]["server_total"]["gets"] > 0
-
-    def test_run_service_benchmark_overrides(self):
-        result = run_service_benchmark(refs=200, shards=2,
-                                       data_capacity=64, mix=["gcc", "mcf"])
-        assert result["cores"] == 2
-        assert result["reuse"]["admission"] == "reuse"
+            assert data[mode]["admission"] == mode
+            assert data[mode]["stored_entries"] <= data[mode][
+                "data_capacity_entries"]
 
 
 class TestStoreExtensionsForCluster:
@@ -862,34 +892,15 @@ class TestFinalStatsFlush:
         assert data["total"]["hits"] == 1
         assert data["stored_entries"] == 1
         assert data["process"]["pid"] > 0
+        # the same document STATS answers, server block included
+        assert set(data) == set(server.stats_snapshot())
+        assert data["server"]["connections_v2"] == 1
 
     def test_serve_parser_accepts_final_stats_json(self):
         args = build_service_parser().parse_args(
             ["serve", "--final-stats-json", "x.json"]
         )
         assert args.final_stats_json == "x.json"
-
-
-class TestBenchServiceStatsJson:
-    def test_stats_json_written_alongside_comparison(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        stats_json = tmp_path / "stats.json"
-        code = main(["bench-service", "--refs", "200", "--shards", "2",
-                     "--data-capacity", "64",
-                     "--stats-json", str(stats_json)])
-        assert code == 0
-        capsys.readouterr()
-        data = json.loads(stats_json.read_text())
-        assert set(data) == {"reuse", "always"}
-        for mode in ("reuse", "always"):
-            assert data[mode]["total"]["gets"] > 0
-
-    def test_benchmark_result_carries_server_stats(self):
-        result = run_service_benchmark(refs=150, shards=2, data_capacity=64,
-                                       mix=["gcc"])
-        assert set(result["server_stats"]) == {"reuse", "always"}
-        assert result["server_stats"]["reuse"]["total"]["gets"] > 0
 
 
 class TestReplayWithClient:
@@ -900,7 +911,7 @@ class TestReplayWithClient:
             server = await _started_server(admission="always")
             client = CacheClient("127.0.0.1", server.port)
             wl = build_workload(["gcc"], n_refs=200, seed=7, scale=32)
-            result = await replay_with_client(client, wl, sample_every=2)
+            result = await replay_with_client(client, wl)
             # the caller keeps ownership: the client still works
             await client.set("after", b"v")
             assert await client.get("after") == b"v"
@@ -930,7 +941,7 @@ class TestReplayInterleaved:
                 admission="reuse",
             )
             client = CacheClient("127.0.0.1", server.port)
-            result = await replay_interleaved(client, wl, sample_every=2)
+            result = await replay_interleaved(client, wl)
             # the caller keeps ownership: the client still works (two
             # GET misses arm the tag, then the SET is admitted)
             await client.get("after")
@@ -946,7 +957,6 @@ class TestReplayInterleaved:
         assert result.hits == baseline.hits
         assert result.sets_stored == baseline.sets_stored
         assert result.sets_tagged == baseline.sets_tagged
-        assert result.latencies_s  # sampled
 
     def test_is_deterministic_across_runs(self):
         from repro.service.loadgen import replay_interleaved
