@@ -25,11 +25,11 @@ experiments like the figures::
     python -m repro serve --obs-port 9900 --flight-dir ./flight
     python -m repro run service-admission cluster-scaling --json serving.json
 
-Static checks (see ``docs/devtools.md``) live under three more
-subcommands dispatched to :mod:`repro.devtools.cli`::
+Static checks (see ``docs/devtools.md``) live under two more
+subcommands dispatched to :mod:`repro.devtools.cli`: ``lint`` runs the
+REP001-REP013 and FLOW001-FLOW003 rules in one pass over the source::
 
     python -m repro lint src
-    python -m repro analyze src --baseline analyze-baseline.json
     python -m repro check-protocol --format json
 
 Observability (see ``docs/observability.md``) adds a live dashboard,
@@ -77,6 +77,7 @@ from .obs.logging import configure as configure_logging
 from .perf import cli as perf_cli
 from .runner import ResultCache, Runner, cell_key
 from .runner.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
+from .runner.engine import _env_parallel
 from .service import cli as service_cli
 
 
@@ -194,7 +195,10 @@ def _build_runner(args) -> Runner:
         raise SystemExit("--parallel must be >= 0")
     parallel = args.parallel
     if parallel is None:
-        parallel = int(os.environ.get("REPRO_PARALLEL", "0") or 0)
+        try:
+            parallel = _env_parallel()
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     cache = None
     if not args.no_cache:
         cache_dir = (args.cache_dir or os.environ.get(CACHE_DIR_ENV)

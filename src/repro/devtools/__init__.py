@@ -1,20 +1,19 @@
 """Static-analysis devtools for the reuse-cache reproduction.
 
-Three engines guard the correctness-critical surfaces of the repo:
+Two commands guard the correctness-critical surfaces of the repo:
 
-* :mod:`repro.devtools.lint` — an AST-based lint framework with
-  repo-specific rules (determinism, async hygiene, layering); run it with
-  ``repro lint src``.
-* :mod:`repro.devtools.flow` — flow-aware whole-repo analysis: per-function
-  CFGs with suspension points, a project call graph and a shared-state
-  model, powering the FLOW001 async-atomicity, FLOW002 lock-discipline
-  and FLOW003 wire-protocol-conformance checks; run it with
-  ``repro analyze src``.
-* :mod:`repro.devtools.protocol_check` — a model checker that exhaustively
-  enumerates every ``(State, Event)`` pair against the executable
-  TO-MSI/TO-MOSI coherence tables; run it with ``repro check-protocol``.
+* ``repro lint src`` — one engine (:mod:`repro.devtools.lint`) parses
+  each file once and runs two kinds of rule over it: the per-node
+  REP001–REP013 rules (determinism, async hygiene, layering) and the
+  whole-project FLOW001–FLOW003 rules of :mod:`repro.devtools.flow`
+  (per-function CFGs with suspension points, a project call graph and a
+  shared-state model behind the async-atomicity, lock-discipline and
+  wire-protocol-conformance checks).
+* ``repro check-protocol`` — :mod:`repro.devtools.protocol_check`, a
+  model checker that exhaustively enumerates every ``(State, Event)``
+  pair against the executable TO-MSI/TO-MOSI coherence tables.
 
-All are wired into CI as a blocking job (see ``.github/workflows/ci.yml``)
+Both are wired into CI as a blocking job (see ``.github/workflows/ci.yml``)
 and documented in ``docs/devtools.md``.  This package sits at the very top
 of the layering order: it may import any ``repro`` package, and nothing
 below the CLI may import it.
@@ -22,7 +21,6 @@ below the CLI may import it.
 
 from __future__ import annotations
 
-from .flow import FLOW_RULES, FlowEngine, run_analyze
 from .lint import Finding, LintEngine, Rule, default_rules, run_lint
 from .protocol_check import (
     ProtocolFinding,
@@ -34,13 +32,10 @@ from .protocol_check import (
 )
 
 __all__ = [
-    "FLOW_RULES",
     "Finding",
-    "FlowEngine",
     "LintEngine",
     "Rule",
     "default_rules",
-    "run_analyze",
     "run_lint",
     "ProtocolFinding",
     "ProtocolSpec",

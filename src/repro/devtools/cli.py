@@ -1,15 +1,10 @@
-"""CLI for the static checks: ``repro lint`` / ``analyze`` / ``check-protocol``.
+"""CLI for the static checks: ``repro lint`` and ``repro check-protocol``.
 
-All three commands exit 0 when clean and 1 when they report findings, so
-CI can gate on them (the ``lint`` job in ``.github/workflows/ci.yml``
-runs all of them before the test matrix).  ``--format json`` emits the
-machine-readable reports whose schemas are pinned by
-``tests/test_lint.py``, ``tests/test_flow.py`` and
-``tests/test_protocol_check.py``.
-
-``repro analyze`` additionally takes ``--baseline <file>`` — the
-committed ratchet that suppresses recorded findings but fails when any
-(rule, file) count grows; see :mod:`repro.devtools.flow.cli`.
+Both commands exit 0 when clean, 1 when they report findings and 2 on a
+usage error, so CI can gate on them (the ``lint`` job in
+``.github/workflows/ci.yml`` runs both before the test matrix).
+``--format json`` emits the machine-readable reports whose schemas are
+pinned by ``tests/test_lint.py`` and ``tests/test_protocol_check.py``.
 """
 
 from __future__ import annotations
@@ -20,12 +15,10 @@ import sys
 from pathlib import Path
 
 from . import protocol_check
-from .flow import FLOW_RULES
-from .flow.cli import apply_baseline, load_baseline, run_analyze
 from .lint import RULES, format_human, format_json, run_lint
 
 #: CLI names handled by this module (dispatched from repro.__main__)
-DEVTOOLS_COMMANDS = ("lint", "analyze", "check-protocol")
+DEVTOOLS_COMMANDS = ("lint", "check-protocol")
 
 
 def build_devtools_parser() -> argparse.ArgumentParser:
@@ -36,9 +29,12 @@ def build_devtools_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser(
-        "lint", help="run the repo-specific AST linter (REP001-REP012)"
+    summary = (
+        "run the repo's static checks in one pass: per-node rules "
+        "REP001-REP013 and whole-project flow rules FLOW001-FLOW003 "
+        "(async-atomicity, lock discipline, wire-protocol conformance)"
     )
+    lint = sub.add_parser("lint", help=summary, description=summary)
     lint.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src, else cwd)",
@@ -49,32 +45,6 @@ def build_devtools_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the registered rules and exit",
-    )
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="run the flow analyses (FLOW001-FLOW003): async-atomicity, "
-             "lock discipline, wire-protocol conformance",
-    )
-    analyze.add_argument(
-        "paths", nargs="*", default=None,
-        help="files or directories to analyze (default: src, else cwd)",
-    )
-    analyze.add_argument(
-        "--format", choices=("human", "json"), default="human"
-    )
-    analyze.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    analyze.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in FILE; fail only when a "
-             "(rule, file) count grows",
-    )
-    analyze.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
     )
@@ -109,7 +79,7 @@ def print_rules(rule_map) -> None:
     """``--list-rules`` output: id, slug, severity, one-line description."""
     for cls in rule_map.values():
         print(
-            f"{cls.id}  {cls.name:<24} [{cls.severity}] "
+            f"{cls.id:<7}  {cls.name:<25} [{cls.severity}] "
             f"{rule_description(cls)}"
         )
 
@@ -139,33 +109,6 @@ def lint_main(args) -> int:
     return 1 if findings else 0
 
 
-def analyze_main(args) -> int:
-    """Entry for ``repro analyze``; returns the process exit code."""
-    if args.list_rules:
-        print_rules(FLOW_RULES)
-        return 0
-    try:
-        findings, engine = run_analyze(
-            args.paths or default_lint_paths(), _parse_select(args.select)
-        )
-    except ValueError as exc:  # unknown --select code
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        findings, suppressed = apply_baseline(findings, baseline)
-        engine.suppressed += suppressed
-    if args.format == "json":
-        print(format_json(findings, engine.files_checked, engine.rules))
-    else:
-        print(format_human(findings, engine.files_checked))
-    return 1 if findings else 0
-
-
 def check_protocol_main(args) -> int:
     """Entry for ``repro check-protocol``; returns the process exit code."""
     specs = protocol_check.all_specs(cluster=getattr(args, "cluster", False))
@@ -186,8 +129,6 @@ def main(argv=None) -> int:
     args = build_devtools_parser().parse_args(argv)
     if args.command == "lint":
         return lint_main(args)
-    if args.command == "analyze":
-        return analyze_main(args)
     return check_protocol_main(args)
 
 

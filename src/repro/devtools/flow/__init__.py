@@ -1,46 +1,32 @@
 """Flow-aware static analysis: async-atomicity, lock discipline, protocol.
 
-The package behind ``repro analyze``.  Layering:
+The whole-project half of ``repro lint`` (rules FLOW001–FLOW003).  Layering:
 
 * :mod:`.cfg` — per-function control-flow graphs with suspension points;
 * :mod:`.callgraph` — project class/method index + call resolution;
 * :mod:`.shared` — the conservative shared-state model and the
   ``# repro: atomic=`` / ``# repro: shared`` annotation contract;
 * :mod:`.checks` — FLOW001 (async-atomicity dataflow), FLOW002 (lock
-  discipline), FLOW003 (wire-protocol conformance);
-* :mod:`.protocol_spec` — the declarative verb spec FLOW003 diffs against;
-* :mod:`.cli` — engine façade, JSON/human output, baseline ratchet.
+  discipline), FLOW003 (wire-protocol conformance), run over every
+  parsed file by :class:`.checks.ProjectAnalysis`;
+* :mod:`.protocol_spec` — the declarative verb spec FLOW003 diffs against.
 """
 
 from __future__ import annotations
 
 from .callgraph import CallGraph
 from .cfg import build_cfg, iter_functions
-from .checks import (
-    FLOW_RULES,
-    ProjectAnalysis,
-    default_flow_rules,
-    extract_handled_verbs,
-    extract_sent_verbs,
-)
-from .cli import FlowEngine, apply_baseline, finding_counts, load_baseline, run_analyze
+from .checks import ProjectAnalysis, extract_handled_verbs, extract_sent_verbs
 from .shared import FileAnnotations, Loc, SharedModel
 
 __all__ = [
     "CallGraph",
-    "FLOW_RULES",
     "FileAnnotations",
-    "FlowEngine",
     "Loc",
     "ProjectAnalysis",
     "SharedModel",
-    "apply_baseline",
     "build_cfg",
-    "default_flow_rules",
     "extract_handled_verbs",
     "extract_sent_verbs",
-    "finding_counts",
     "iter_functions",
-    "load_baseline",
-    "run_analyze",
 ]

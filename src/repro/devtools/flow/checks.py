@@ -32,6 +32,10 @@ analysis, one level of call-graph inlining, locks matched structurally
 (same ``with`` block) for FLOW001 and by normalized name for FLOW002.
 The goal is the PR-6 class of bug — shared owner/replica bookkeeping
 mutated around an ``await`` fan-out — not a general race detector.
+
+The three rules are declared in :mod:`repro.devtools.lint.rules` beside
+the REP rules; ``repro lint`` hands its parsed trees to
+:class:`ProjectAnalysis` after the per-node pass.
 """
 
 from __future__ import annotations
@@ -54,91 +58,6 @@ def is_lockish(name: str) -> bool:
     """True when a normalized context/receiver name looks like a lock."""
     last = name.rstrip("()").rsplit(".", 1)[-1]
     return bool(_LOCKISH_RE.search(last))
-
-
-# -- rule metadata -----------------------------------------------------------
-
-
-class FlowRule:
-    """Base class carrying the id/name/severity/description metadata."""
-
-    id = "FLOW000"
-    name = "abstract-flow-rule"
-    description = ""
-    severity = "error"
-
-
-class AsyncAtomicityRule(FlowRule):
-    """Read-modify-write of shared state spanning a suspension point.
-
-    Between the read and the dependent write another coroutine can run
-    and change the location, so the write commits a stale value (the
-    PR-6 bug class: version counters and replica directories mutated
-    around an INVAL/ack fan-out).  Hold one ``asyncio.Lock`` across the
-    whole gap, or state the protecting invariant with
-    ``# repro: atomic=<reason>``.
-    """
-
-    id = "FLOW001"
-    name = "async-atomicity"
-    description = (
-        "shared-state read-modify-write spans an await with no lock "
-        "held across the gap"
-    )
-
-
-class LockDisciplineRule(FlowRule):
-    """Lock acquire/release imbalance, lock-bypassing writes, re-entry.
-
-    Manual ``.acquire()`` must be paired with a ``finally``-guaranteed
-    ``.release()`` (or replaced by ``async with``); awaiting a callee
-    that takes a lock you already hold deadlocks (asyncio locks are not
-    reentrant); and writing a location whose FLOW001 safety argument
-    *is* a lock, without holding that lock, breaks the argument.
-    """
-
-    id = "FLOW002"
-    name = "lock-discipline"
-    description = (
-        "lock not released on all paths, awaited self-deadlock, or a "
-        "write bypassing the lock a FLOW001 region relies on"
-    )
-
-
-class ProtocolConformanceRule(FlowRule):
-    """Wire verbs must match the declarative spec on both ends.
-
-    Every verb a server registers a handler for must be declared in
-    ``repro.devtools.flow.protocol_spec`` and have at least one client
-    sender; every declared verb must be handled and present in the
-    codec's ``VERB_IDS`` / ``REQUEST_FIELDS`` tables.  A new verb lands
-    by touching spec, codec tables and handler together — drift fails
-    CI.
-    """
-
-    id = "FLOW003"
-    name = "protocol-conformance"
-    description = (
-        "server-handled / codec-tabled / client-sent wire verbs drifted "
-        "from protocol_spec.py"
-    )
-
-
-#: rule id -> rule class, in registration order
-FLOW_RULES = {
-    cls.id: cls
-    for cls in (AsyncAtomicityRule, LockDisciplineRule, ProtocolConformanceRule)
-}
-
-
-def default_flow_rules(select=None):
-    """Instantiate flow rules; ``select`` limits to the given ids."""
-    if select is not None:
-        unknown = set(select) - set(FLOW_RULES)
-        if unknown:
-            raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-        return [FLOW_RULES[rid]() for rid in FLOW_RULES if rid in select]
-    return [cls() for cls in FLOW_RULES.values()]
 
 
 # -- per-node effects --------------------------------------------------------

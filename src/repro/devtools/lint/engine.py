@@ -1,23 +1,30 @@
-"""Core of the repo linter: rule plugin API, AST walker, suppression, output.
+"""Core of the repo's static checks: rule plugin API, AST walker, output.
 
-The engine parses each Python file once and dispatches every AST node to
-the rules that declared a handler for its type.  A rule is a subclass of
+The engine parses each Python file once, dispatches every AST node to
+the per-node rules that declared a handler for its type, then hands the
+same parsed trees to the whole-project rules.  A rule is a subclass of
 :class:`Rule` registered with :func:`register`; it declares
 
-* ``id`` — a stable ``REPnnn`` code used in reports and suppressions;
+* ``id`` — a stable code (``REPnnn`` or ``FLOWnnn``) used in reports and
+  suppressions;
 * ``name`` — a kebab-case slug for humans;
 * ``severity`` — ``"error"`` or ``"warning"`` (errors drive the exit code);
 * ``scope`` — optional tuple of dotted module prefixes the rule applies to
   (``None`` means every file);
 * handler methods named ``check_<NodeType>`` (e.g. ``check_Call``), each
   taking ``(node, ctx)`` where ``ctx`` is the per-file
-  :class:`ModuleContext`.
+  :class:`ModuleContext`;
+* or ``project = True`` and no handlers: the rule is judged over every
+  parsed file at once by :class:`repro.devtools.flow.checks.ProjectAnalysis`
+  (the FLOW rules).
 
-Findings on a line carrying ``# repro: noqa=REP001`` (or a comma-separated
-list, or a bare ``# repro: noqa`` suppressing every rule) are dropped at
-report time.  Output is either human-oriented (``path:line:col: CODE
-message``) or machine-readable JSON — see :func:`format_human` and
-:func:`format_json`.
+Per-node findings on a line carrying ``# repro: noqa=REP001`` (or a
+comma-separated list, or a bare ``# repro: noqa`` suppressing every
+per-node rule) are dropped at report time.  Whole-project findings are
+suppressed only by their own ``# repro: atomic=<reason>`` contract
+(:mod:`repro.devtools.flow.shared`).  Output is either human-oriented
+(``path:line:col: CODE message``) or machine-readable JSON — see
+:func:`format_human` and :func:`format_json`.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ class Finding:
 class Rule:
     """Base class for lint rules; subclass, set metadata, add handlers."""
 
-    #: stable rule code, e.g. ``"REP001"``
+    #: stable rule code, e.g. ``"REP001"`` or ``"FLOW001"``
     id: str = "REP000"
     #: kebab-case slug, e.g. ``"unseeded-random"``
     name: str = "abstract-rule"
@@ -64,6 +71,8 @@ class Rule:
     severity: str = "error"
     #: dotted module prefixes this rule applies to; ``None`` = everywhere
     scope: tuple = None
+    #: judged over the whole parsed tree at once instead of node by node
+    project: bool = False
 
     def applies_to(self, module: str) -> bool:
         """True when the rule is active for dotted module name ``module``."""
@@ -217,45 +226,68 @@ class LintEngine:
 
     def lint_source(self, source: str, path) -> list:
         """Lint a source string as if it lived at ``path``."""
-        path = Path(path)
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    rule="REP000",
-                    severity="error",
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"syntax error: {exc.msg}",
-                )
-            ]
-        ctx = ModuleContext(path, source, tree)
-        active = {
-            node_type: [
-                (rule, handler)
-                for rule, handler in handlers
-                if rule.applies_to(ctx.module)
-            ]
-            for node_type, handlers in self._handlers.items()
-        }
-        self._walk(tree, ctx, active)
-        self.suppressed += ctx.suppressed
-        return ctx.findings
-
-    def lint_file(self, path) -> list:
-        """Lint one file from disk."""
-        path = Path(path)
-        self.files_checked += 1
-        return self.lint_source(path.read_text(encoding="utf-8"), path)
+        return self.lint_sources({str(path): source})
 
     def lint_paths(self, paths) -> list:
         """Lint every Python file under ``paths``; findings sorted."""
-        findings = []
-        for path in self.iter_python_files(paths):
-            findings.extend(self.lint_file(path))
+        return self.lint_sources({
+            str(path): path.read_text(encoding="utf-8")
+            for path in self.iter_python_files(paths)
+        })
+
+    def lint_sources(self, sources) -> list:
+        """Lint a ``{path: source}`` mapping as one project; findings sorted.
+
+        Each file is parsed once: the per-node rules walk its tree, then
+        the whole-project rules see every tree that parsed.
+        """
+        findings, parsed = [], []
+        for raw in sorted(sources):
+            path, source = Path(raw), sources[raw]
+            path_str = str(path)
+            try:
+                tree = ast.parse(source, filename=path_str)
+            except SyntaxError as exc:
+                findings.append(
+                    Finding(
+                        rule="REP000",
+                        severity="error",
+                        path=path_str,
+                        line=exc.lineno or 1,
+                        col=exc.offset or 0,
+                        message=f"syntax error: {exc.msg}",
+                    )
+                )
+                continue
+            ctx = ModuleContext(path, source, tree)
+            active = {
+                node_type: [
+                    (rule, handler)
+                    for rule, handler in handlers
+                    if rule.applies_to(ctx.module)
+                ]
+                for node_type, handlers in self._handlers.items()
+            }
+            self._walk(tree, ctx, active)
+            self.suppressed += ctx.suppressed
+            findings.extend(ctx.findings)
+            parsed.append((path_str, ctx.module, tree, source))
+        self.files_checked += len(sources)
+        findings.extend(self._check_project(parsed))
         return sorted(findings, key=Finding.sort_key)
+
+    def _check_project(self, files) -> list:
+        """Run the whole-project rules over ``(path, module, tree, source)``."""
+        rules = [rule for rule in self.rules if rule.project]
+        if not rules:
+            return []
+        # imported here: the flow package itself imports this module
+        from ..flow.checks import ProjectAnalysis
+
+        analysis = ProjectAnalysis(files)
+        findings = analysis.run(rules)
+        self.suppressed += analysis.suppressed
+        return findings
 
     def _walk(self, node: ast.AST, ctx: ModuleContext, active: dict) -> None:
         for rule, handler in active.get(type(node).__name__, ()):

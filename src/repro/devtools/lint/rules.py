@@ -1,4 +1,4 @@
-"""Repo-specific lint rules (REP001–REP013).
+"""Repo-specific lint rules (REP001–REP013, FLOW001–FLOW003).
 
 Each rule targets a hazard class that corrupts simulation results or
 serving behaviour *without failing any test*: nondeterminism (REP001,
@@ -6,7 +6,9 @@ REP002), event-loop stalls (REP3/4), Python foot-guns (REP005–REP007),
 architecture erosion (REP008), observability bypass (REP009),
 decentralised parallelism (REP010), unaccounted host timing (REP011),
 raw transport outside the serving/cluster stack (REP012) and
-manually-managed span/timer lifecycles (REP013).
+manually-managed span/timer lifecycles (REP013).  The FLOW rules are
+whole-project: declared here, judged by
+:class:`repro.devtools.flow.checks.ProjectAnalysis`.
 ``docs/devtools.md`` documents the rule set and how to add one.
 """
 
@@ -737,3 +739,68 @@ class UnscopedSpanRule(Rule):
                     f"manual {receiver}.{attr}() lifecycle leaks the scope "
                     "on exceptions; use the context-manager form instead",
                 )
+
+
+# -- whole-project flow rules ------------------------------------------------
+
+
+@register
+class AsyncAtomicityRule(Rule):
+    """Read-modify-write of shared state spanning a suspension point.
+
+    Between the read and the dependent write another coroutine can run
+    and change the location, so the write commits a stale value (as do
+    version counters and replica directories mutated around an
+    INVAL/ack fan-out).  Hold one ``asyncio.Lock`` across the
+    whole gap, or state the protecting invariant with
+    ``# repro: atomic=<reason>``.
+    """
+
+    id = "FLOW001"
+    name = "async-atomicity"
+    description = (
+        "shared-state read-modify-write spans an await with no lock "
+        "held across the gap"
+    )
+    project = True
+
+
+@register
+class LockDisciplineRule(Rule):
+    """Lock acquire/release imbalance, lock-bypassing writes, re-entry.
+
+    Manual ``.acquire()`` must be paired with a ``finally``-guaranteed
+    ``.release()`` (or replaced by ``async with``); awaiting a callee
+    that takes a lock you already hold deadlocks (asyncio locks are not
+    reentrant); and writing a location whose FLOW001 safety argument
+    *is* a lock, without holding that lock, breaks the argument.
+    """
+
+    id = "FLOW002"
+    name = "lock-discipline"
+    description = (
+        "lock not released on all paths, awaited self-deadlock, or a "
+        "write bypassing the lock a FLOW001 region relies on"
+    )
+    project = True
+
+
+@register
+class ProtocolConformanceRule(Rule):
+    """Wire verbs must match the declarative spec on both ends.
+
+    Every verb a server registers a handler for must be declared in
+    ``repro.devtools.flow.protocol_spec`` and have at least one client
+    sender; every declared verb must be handled and present in the
+    codec's ``VERB_IDS`` / ``REQUEST_FIELDS`` tables.  A new verb lands
+    by touching spec, codec tables and handler together — drift fails
+    CI.
+    """
+
+    id = "FLOW003"
+    name = "protocol-conformance"
+    description = (
+        "server-handled / codec-tabled / client-sent wire verbs drifted "
+        "from protocol_spec.py"
+    )
+    project = True

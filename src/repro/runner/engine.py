@@ -151,10 +151,16 @@ class RunnerStats:
 
 
 def _env_parallel() -> int:
+    """Worker count from ``REPRO_PARALLEL``; unset or empty means serial."""
     raw = os.environ.get("REPRO_PARALLEL")
     if not raw:
         return 0
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_PARALLEL must be an integer, got {raw!r}"
+        ) from None
     if value < 0:
         raise ValueError(f"REPRO_PARALLEL must be >= 0, got {raw!r}")
     return value

@@ -51,6 +51,18 @@ class TestMain:
                      "ablation-threshold"}
         assert ablations <= set(registry.names())
 
+    @pytest.mark.parametrize("value, message", [
+        ("-3", "REPRO_PARALLEL must be >= 0, got '-3'"),
+        ("abc", "REPRO_PARALLEL must be an integer, got 'abc'"),
+    ])
+    def test_bad_repro_parallel_is_one_error_line(
+        self, value, message, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_PARALLEL", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "table2", "--no-cache"])
+        assert str(exc.value) == message
+
     def test_run_analytic_experiment(self, capsys):
         assert main(["run", "table2", "--no-cache"]) == 0
         assert "69888" in capsys.readouterr().out.replace(" ", "")

@@ -7,8 +7,6 @@ when a violation is present, and emit machine-readable JSON on demand.
 import json
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.__main__ import main
 from repro.devtools import cli as devtools_cli
@@ -62,18 +60,79 @@ class TestLintCommand:
             assert rule_id in out
 
 
-class TestAnalyzeCommand:
-    def test_clean_tree_with_shipped_baseline_exits_zero(self, capsys):
-        # the exact invocation CI gates on (see .github/workflows/ci.yml)
-        baseline = SRC_DIR.parent.parent / "analyze-baseline.json"
-        if not baseline.exists():
-            pytest.skip("not running from a repo checkout")
+#: an await-spanning read-modify-write of shared state (one FLOW001)
+FLOW001_SOURCE = """\
+import asyncio
+
+
+class Counter:
+    async def bump(self):
+        v = self.count
+        await asyncio.sleep(0)
+        self.count = v + 1
+"""
+
+
+def seeded_tree(tmp_path):
+    """A tree with one REP002 file, one FLOW001 file and one clean file."""
+    pkg = tmp_path / "repro" / "cache"
+    pkg.mkdir(parents=True)
+    (pkg / "clock.py").write_text("import time\nt = time.time()\n")
+    (pkg / "counter.py").write_text(FLOW001_SOURCE)
+    (pkg / "clean.py").write_text("x = 1\n")
+    return tmp_path
+
+
+class TestOneEngine:
+    """``repro lint`` runs the per-node REP and whole-project FLOW rules
+    in one pass and writes one report."""
+
+    def test_rep_and_flow_findings_share_one_sorted_report(
+        self, tmp_path, capsys
+    ):
+        root = seeded_tree(tmp_path)
+        assert main(["lint", str(root), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["files_checked"] == 3
+        assert {r["id"] for r in report["rules"]} == set(RULES)
+        found = [(Path(f["path"]).name, f["rule"]) for f in report["findings"]]
+        assert found == [("clock.py", "REP002"), ("counter.py", "FLOW001")]
+
+    def test_syntax_error_is_one_rep000(self, tmp_path, capsys):
+        root = seeded_tree(tmp_path)
+        (root / "repro" / "cache" / "broken.py").write_text("def f(:\n")
+        assert main(["lint", str(root), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        broken = [f["rule"] for f in report["findings"]
+                  if f["path"].endswith("broken.py")]
+        assert broken == ["REP000"]
+        assert report["files_checked"] == 4
+
+    def test_select_flow003_runs_only_flow003(self, tmp_path, capsys):
         assert main(
-            ["analyze", str(SRC_DIR), "--format", "json",
-             "--baseline", str(baseline)]
+            ["lint", "--select", "FLOW003", "--format", "json", str(SRC_DIR)]
         ) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["findings"] == []
+        assert [r["id"] for r in report["rules"]] == ["FLOW003"]
+        # the seeded REP002 and FLOW001 are not judged
+        assert main(
+            ["lint", "--select", "FLOW003", str(seeded_tree(tmp_path))]
+        ) == 0
+        capsys.readouterr()
+
+    def test_noqa_does_not_suppress_flow_rules(self, tmp_path, capsys):
+        src = FLOW001_SOURCE.replace(
+            "self.count = v + 1", "self.count = v + 1  # repro: noqa"
+        )
+        bad = tmp_path / "repro" / "cache" / "counter.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(src)
+        assert main(["lint", str(tmp_path)]) == 1
+        assert "FLOW001" in capsys.readouterr().out
+
+    def test_analyze_is_an_unknown_command(self, capsys):
+        assert main(["analyze", str(SRC_DIR)]) == 2
+        assert "unknown command 'analyze'" in capsys.readouterr().err
 
 
 class TestCheckProtocolCommand:

@@ -1,10 +1,10 @@
-"""Tests for the flow analyzer behind ``repro analyze``.
+"""Tests for the whole-project FLOW rules that ``repro lint`` runs.
 
 Each FLOW rule gets seeded-violation fixtures (must fire), negative
 fixtures (must stay silent) and an annotation fixture (``# repro:
-atomic=<reason>`` silences it with a stated invariant).  The JSON report
-reuses the lint schema, the output is pinned byte-deterministic, and the
-baseline ratchet's suppress/grow semantics are covered directly.
+atomic=<reason>`` silences it with a stated invariant).  The rules run
+through the same engine as the REP rules: one parse per file, one sorted
+report in the lint schema, pinned byte-deterministic.
 """
 
 import json
@@ -15,15 +15,7 @@ import pytest
 
 import repro
 from repro.__main__ import main
-from repro.devtools.flow import (
-    FLOW_RULES,
-    FlowEngine,
-    apply_baseline,
-    default_flow_rules,
-    finding_counts,
-    load_baseline,
-    run_analyze,
-)
+from repro.devtools.lint import RULES, LintEngine, default_rules, run_lint
 from repro.devtools.flow.protocol_spec import (
     CLIENT_FILES,
     CODEC_FILE,
@@ -37,12 +29,20 @@ from repro.service.protocol import REQUEST_FIELDS
 #: the real source tree, wherever the package was imported from
 SRC_DIR = Path(repro.__file__).resolve().parent
 
+#: the whole-project rules, in registration order
+FLOW_RULES = {rule_id: cls for rule_id, cls in RULES.items() if cls.project}
+
+
+def flow_engine(select=None):
+    """The lint engine running the FLOW rules (or ``select`` of them)."""
+    return LintEngine(default_rules(select or set(FLOW_RULES)))
+
 
 def analyze_snippet(source, module="repro.cache.fixture", select=None):
     """Analyze a dedented source string as if it were ``module``'s file."""
-    engine = FlowEngine(default_flow_rules(select))
+    engine = flow_engine(select)
     path = "src/" + module.replace(".", "/") + ".py"
-    return engine.analyze_sources({path: textwrap.dedent(source)})
+    return engine.lint_sources({path: textwrap.dedent(source)})
 
 
 def codes(findings):
@@ -373,8 +373,7 @@ def fake_sender_source(verbs):
 
 
 def analyze_tree(sources, select=None):
-    engine = FlowEngine(default_flow_rules(select))
-    return engine.analyze_sources(sources)
+    return flow_engine(select).lint_sources(sources)
 
 
 class TestProtocolConformance:
@@ -446,7 +445,7 @@ class TestProtocolConformance:
         )
 
     def test_real_tree_conforms(self):
-        findings, _ = run_analyze([SRC_DIR], select={"FLOW003"})
+        findings, _ = run_lint([SRC_DIR], select={"FLOW003"})
         assert findings == []
 
 
@@ -534,7 +533,7 @@ class TestFramingConformance:
 class TestEngine:
     def test_syntax_error_is_reported_not_raised(self):
         findings = analyze_snippet("def broken(:\n")
-        assert codes(findings) == ["FLOW000"]
+        assert codes(findings) == ["REP000"]
         assert "syntax error" in findings[0].message
 
     def test_registry_has_the_three_flow_rules(self):
@@ -542,7 +541,7 @@ class TestEngine:
 
     def test_select_unknown_rule_raises(self):
         with pytest.raises(ValueError, match="unknown rule ids"):
-            default_flow_rules({"FLOW999"})
+            default_rules({"FLOW999"})
 
     def test_select_limits_rules(self):
         src = """
@@ -565,7 +564,7 @@ class TestEngine:
 
     def test_json_report_matches_the_lint_schema(self):
         findings = analyze_snippet(TestAsyncAtomicity.RMW)
-        engine = FlowEngine(default_flow_rules())
+        engine = flow_engine()
         report = json.loads(format_json(findings, 1, engine.rules))
         assert report["version"] == 1
         assert {r["id"] for r in report["rules"]} == set(FLOW_RULES)
@@ -590,8 +589,8 @@ class TestEngine:
         b = dict(reversed(list(a.items())))  # same files, reversed order
 
         def render(sources):
-            engine = FlowEngine(default_flow_rules())
-            findings = engine.analyze_sources(sources)
+            engine = flow_engine()
+            findings = engine.lint_sources(sources)
             return format_json(findings, engine.files_checked, engine.rules)
 
         first, second, reordered = render(a), render(a), render(b)
@@ -599,71 +598,12 @@ class TestEngine:
         assert json.loads(first)["findings"]
 
 
-# -- baseline ratchet ---------------------------------------------------------
-
-
-class TestBaseline:
-    def findings(self):
-        return analyze_snippet(TestAsyncAtomicity.RMW)
-
-    def test_finding_counts_shape(self):
-        counts = finding_counts(self.findings())
-        assert counts == {"FLOW001": {"src/repro/cache/fixture.py": 1}}
-
-    def test_recorded_count_suppresses(self):
-        baseline = {"version": 1, "counts": finding_counts(self.findings())}
-        kept, suppressed = apply_baseline(self.findings(), baseline)
-        assert kept == [] and suppressed == 1
-
-    def test_grown_count_keeps_all_findings(self):
-        src = textwrap.dedent(TestAsyncAtomicity.RMW) + textwrap.dedent("""
-        class Gauge:
-            async def tick(self):
-                v = self.level
-                await asyncio.sleep(0)
-                self.level = v + 1
-        """)
-        engine = FlowEngine(default_flow_rules())
-        findings = engine.analyze_sources({"src/repro/cache/fixture.py": src})
-        assert len(findings) == 2
-        baseline = {
-            "version": 1,
-            "counts": {"FLOW001": {"src/repro/cache/fixture.py": 1}},
-        }
-        kept, suppressed = apply_baseline(findings, baseline)
-        # the pair grew 1 -> 2: the report shows full context, not a delta
-        assert len(kept) == 2 and suppressed == 0
-
-    def test_new_pair_is_never_suppressed(self):
-        kept, suppressed = apply_baseline(
-            self.findings(), {"version": 1, "counts": {}}
-        )
-        assert len(kept) == 1 and suppressed == 0
-
-    def test_load_rejects_missing_and_malformed_files(self, tmp_path):
-        with pytest.raises(ValueError, match="not found"):
-            load_baseline(tmp_path / "nope.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_baseline(bad)
-        bad.write_text('{"version": 99, "counts": {}}')
-        with pytest.raises(ValueError, match="baseline must be"):
-            load_baseline(bad)
-
-    def test_committed_baseline_is_empty(self):
-        repo_root = Path(__file__).resolve().parent.parent
-        baseline_path = repo_root / "analyze-baseline.json"
-        if not baseline_path.exists():
-            pytest.skip("not running from a repo checkout")
-        baseline = load_baseline(baseline_path)
-        assert baseline["counts"] == {}
-
-
 # -- the CLI ------------------------------------------------------------------
 
 
 class TestAnalyzeCommand:
+    """The FLOW rules judged through the ``repro lint`` command."""
+
     def seeded_tree(self, tmp_path):
         bad = tmp_path / "repro" / "cache" / "seeded.py"
         bad.parent.mkdir(parents=True)
@@ -671,57 +611,24 @@ class TestAnalyzeCommand:
         return bad
 
     def test_clean_tree_exits_zero(self, capsys):
-        assert main(["analyze", str(SRC_DIR)]) == 0
+        assert main(["lint", str(SRC_DIR)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_seeded_violation_exits_nonzero(self, tmp_path, capsys):
         self.seeded_tree(tmp_path)
-        assert main(["analyze", str(tmp_path)]) == 1
+        assert main(["lint", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "FLOW001" in out and "seeded.py" in out
 
     def test_json_output_parses(self, tmp_path, capsys):
         self.seeded_tree(tmp_path)
-        assert main(["analyze", str(tmp_path), "--format", "json"]) == 1
+        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["version"] == 1
         assert [f["rule"] for f in report["findings"]] == ["FLOW001"]
 
-    def test_baseline_suppresses_and_ratchets(self, tmp_path, capsys):
-        bad = self.seeded_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "counts": {"FLOW001": {str(bad): 1}},
-        }))
-        assert main(
-            ["analyze", str(tmp_path), "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        # a second violation in the same file grows the (rule, file) count
-        bad.write_text(
-            bad.read_text()
-            + "\nclass Gauge:\n"
-              "    async def tick(self):\n"
-              "        v = self.level\n"
-              "        await asyncio.sleep(0)\n"
-              "        self.level = v + 1\n"
-        )
-        assert main(
-            ["analyze", str(tmp_path), "--baseline", str(baseline)]
-        ) == 1
-        assert "FLOW001" in capsys.readouterr().out
-
-    def test_bad_baseline_is_usage_error(self, tmp_path, capsys):
-        self.seeded_tree(tmp_path)
-        missing = tmp_path / "missing.json"
-        assert main(
-            ["analyze", str(tmp_path), "--baseline", str(missing)]
-        ) == 2
-        assert "not found" in capsys.readouterr().err
-
     def test_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id, cls in FLOW_RULES.items():
             assert rule_id in out
@@ -729,5 +636,5 @@ class TestAnalyzeCommand:
             assert first_doc_line.strip() in out
 
     def test_unknown_select_code_is_usage_error(self, tmp_path, capsys):
-        assert main(["analyze", str(tmp_path), "--select", "FLOW999"]) == 2
+        assert main(["lint", str(tmp_path), "--select", "FLOW999"]) == 2
         assert "unknown rule ids" in capsys.readouterr().err

@@ -244,6 +244,9 @@ class TestRunnerFailuresAndAccounting:
         monkeypatch.setenv("REPRO_PARALLEL", "-2")
         with pytest.raises(ValueError, match="REPRO_PARALLEL"):
             Runner.default()
+        monkeypatch.setenv("REPRO_PARALLEL", "abc")
+        with pytest.raises(ValueError, match="REPRO_PARALLEL must be an integer"):
+            Runner.default()
 
 
 class TestResourceAccounting:
