@@ -287,8 +287,9 @@ class ClusterServer(CacheServer):
 
     SET and DEL (singles and batches) override the base handlers with
     coroutines that run the full invalidate-before-ack owner write path,
-    so every write on a cluster node waits for its fan-out, in a task
-    bounded by the request timeout.  The overrides keep the base handlers'
+    so every write on a cluster node waits for its fan-out.  Each runs
+    its first step inline and continues in a task, bounded by the request
+    timeout, only once it suspends.  The overrides keep the base handlers'
     names and so their table entries; the verbs stay in the service
     layer of the protocol spec.  GET, MGET and the peer verbs that never
     await (INVAL, PUTS, RGET, CSTATUS) are plain ``def`` handlers, served

@@ -67,20 +67,12 @@ def default_lint_paths() -> list:
     return ["src"] if Path("src").is_dir() else ["."]
 
 
-def rule_description(cls) -> str:
-    """One-line description of a rule: first docstring line, else attr."""
-    doc = (cls.__doc__ or "").strip()
-    if doc:
-        return doc.splitlines()[0].strip()
-    return cls.description
-
-
 def print_rules(rule_map) -> None:
     """``--list-rules`` output: id, slug, severity, one-line description."""
     for cls in rule_map.values():
         print(
             f"{cls.id:<7}  {cls.name:<25} [{cls.severity}] "
-            f"{rule_description(cls)}"
+            f"{cls.description}"
         )
 
 

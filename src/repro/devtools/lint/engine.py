@@ -66,13 +66,21 @@ class Rule:
     id: str = "REP000"
     #: kebab-case slug, e.g. ``"unseeded-random"``
     name: str = "abstract-rule"
-    #: one-line description shown by ``repro lint --list-rules``
+    #: one-line description, shown by ``repro lint --list-rules`` and in
+    #: ``--format json``: the first line of the rule's docstring, unless
+    #: the class sets it
     description: str = ""
     severity: str = "error"
     #: dotted module prefixes this rule applies to; ``None`` = everywhere
     scope: tuple = None
     #: judged over the whole parsed tree at once instead of node by node
     project: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        doc = (cls.__dict__.get("__doc__") or "").strip()
+        if doc and "description" not in cls.__dict__:
+            cls.description = doc.splitlines()[0].strip()
 
     def applies_to(self, module: str) -> bool:
         """True when the rule is active for dotted module name ``module``."""

@@ -61,10 +61,6 @@ class UnseededRandomRule(Rule):
 
     id = "REP001"
     name = "unseeded-random"
-    description = (
-        "unseeded or module-global RNG in simulator/service code "
-        "(breaks replay determinism)"
-    )
     scope = SIMULATOR_SCOPE + SERVICE_SCOPE + ("repro.obs",)
 
     _GLOBAL_FNS = frozenset(
@@ -124,9 +120,6 @@ class WallClockRule(Rule):
 
     id = "REP002"
     name = "wall-clock"
-    description = (
-        "wall-clock access (time.time / datetime.now) in simulator code"
-    )
     scope = SIMULATOR_SCOPE
 
     def check_Attribute(self, node: ast.Attribute, ctx) -> None:
@@ -154,7 +147,6 @@ class BlockingInAsyncRule(Rule):
 
     id = "REP003"
     name = "blocking-in-async"
-    description = "blocking call (time.sleep, sync I/O) inside async def"
 
     _BLOCKING = frozenset(
         {
@@ -198,7 +190,6 @@ class UnawaitedCoroutineRule(Rule):
 
     id = "REP004"
     name = "unawaited-coroutine"
-    description = "coroutine called without await (result discarded)"
 
     _ASYNCIO_COROS = frozenset(
         {
@@ -233,7 +224,6 @@ class MutableDefaultRule(Rule):
 
     id = "REP005"
     name = "mutable-default"
-    description = "mutable default argument (list/dict/set literal or call)"
 
     def _is_mutable(self, default) -> bool:
         if isinstance(default, (ast.List, ast.Dict, ast.Set)):
@@ -269,7 +259,6 @@ class FloatEqualityRule(Rule):
 
     id = "REP006"
     name = "float-eq"
-    description = "float literal compared with == / != in metrics/stats code"
     scope = ("repro.metrics", "repro.service.stats")
 
     def check_Compare(self, node: ast.Compare, ctx) -> None:
@@ -295,7 +284,6 @@ class BareExceptRule(Rule):
 
     id = "REP007"
     name = "bare-except"
-    description = "bare except clause"
 
     def check_ExceptHandler(self, node: ast.ExceptHandler, ctx) -> None:
         if node.type is None:
@@ -377,7 +365,6 @@ class LayerImportRule(Rule):
 
     id = "REP008"
     name = "layer-import"
-    description = "import that violates the package layering order"
     scope = ("repro",)
 
     def _check_target(self, node, ctx, target: str) -> None:
@@ -439,10 +426,6 @@ class CounterBypassRule(Rule):
 
     id = "REP009"
     name = "counter-bypass"
-    description = (
-        "direct counter mutation on a nested attribute bypasses the "
-        "obs registry / stats recorder"
-    )
     scope = (
         "repro.cache",
         "repro.core",
@@ -484,10 +467,6 @@ class DecentralisedParallelismRule(Rule):
 
     id = "REP010"
     name = "decentralised-parallelism"
-    description = (
-        "threads or processes (threading / multiprocessing / "
-        "concurrent.futures) outside repro.runner"
-    )
     scope = ("repro",)
 
     _BANNED = ("multiprocessing", "concurrent", "threading")
@@ -546,10 +525,6 @@ class UnaccountedHostTimingRule(Rule):
 
     id = "REP011"
     name = "unaccounted-host-timing"
-    description = (
-        "direct time.perf_counter / time.process_time outside "
-        "repro.obs / repro.runner (use repro.obs.prof.clock / cpu_clock)"
-    )
     scope = ("repro",)
 
     _BANNED = frozenset(
@@ -618,10 +593,6 @@ class RawTransportRule(Rule):
 
     id = "REP012"
     name = "raw-transport"
-    description = (
-        "socket / asyncio server or connection primitives outside "
-        "repro.service and repro.cluster"
-    )
     scope = ("repro",)
 
     _BANNED_CALLS = frozenset(
@@ -693,10 +664,6 @@ class UnscopedSpanRule(Rule):
 
     id = "REP013"
     name = "unscoped-span"
-    description = (
-        "tracer span used without 'with' (or via manual "
-        "start/stop) outside repro.obs"
-    )
     scope = ("repro",)
 
     #: attribute calls that produce a context-managed timing scope
@@ -758,10 +725,6 @@ class AsyncAtomicityRule(Rule):
 
     id = "FLOW001"
     name = "async-atomicity"
-    description = (
-        "shared-state read-modify-write spans an await with no lock "
-        "held across the gap"
-    )
     project = True
 
 
@@ -778,10 +741,6 @@ class LockDisciplineRule(Rule):
 
     id = "FLOW002"
     name = "lock-discipline"
-    description = (
-        "lock not released on all paths, awaited self-deadlock, or a "
-        "write bypassing the lock a FLOW001 region relies on"
-    )
     project = True
 
 
@@ -799,8 +758,4 @@ class ProtocolConformanceRule(Rule):
 
     id = "FLOW003"
     name = "protocol-conformance"
-    description = (
-        "server-handled / codec-tabled / client-sent wire verbs drifted "
-        "from protocol_spec.py"
-    )
     project = True

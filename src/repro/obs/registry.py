@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 
 #: metric family types understood by the exporters
 METRIC_TYPES = ("counter", "gauge", "histogram")
@@ -142,16 +143,18 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value) -> None:
-        """Record one observation."""
+        """Record one observation.
+
+        Its bucket is the first whose bound is ``>= value``
+        (``bisect_left``); a NaN, which no bound is ``>=``, counts in
+        ``+Inf``.
+        """
         self.count += 1
         self.sum += value
-        # linear scan: bounds are few (~20) and observations cluster low,
-        # so this beats bisect's call overhead for latency-shaped data
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        if value == value:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        else:
+            self.bucket_counts[-1] += 1
 
     def quantile(self, q: float) -> float:
         """Bucket-interpolated quantile estimate (``q`` in [0, 1])."""

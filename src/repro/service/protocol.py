@@ -29,8 +29,14 @@ a typed batch payload (VALUES/STATUSES).  Both ends exchange a
 :class:`Reply`.
 
 Both ends receive into one reused :class:`FrameBuffer` per connection
-and parse it one complete frame at a time; :func:`read_frame` reads one
-frame from a ``StreamReader`` for raw test peers.
+and serve each frame in one pass: :meth:`FrameBuffer.next_header`
+checks the header and leaves the payload in the buffer, and the server
+decodes a request's trace token and fields from there
+(:func:`decode_request_fields`).  A single-key frame is written as one
+``HEADER.pack`` joined to its payload; a batch frame is built in the
+:class:`FrameEncoder`'s reused buffer.  :func:`read_frame` and
+:meth:`FrameBuffer.next_frame` return a :class:`Frame` with its payload
+copied out, for raw test peers and tools.
 
 Errors split by trust in the stream: :class:`FrameError` means the frame
 boundary itself is gone (bad magic or version, truncation, oversize) and
@@ -58,6 +64,7 @@ HEADER = struct.Struct(">BBBBII")
 HEADER_SIZE = HEADER.size
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 #: a VALUES reply item: u8 present flag, then the value's u32 length
 _PRESENT_LEN = struct.Struct(">BI")
 
@@ -195,12 +202,14 @@ class Frame:
 
 
 class FrameEncoder:
-    """Builds outgoing frames into one reused ``bytearray``.
+    """Builds outgoing frames.
 
-    The buffer is cleared (not reallocated) per frame, so steady-state
-    encoding does zero per-request allocations beyond the final
-    ``bytes()`` snapshot handed to the transport.  Not task-safe: each
-    connection/writer owns its encoder.
+    A frame whose payload is one blob or a few scalar fields is built as
+    one ``HEADER.pack`` joined to its payload (:meth:`simple`,
+    :func:`encode_request`).  A batch frame is built in one reused
+    ``bytearray``, cleared (not reallocated) per frame, and copied once
+    by :meth:`finish`.  Not task-safe: each connection/writer owns its
+    encoder.
     """
 
     __slots__ = ("_buf",)
@@ -210,26 +219,11 @@ class FrameEncoder:
         del self._buf[:]
 
     def begin(self, verb_id: int, seq: int) -> bytearray:
-        """Start a frame; returns the buffer to append payload bytes to."""
+        """Start a batch frame; returns the buffer to append payload bytes to."""
         buf = self._buf
         del buf[:]
         buf += HEADER.pack(MAGIC, VERSION, verb_id, 0, seq, 0)
         return buf
-
-    def put_str(self, text: str) -> None:
-        raw = text.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise FieldError(f"string field too long ({len(raw)} bytes)")
-        buf = self._buf
-        buf += struct.pack(">H", len(raw))
-        buf += raw
-
-    def put_bytes(self, value: bytes) -> None:
-        if len(value) > MAX_VALUE_BYTES:
-            raise FieldError(f"value too large ({len(value)} bytes)")
-        buf = self._buf
-        buf += struct.pack(">I", len(value))
-        buf += value
 
     def put_keys(self, keys) -> None:
         """A ``keys`` field, in one loop: u32 count, then the strings."""
@@ -263,42 +257,50 @@ class FrameEncoder:
             buf += pack_value(len(value))
             buf += value
 
-    def put_u64(self, value: int) -> None:
-        self._buf += struct.pack(">Q", value)
-
-    def put_blob(self, raw: bytes) -> None:
-        self._buf += raw
-
     def set_trace(self, token: str) -> None:
         """Mark FLAG_TRACE and prepend the u16-prefixed trace token.
 
         Must be called right after :meth:`begin`, before payload fields.
         """
-        raw = token.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise FieldError("trace token too long")
+        raw = _trace_bytes(token)
         buf = self._buf
         buf[3] |= FLAG_TRACE
-        buf += struct.pack(">H", len(raw))
+        buf += _U16.pack(len(raw))
         buf += raw
 
     def finish(self) -> bytes:
-        """Patch the payload length in and snapshot the frame."""
+        """Patch the payload length in and snapshot the batch frame."""
         buf = self._buf
         payload_len = len(buf) - HEADER_SIZE
         if payload_len > MAX_FRAME_PAYLOAD:
             raise FieldError(f"frame payload too large ({payload_len} bytes)")
-        struct.pack_into(">I", buf, 8, payload_len)
+        _U32.pack_into(buf, 8, payload_len)
         return bytes(buf)
 
     def simple(self, verb_id: int, seq: int, payload: bytes = b"",
                trace: "str | None" = None) -> bytes:
-        """One-call encode for frames whose payload is a ready blob."""
-        self.begin(verb_id, seq)
-        if trace is not None:
-            self.set_trace(trace)
-        self.put_blob(payload)
-        return self.finish()
+        """A frame whose payload is a ready blob: one ``HEADER.pack`` plus it."""
+        length = len(payload)
+        if trace is None:
+            if length > MAX_FRAME_PAYLOAD:
+                raise FieldError(f"frame payload too large ({length} bytes)")
+            return HEADER.pack(MAGIC, VERSION, verb_id, 0, seq, length) + payload
+        raw = _trace_bytes(trace)
+        length += 2 + len(raw)
+        if length > MAX_FRAME_PAYLOAD:
+            raise FieldError(f"frame payload too large ({length} bytes)")
+        return b"".join((
+            HEADER.pack(MAGIC, VERSION, verb_id, FLAG_TRACE, seq, length),
+            _U16.pack(len(raw)), raw, payload,
+        ))
+
+
+def _trace_bytes(token: str) -> bytes:
+    """A trace token's UTF-8 bytes, checked against its u16 length prefix."""
+    raw = token.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise FieldError("trace token too long")
+    return raw
 
 
 def check_header(buf, pos: int = 0,
@@ -330,10 +332,11 @@ class FrameBuffer:
     Both ends' ``asyncio.BufferedProtocol`` receive straight into it:
     :meth:`get_buffer` hands out the free tail of one reused
     ``bytearray`` and :meth:`buffer_updated` records how many bytes the
-    socket wrote there, so a read allocates nothing.  :meth:`next_frame`
-    takes complete frames from between the read and the write cursor,
-    copying each payload once, into its :class:`Frame`.  Each header is
-    checked (:func:`check_header`) as soon as its 12 bytes are in, so an
+    socket wrote there, so a read allocates nothing.  :meth:`next_header`
+    takes complete frames from between the read and the write cursor and
+    leaves each payload in place, for its owner to decode from ``buf``
+    (:func:`decode_request_fields`) or copy out.  Each header is checked
+    (:func:`check_header`) as soon as its 12 bytes are in, so an
     unframeable stream fails before its payload is buffered.
 
     The buffer is compacted, grown and shrunk only in :meth:`get_buffer`
@@ -345,11 +348,11 @@ class FrameBuffer:
     is allocated.  Once drained, it returns to its initial size.
     """
 
-    __slots__ = ("_buf", "_view", "_start", "_end", "_max_payload")
+    __slots__ = ("buf", "view", "_start", "_end", "_max_payload")
 
     def __init__(self, max_payload: int = MAX_FRAME_PAYLOAD):
-        self._buf = bytearray(RECV_BUFFER_BYTES)
-        self._view = memoryview(self._buf)
+        self.buf = bytearray(RECV_BUFFER_BYTES)
+        self.view = memoryview(self.buf)
         #: the read cursor (the next frame's first byte) and the write one
         self._start = self._end = 0
         self._max_payload = max_payload
@@ -363,18 +366,18 @@ class FrameBuffer:
         """
         start, end = self._start, self._end
         if start == end:
-            if len(self._buf) > RECV_BUFFER_BYTES:
+            if len(self.buf) > RECV_BUFFER_BYTES:
                 self._resize(RECV_BUFFER_BYTES)
             self._start = self._end = 0
         elif start:
             # move the partial frame to the front
-            view = self._view
+            view = self.view
             view[:end - start] = view[start:end]
             self._start, self._end = 0, end - start
-        if self._end == len(self._buf):
-            length = check_header(self._buf, 0, self._max_payload)[3]
-            self._resize(max(HEADER_SIZE + length, 2 * len(self._buf)))
-        return self._view[self._end:]
+        if self._end == len(self.buf):
+            length = check_header(self.buf, 0, self._max_payload)[3]
+            self._resize(max(HEADER_SIZE + length, 2 * len(self.buf)))
+        return self.view[self._end:]
 
     def buffer_updated(self, nbytes: int) -> None:
         """``nbytes`` were written at the start of the last free tail."""
@@ -384,8 +387,8 @@ class FrameBuffer:
         """Move the pending bytes into a new buffer of ``size`` bytes."""
         start, end = self._start, self._end
         buf = bytearray(size)
-        buf[:end - start] = self._view[start:end]
-        self._buf, self._view = buf, memoryview(buf)
+        buf[:end - start] = self.view[start:end]
+        self.buf, self.view = buf, memoryview(buf)
         self._start, self._end = 0, end - start
 
     def feed(self, chunk) -> None:
@@ -398,22 +401,40 @@ class FrameBuffer:
             self.buffer_updated(n)
             chunk = chunk[n:]
 
-    def next_frame(self):
-        """The next complete :class:`Frame`, or ``None`` until one is in.
+    def next_header(self):
+        """The next complete frame, or ``None`` until one is in.
 
-        Raises :class:`FrameError` on a bad header.
+        Returns ``(verb_id, flags, seq, start, stop)``: the frame's
+        payload is ``buf[start:stop]`` (or ``view[start:stop]``) until
+        the next :meth:`get_buffer`, so it is decoded in place, with no
+        copy of the frame.  Raises :class:`FrameError` on a bad header.
         """
-        start = self._start
+        start, buf = self._start, self.buf
         if self._end - start < HEADER_SIZE:
             return None
-        verb_id, flags, seq, length = check_header(self._buf, start,
-                                                   self._max_payload)
-        stop = start + HEADER_SIZE + length
+        magic, version, verb_id, flags, seq, length = HEADER.unpack_from(
+            buf, start)
+        if (magic != MAGIC or version != VERSION
+                or length > self._max_payload):
+            check_header(buf, start, self._max_payload)  # raises
+        start += HEADER_SIZE
+        stop = start + length
         if stop > self._end:
             return None
         self._start = stop
-        return Frame(verb_id, flags, seq,
-                     bytes(self._view[start + HEADER_SIZE:stop]))
+        return verb_id, flags, seq, start, stop
+
+    def next_frame(self):
+        """The next complete :class:`Frame`, with its payload copied out.
+
+        ``None`` until one is in; for raw test peers and tools.  Raises
+        :class:`FrameError` on a bad header.
+        """
+        head = self.next_header()
+        if head is None:
+            return None
+        verb_id, flags, seq, start, stop = head
+        return Frame(verb_id, flags, seq, bytes(self.view[start:stop]))
 
     @property
     def pending(self) -> int:
@@ -448,207 +469,240 @@ async def read_frame(reader, max_payload: int = MAX_FRAME_PAYLOAD):
     return Frame(verb_id, flags, seq, payload)
 
 
-class PayloadReader:
-    """Sequential typed-field decoder over one frame's payload.
+# -- decoding a payload in place ---------------------------------------------
+#
+# Every reader takes ``(buf, pos, end)`` over any bytes-like ``buf`` (a
+# frame buffer's ``bytearray`` on both ends, ``bytes`` for raw peers) and
+# returns ``(field, pos past it)``.  Each checks ``end`` before it reads,
+# so a truncated payload raises FieldError, never IndexError or
+# struct.error, and a value's length is checked against MAX_VALUE_BYTES
+# before it is copied.
 
-    A scalar field is sliced from a ``memoryview`` without copying; only
-    terminal ``bytes()``/``str`` conversions allocate.  A batch field
-    decodes in one loop (:meth:`batch_keys`, :meth:`batch_items`,
-    :meth:`batch_values`, :meth:`batch_flags`) over the payload
-    ``bytes``, not one call per item.  Every read checks the payload
-    bound first and raises :class:`FieldError` past it, and a value's
-    length is checked against :data:`MAX_VALUE_BYTES` before it is
-    copied.
-    """
 
-    __slots__ = ("_buf", "_view", "_pos")
+def _truncated() -> FieldError:
+    return FieldError("payload truncated")
 
-    def __init__(self, payload: bytes):
-        self._buf = payload
-        self._view = memoryview(payload)
-        self._pos = 0
 
-    def _take(self, n: int) -> memoryview:
-        view, pos = self._view, self._pos
-        if pos + n > len(view):
-            raise FieldError("payload truncated")
-        self._pos = pos + n
-        return view[pos:pos + n]
+def _read_str(buf, pos: int, end: int, what: str = "string field") -> tuple:
+    """A u16-prefixed UTF-8 string."""
+    stop = pos + 2
+    if stop > end:
+        raise _truncated()
+    stop += (buf[pos] << 8) | buf[pos + 1]
+    if stop > end:
+        raise _truncated()
+    try:
+        return str(buf[pos + 2:stop], "utf-8"), stop
+    except UnicodeDecodeError:
+        raise FieldError(f"{what} not utf-8") from None
 
-    def u8(self) -> int:
-        return self._take(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
+def _read_value(buf, pos: int, end: int) -> tuple:
+    """A u32-prefixed value, as ``bytes``."""
+    start = pos + 4
+    if start > end:
+        raise _truncated()
+    length = _U32.unpack_from(buf, pos)[0]
+    if length > MAX_VALUE_BYTES:
+        raise FieldError(f"value too large ({length} bytes)")
+    stop = start + length
+    if stop > end:
+        raise _truncated()
+    return bytes(buf[start:stop]), stop
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
+def _read_u64(buf, pos: int, end: int) -> tuple:
+    stop = pos + 8
+    if stop > end:
+        raise _truncated()
+    return _U64.unpack_from(buf, pos)[0], stop
 
-    def string(self) -> str:
-        raw = self._take(self.u16())
-        try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError:
-            raise FieldError("string field not utf-8") from None
 
-    def value(self) -> bytes:
-        length = self.u32()
-        if length > MAX_VALUE_BYTES:
-            raise FieldError(f"value too large ({length} bytes)")
-        return bytes(self._take(length))
+def _read_count(buf, pos: int, end: int) -> tuple:
+    """A batch's u32 item count, checked against MAX_BATCH_ITEMS."""
+    stop = pos + 4
+    if stop > end:
+        raise _truncated()
+    count = _U32.unpack_from(buf, pos)[0]
+    if count > MAX_BATCH_ITEMS:
+        raise FieldError(f"batch too large ({count} items)")
+    return count, stop
 
-    def _count(self) -> int:
-        count = self.u32()
-        if count > MAX_BATCH_ITEMS:
-            raise FieldError(f"batch too large ({count} items)")
-        return count
 
-    def batch_keys(self) -> list:
-        """A ``keys`` field: u32 count, then that many strings."""
-        count = self._count()
-        buf, pos, end = self._buf, self._pos, len(self._buf)
-        unpack = _U16.unpack_from
-        keys = []
-        append = keys.append
-        try:
-            for _ in range(count):
-                if pos + 2 > end:
-                    raise FieldError("payload truncated")
-                stop = pos + 2 + unpack(buf, pos)[0]
-                if stop > end:
-                    raise FieldError("payload truncated")
-                append(str(buf[pos + 2:stop], "utf-8"))
-                pos = stop
-        except UnicodeDecodeError:
-            raise FieldError("string field not utf-8") from None
-        self._pos = pos
-        return keys
-
-    def batch_items(self) -> list:
-        """An ``items`` field: u32 count, then (string, value) pairs."""
-        count = self._count()
-        buf, pos, end = self._buf, self._pos, len(self._buf)
-        unpack_key, unpack_value = _U16.unpack_from, _U32.unpack_from
-        items = []
-        append = items.append
-        try:
-            for _ in range(count):
-                if pos + 2 > end:
-                    raise FieldError("payload truncated")
-                key_stop = pos + 2 + unpack_key(buf, pos)[0]
-                if key_stop + 4 > end:
-                    raise FieldError("payload truncated")
-                length = unpack_value(buf, key_stop)[0]
-                if length > MAX_VALUE_BYTES:
-                    raise FieldError(f"value too large ({length} bytes)")
-                stop = key_stop + 4 + length
-                if stop > end:
-                    raise FieldError("payload truncated")
-                append((str(buf[pos + 2:key_stop], "utf-8"),
-                        buf[key_stop + 4:stop]))
-                pos = stop
-        except UnicodeDecodeError:
-            raise FieldError("string field not utf-8") from None
-        self._pos = pos
-        return items
-
-    def batch_values(self) -> list:
-        """A ``VALUES`` reply: u32 count, then one optional value each.
-
-        An item is a u8 present flag, followed by a value when it is set.
-        """
-        count = self._count()
-        buf, pos, end = self._buf, self._pos, len(self._buf)
-        unpack = _U32.unpack_from
-        values = []
-        append = values.append
+def _read_keys(buf, pos: int, end: int) -> tuple:
+    """A ``keys`` field, in one loop: u32 count, then that many strings."""
+    count, pos = _read_count(buf, pos, end)
+    keys = []
+    append = keys.append
+    try:
         for _ in range(count):
-            if pos >= end:
-                raise FieldError("payload truncated")
-            if not buf[pos]:
-                append(None)
-                pos += 1
-                continue
-            if pos + 5 > end:
-                raise FieldError("payload truncated")
-            length = unpack(buf, pos + 1)[0]
+            stop = pos + 2
+            if stop > end:
+                raise _truncated()
+            stop += (buf[pos] << 8) | buf[pos + 1]
+            if stop > end:
+                raise _truncated()
+            append(str(buf[pos + 2:stop], "utf-8"))
+            pos = stop
+    except UnicodeDecodeError:
+        raise FieldError("string field not utf-8") from None
+    return keys, pos
+
+
+def _read_items(buf, pos: int, end: int) -> tuple:
+    """An ``items`` field, in one loop: u32 count, then (string, value) pairs."""
+    count, pos = _read_count(buf, pos, end)
+    unpack_value = _U32.unpack_from
+    items = []
+    append = items.append
+    try:
+        for _ in range(count):
+            key_stop = pos + 2
+            if key_stop > end:
+                raise _truncated()
+            key_stop += (buf[pos] << 8) | buf[pos + 1]
+            if key_stop + 4 > end:
+                raise _truncated()
+            length = unpack_value(buf, key_stop)[0]
             if length > MAX_VALUE_BYTES:
                 raise FieldError(f"value too large ({length} bytes)")
-            stop = pos + 5 + length
+            stop = key_stop + 4 + length
             if stop > end:
-                raise FieldError("payload truncated")
-            append(buf[pos + 5:stop])
+                raise _truncated()
+            append((str(buf[pos + 2:key_stop], "utf-8"),
+                    bytes(buf[key_stop + 4:stop])))
             pos = stop
-        self._pos = pos
-        return values
-
-    def batch_flags(self) -> list:
-        """A ``STATUSES`` reply: u32 count, then one u8 flag per item."""
-        count = self._count()
-        return [flag != 0 for flag in self._take(count)]
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._view)
+    except UnicodeDecodeError:
+        raise FieldError("string field not utf-8") from None
+    return items, pos
 
 
-def decode_trace(frame: Frame):
-    """Split a frame's trace token (if flagged) from its payload reader.
+#: verb -> the readers of its fields, in REQUEST_FIELDS order
+_FIELD_READERS = {
+    verb: tuple({"key": _read_str, "peer": _read_str, "value": _read_value,
+                 "version": _read_u64, "keys": _read_keys,
+                 "items": _read_items}[kind] for kind in kinds)
+    for verb, kinds in REQUEST_FIELDS.items()
+}
 
-    Returns ``(token_or_None, PayloadReader)`` positioned past the token.
+
+def decode_trace(buf, pos: int = 0, end: "int | None" = None) -> tuple:
+    """The u16-prefixed trace token at ``buf[pos]``: ``(token, pos past it)``.
+
+    A payload carries one first when its frame has FLAG_TRACE set.
     """
-    rd = PayloadReader(frame.payload)
+    return _read_str(buf, pos, len(buf) if end is None else end,
+                     "trace token")
+
+
+def decode_request_fields(verb: str, flags: int, buf, pos: int = 0,
+                          end: "int | None" = None) -> tuple:
+    """Decode one request payload, ``buf[pos:end]``, in place.
+
+    Returns ``(token, fields)``: the trace token when ``flags`` has
+    FLAG_TRACE (else ``None``) and ``REQUEST_FIELDS[verb]`` as a list.
+    The server passes its frame buffer and the payload's bounds
+    (:meth:`FrameBuffer.next_header`), so no frame or reader object is
+    built per request.  Bytes past the last field are ignored.
+    """
+    if end is None:
+        end = len(buf)
     token = None
-    if frame.flags & FLAG_TRACE:
-        raw = rd._take(rd.u16())
-        try:
-            token = str(raw, "utf-8")
-        except UnicodeDecodeError:
-            raise FieldError("trace token not utf-8") from None
-    return token, rd
-
-
-def decode_request_fields(verb: str, rd: PayloadReader) -> list:
-    """Decode ``REQUEST_FIELDS[verb]`` from ``rd`` into a python list."""
+    if flags & FLAG_TRACE:
+        token, pos = decode_trace(buf, pos, end)
     fields = []
-    for kind in REQUEST_FIELDS[verb]:
-        if kind in ("key", "peer"):
-            fields.append(rd.string())
-        elif kind == "value":
-            fields.append(rd.value())
-        elif kind == "version":
-            fields.append(rd.u64())
-        elif kind == "keys":
-            fields.append(rd.batch_keys())
-        else:  # items
-            fields.append(rd.batch_items())
-    return fields
+    for read in _FIELD_READERS[verb]:
+        field, pos = read(buf, pos, end)
+        fields.append(field)
+    return token, fields
+
+
+def decode_values(payload) -> list:
+    """A ``VALUES`` reply: u32 count, then one optional value each.
+
+    An item is a u8 present flag, followed by a value when it is set.
+    """
+    end = len(payload)
+    count, pos = _read_count(payload, 0, end)
+    unpack = _U32.unpack_from
+    values = []
+    append = values.append
+    for _ in range(count):
+        if pos >= end:
+            raise _truncated()
+        if not payload[pos]:
+            append(None)
+            pos += 1
+            continue
+        if pos + 5 > end:
+            raise _truncated()
+        length = unpack(payload, pos + 1)[0]
+        if length > MAX_VALUE_BYTES:
+            raise FieldError(f"value too large ({length} bytes)")
+        stop = pos + 5 + length
+        if stop > end:
+            raise _truncated()
+        append(bytes(payload[pos + 5:stop]))
+        pos = stop
+    return values
+
+
+def decode_flags(payload) -> list:
+    """A ``STATUSES`` reply: u32 count, then one u8 flag per item."""
+    count, pos = _read_count(payload, 0, len(payload))
+    if pos + count > len(payload):
+        raise _truncated()
+    return [flag != 0 for flag in payload[pos:pos + count]]
+
+
+# -- encoding ---------------------------------------------------------------
+
+#: the request shapes built in the encoder's buffer, one loop per batch
+_BATCH_FIELDS = (("keys",), ("items",))
 
 
 def encode_request(enc: FrameEncoder, verb: str, fields, seq: int,
                    trace: "str | None" = None) -> bytes:
-    """Encode one request frame for ``verb`` with positional ``fields``."""
-    enc.begin(VERB_IDS[verb], seq)
-    if trace is not None:
-        enc.set_trace(trace)
+    """Encode one request frame for ``verb`` with positional ``fields``.
+
+    A batch request is built in ``enc``'s buffer; any other is one
+    ``HEADER.pack`` joined to its fields, with no buffer in between.
+    """
     kinds = REQUEST_FIELDS[verb]
     if len(fields) != len(kinds):
         raise FieldError(f"{verb} takes {len(kinds)} fields, got {len(fields)}")
+    if kinds in _BATCH_FIELDS:
+        enc.begin(VERB_IDS[verb], seq)
+        if trace is not None:
+            enc.set_trace(trace)
+        if kinds[0] == "keys":
+            enc.put_keys(fields[0])
+        else:
+            enc.put_items(fields[0])
+        return enc.finish()
+    parts = [b""]  # the header, once the length is known
+    flags = length = 0
+    if trace is not None:
+        raw = _trace_bytes(trace)
+        parts += (_U16.pack(len(raw)), raw)
+        flags, length = FLAG_TRACE, 2 + len(raw)
     for kind, field in zip(kinds, fields):
-        if kind in ("key", "peer"):
-            enc.put_str(field)
-        elif kind == "value":
-            enc.put_bytes(field)
+        if kind == "value":
+            if len(field) > MAX_VALUE_BYTES:
+                raise FieldError(f"value too large ({len(field)} bytes)")
+            parts += (_U32.pack(len(field)), field)
+            length += 4 + len(field)
         elif kind == "version":
-            enc.put_u64(field)
-        elif kind == "keys":
-            enc.put_keys(field)
-        else:  # items
-            enc.put_items(field)
-    return enc.finish()
+            parts.append(_U64.pack(field))
+            length += 8
+        else:  # key, peer
+            raw = field.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise FieldError(f"string field too long ({len(raw)} bytes)")
+            parts += (_U16.pack(len(raw)), raw)
+            length += 2 + len(raw)
+    parts[0] = HEADER.pack(MAGIC, VERSION, VERB_IDS[verb], flags, seq, length)
+    return b"".join(parts)
 
 
 def encode_reply(enc: FrameEncoder, reply: Reply, seq: int) -> bytes:
@@ -671,4 +725,3 @@ def encode_reply(enc: FrameEncoder, reply: Reply, seq: int) -> bytes:
     else:  # STATUSES
         buf += bytes([1 if flag else 0 for flag in values])
     return enc.finish()
-

@@ -9,14 +9,20 @@ extends it with its peer verbs and overrides its write verbs.
 Each connection is one ``asyncio.BufferedProtocol``: the socket is read
 straight into the connection's one reused buffer
 (:class:`~repro.service.protocol.FrameBuffer`), and every complete frame
-is parsed from it as bytes arrive.  A verb whose handler is a plain
-``def`` (every service verb) is served inline, in arrival order, with
-one ``transport.write`` per reply: no task, future or timer per
-request.  A coroutine handler (the cluster's writes, which wait for
-their invalidation fan-out) runs in a task, and the connection parses
-no further frame until that task has answered, so replies keep request
-order on every connection.  The connection's one ``call_at`` timer
-bounds that task too, with no timer of its own.
+is served from it in one pass as bytes arrive: the header is checked,
+the trace token and fields are decoded straight from the buffer
+(:func:`~repro.service.protocol.decode_request_fields`), the handler
+runs, and its reply is written as one frame with one
+``transport.write``: no frame object, task, future or timer per
+request.  A verb whose handler is a plain ``def`` (every service verb)
+is served inline, in arrival order.  A coroutine handler (the cluster's
+verbs that may wait on a peer) runs its first step inline too, in a
+``contextvars`` context of its own; one that finishes without
+suspending is answered like a plain ``def`` verb.  Only one that
+suspends continues in a task, and the connection parses no further
+frame until that task has answered, so replies keep request order on
+every connection.  The connection's one ``call_at`` timer bounds that
+task too, with no timer of its own.
 
 Connections speak the binary v2 frame protocol of
 :mod:`repro.service.protocol`: pipelined requests, batch verbs and a
@@ -62,8 +68,8 @@ Operational guards:
   stays full that long.  Payloads are not timed, nor is an idle
   connection between frames;
 * graceful shutdown — :meth:`CacheServer.stop` stops accepting, waits for
-  in-flight requests to drain (bounded by ``drain_timeout``), then closes
-  idle connections.
+  in-flight requests to drain, then closes every connection; the whole
+  stop is bounded by ``drain_timeout``.
 
 Request latency is recorded into the owning shard's stats, so STATS reports
 per-shard p50/p99 and accumulated busy seconds alongside hit and admission
@@ -82,10 +88,12 @@ shard's process lane, with the connection id as the thread lane.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import inspect
 import itertools
 import json
 import os
+from collections.abc import Coroutine
 
 from ..obs import Observability
 from ..obs.dist import (
@@ -102,9 +110,13 @@ from ..obs.logging import get_logger
 from ..obs.prof import clock, process_resources
 from ..obs.tracing import CAT_REQUEST
 # bench/serve_traced.py times the server by wrapping decode_request_fields,
-# decode_trace and read_frame by name on this module: all three stay
-# importable here, though the server parses frames with FrameBuffer
-from .protocol import (  # noqa: F401  (read_frame: see above)
+# decode_trace and read_frame by name on this module (and
+# FrameEncoder.simple and finish on their class), so all of them stay
+# importable here.  The server calls decode_request_fields through this
+# module's name, once per request; decode_trace and read_frame it does not
+# call: FrameBuffer.next_header frames every request, and
+# decode_request_fields decodes its trace token too
+from .protocol import (  # noqa: F401  (decode_trace, read_frame: see above)
     HEADER_SIZE,
     RECV_BUFFER_BYTES,
     STATUS_IDS,
@@ -144,6 +156,9 @@ _HEADER, _STALL, _TASK = "header", "stall", "task"
 #: Task.uncancel/cancelling arrived in 3.11
 _COUNTS_CANCELS = hasattr(asyncio.Task, "uncancel")
 
+#: a _LaterSteps whose first step's yield the task has taken
+_SENT = object()
+
 
 class ProtocolError(Exception):
     """Client spoke a malformed request; reported as ``ERR <reason>``."""
@@ -152,8 +167,9 @@ class ProtocolError(Exception):
 def wire_verb(name: str):
     """Register the decorated method as the handler of ``name``.
 
-    A plain ``def`` handler is served inline as its frame is parsed; a
-    coroutine handler runs in a task bounded by ``request_timeout``.
+    A plain ``def`` handler is served inline as its frame is parsed.  A
+    coroutine handler runs its first step inline too, and continues in
+    a task bounded by ``request_timeout`` only if it suspends.
     FLOW003 reads these decorators as the layer's verb table.
     """
     def register(method):
@@ -277,28 +293,35 @@ class CacheServer:
             pass
 
     async def stop(self, drain_timeout: float = 5.0) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight, close idle.
+        """Graceful shutdown: stop accepting, drain in-flight, close all.
 
-        Requests already being processed are given ``drain_timeout``
-        seconds to complete and be answered; connections sitting idle
-        between requests are then closed.
+        Requests already being processed are given until ``drain_timeout``
+        seconds after the call to complete and be answered; then every
+        connection is closed, and one still open at that deadline (its
+        peer is not reading what was queued) is aborted.  The listener's
+        ``wait_closed`` comes last: since Python 3.12 it waits for every
+        connection, so awaited first it would wait on idle connections
+        that nothing closes.
         """
         self._stopping = True
         log.info("stopping: draining %d in-flight request(s)", self._inflight)
+        loop = asyncio.get_running_loop()
+        drain_until = loop.time() + drain_timeout
         if self._lag_task is not None:
             self._lag_task.cancel()
             self._lag_task = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        drain_until = loop.time() + drain_timeout
         while self._inflight and loop.time() < drain_until:
             await asyncio.sleep(0.005)
         for conn in list(self._conns):
             conn.transport.close()
         while self._conns and loop.time() < drain_until:
             await asyncio.sleep(0.005)
+        for conn in list(self._conns):
+            conn.transport.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
         log.info("stopped")
 
     async def _measure_eventloop_lag(self, interval: float = 0.25) -> None:
@@ -349,29 +372,33 @@ class CacheServer:
 
     # -- request serving ----------------------------------------------------
 
-    def _serve_frame(self, conn: "_Connection", frame) -> None:
+    def _serve_frame(self, conn: "_Connection", verb_id: int, flags: int,
+                     seq: int, pos: int, end: int) -> None:
         """Serve one request frame of ``conn``, in its arrival order.
 
-        A plain-``def`` handler is run and answered here, inline.  A
-        coroutine handler is started in a task (:meth:`_serve_awaiting`)
-        and ``conn`` parses no further frame until that task has
-        answered.  A malformed payload is answered with an ERR frame and
-        the connection stays usable.
+        The frame's payload is ``conn.frames.buf[pos:end]``
+        (:meth:`FrameBuffer.next_header`); its trace token and fields are
+        decoded from there.  A plain-``def`` handler is run and answered
+        here, inline.  A coroutine handler is started by
+        :meth:`_Connection.start_task` (:meth:`_serve_awaiting`): if it
+        suspends, ``conn`` parses no further frame until it has answered.
+        A malformed payload is answered with an ERR frame and the
+        connection stays usable.
         """
-        entry = self._verbs.get(frame.verb_id)
+        entry = self._verbs.get(verb_id)
         try:
             if entry is None:
-                verb = VERB_NAMES.get(frame.verb_id)
+                verb = VERB_NAMES.get(verb_id)
                 if verb is None:
-                    raise ProtocolError(f"unknown verb id {frame.verb_id}")
+                    raise ProtocolError(f"unknown verb id {verb_id}")
                 raise ProtocolError(f"unknown command {verb!r}")
             verb, handler, awaits = entry
-            token, rd = decode_trace(frame)
-            fields = decode_request_fields(verb, rd)
+            token, fields = decode_request_fields(verb, flags, conn.frames.buf,
+                                                  pos, end)
             wire_ctx = parse_token(token) if token is not None else None
             if awaits:
                 conn.start_task(self._serve_awaiting(
-                    conn, handler, verb, fields, wire_ctx, frame.seq))
+                    conn, handler, verb, fields, wire_ctx, seq))
                 return
             self._inflight += 1
             try:
@@ -383,20 +410,23 @@ class CacheServer:
                 else:
                     ctx = None
                     reply = handler(*fields)
-                self._answer(conn, verb, fields, reply, frame.seq, start, ctx)
+                self._answer(conn, verb, fields, reply, seq, start, ctx)
             finally:
                 self._inflight -= 1
         except (ProtocolError, FieldError) as exc:
-            conn.reply_error(frame.seq, str(exc).encode("utf-8"))
+            conn.reply_error(seq, str(exc).encode("utf-8"))
 
     async def _serve_awaiting(self, conn: "_Connection", handler, verb: str,
                               fields: list, wire_ctx, seq: int) -> None:
-        """Run one coroutine handler in ``conn``'s task and answer it.
+        """Run one coroutine handler for ``conn`` and answer it.
 
-        Past ``request_timeout`` the connection's timer cancels the task
-        and the request is answered ``ERR timeout``; a cancel the timer
-        did not make propagates.  Whatever the outcome, ``conn`` then
-        resumes parsing its buffer.  With tracing enabled the handler
+        Its first step runs inline (:meth:`_Connection.start_task`); only
+        if it suspends does the rest run in ``conn``'s task.  Past
+        ``request_timeout`` the connection's timer cancels that task and
+        the request is answered ``ERR timeout``; a cancel the timer did
+        not make propagates.  A request that suspended then lets ``conn``
+        resume parsing its buffer; one answered inline returns to the
+        parsing loop that started it.  With tracing enabled the handler
         runs under the request's span context (:func:`use_context`),
         which is how fan-outs deep inside the cluster layer find their
         parent.
@@ -430,8 +460,11 @@ class CacheServer:
             conn.transport.close()
         finally:
             self._inflight -= 1
-            conn.task = None
-            conn.resume()
+            if conn.task is not None:
+                # it suspended, and its task has answered: parse on, in
+                # the connection's context, not in this request's
+                conn.task = None
+                conn.ctx.run(conn.resume)
 
     def _answer(self, conn: "_Connection", verb: str, fields: list,
                 reply: Reply, seq: int, start: float, ctx) -> None:
@@ -605,18 +638,24 @@ class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames parsed from its buffer, in order.
 
     The socket is read into the connection's :class:`FrameBuffer`
-    (``get_buffer``), and ``buffer_updated`` hands every complete frame
-    to :meth:`CacheServer._serve_frame`.  Parsing stops while a
-    coroutine verb's task is answering (so replies keep request order),
+    (``get_buffer``), and ``buffer_updated`` hands every complete frame,
+    its payload left in the buffer, to :meth:`CacheServer._serve_frame`.
+    Parsing stops while a coroutine verb that suspended is answering in
+    its task (so replies keep request order),
     while the peer is not reading its replies (``pause_writing``), and
     once the connection closes.  While parsing is stopped the connection
     reads at most ``_READ_LIMIT`` bytes ahead, no more than the buffer
     holds, so the buffer grows only for a frame whose header has been
     checked.
 
+    A coroutine verb's first step runs inline (:meth:`start_task`).  One
+    that finishes without suspending is answered there, like a plain
+    ``def`` verb, and parsing goes on; only one that suspends gets a
+    task.
+
     One ``call_at`` timer bounds, by ``request_timeout``, what a peer can
     hold a connection slot with and how long a request may run.  It
-    runs while a coroutine verb's task is answering, from the task's
+    runs while a coroutine verb's task is answering, from the verb's
     start (the task is cancelled and answered ``ERR timeout``); while
     writing is paused, from the pause; and while part of a frame header
     (1 to 11 bytes) is buffered, from its first byte, or from connect
@@ -632,18 +671,21 @@ class _Connection(asyncio.BufferedProtocol):
     ``request_timeout`` however many requests it serves.
     """
 
-    __slots__ = ("server", "loop", "transport", "frames", "enc", "conn_id",
-                 "task", "task_due", "task_expired", "paused", "stall_due",
-                 "eof", "decoded", "timer", "timer_for", "due")
+    __slots__ = ("server", "loop", "ctx", "transport", "frames", "enc",
+                 "conn_id", "task", "task_due", "task_expired", "paused",
+                 "stall_due", "eof", "decoded", "timer", "timer_for", "due")
 
     def __init__(self, server: CacheServer):
         self.server = server
         self.loop = asyncio.get_running_loop()
+        #: the context parsing resumes in after a suspended verb answers
+        self.ctx = contextvars.copy_context()
         self.transport = None
         self.frames = FrameBuffer()
         self.enc = FrameEncoder()
         self.conn_id = 0
-        #: the task answering a coroutine verb (parsing waits for it)
+        #: the task answering a coroutine verb that suspended (parsing
+        #: waits for it)
         self.task = None
         #: when the task falls due, and whether the timer cancelled it
         self.task_due = 0.0
@@ -722,8 +764,8 @@ class _Connection(asyncio.BufferedProtocol):
         try:
             while (self.task is None and not self.paused
                    and not transport.is_closing()):
-                frame = frames.next_frame()
-                if frame is None:
+                head = frames.next_header()
+                if head is None:
                     break
                 if not self.decoded:
                     self.decoded = True
@@ -731,7 +773,7 @@ class _Connection(asyncio.BufferedProtocol):
                 if server._stopping:
                     transport.close()
                     break
-                server._serve_frame(self, frame)
+                server._serve_frame(self, *head)
         except FrameError as exc:
             log.warning("connection %d: unframeable stream (%s), dropping",
                         self.conn_id, exc)
@@ -745,10 +787,27 @@ class _Connection(asyncio.BufferedProtocol):
             self._retime()
 
     def start_task(self, coro) -> None:
-        """Answer a coroutine verb in a task; parsing waits for it."""
-        self.task = asyncio.ensure_future(coro)
-        self.task_due = self.loop.time() + self.server.request_timeout
+        """Run a coroutine verb's first step inline; if it suspends, the
+        rest runs in a task, and parsing waits for it.
+
+        The step runs in a fresh ``contextvars`` context (a copy of the
+        current one, as a task's would be), so a context variable it
+        sets does not leak into the next request.  A verb that finishes
+        in it has been answered like a plain ``def`` verb: no task, and
+        parsing goes on in the caller's loop.  A verb that suspends
+        continues in a task whose every step runs in that same context
+        (:class:`_LaterSteps`), due ``request_timeout`` after the start.
+        """
+        due = self.loop.time() + self.server.request_timeout
+        # no timer has cancelled this verb (the last one's flag is stale)
         self.task_expired = False
+        ctx = contextvars.copy_context()
+        try:
+            waiting = ctx.run(coro.send, None)
+        except StopIteration:
+            return
+        self.task = self.loop.create_task(_LaterSteps(coro, ctx, waiting))
+        self.task_due = due
 
     def resume(self) -> None:
         """Parsing may go on: the task answered or the peer reads again."""
@@ -831,6 +890,47 @@ class _Connection(asyncio.BufferedProtocol):
         if not self.decoded:
             self.server.record_connection(framed=False)
         self.transport.close()
+
+
+class _LaterSteps(Coroutine):
+    """A coroutine's steps after an inline first one, for a task to run.
+
+    The task sends and throws into this object, and each call is passed
+    on to the coroutine inside ``ctx``, the context its first step ran
+    in: a ``ContextVar`` token set in one step must be reset in the same
+    context, and a task's own context is a copy
+    (``create_task(context=)`` arrived only in 3.11).  The first send
+    hands the task what the first step waits on.  A cancel, even one
+    before the task's first step, is thrown into the coroutine where it
+    waits, as a task would throw it.
+    """
+
+    __slots__ = ("coro", "ctx", "waiting")
+
+    def __init__(self, coro, ctx: contextvars.Context, waiting):
+        self.coro = coro
+        self.ctx = ctx
+        #: what the first step yielded, until the task's first send
+        self.waiting = waiting
+
+    def send(self, value):
+        waiting = self.waiting
+        if waiting is not _SENT:
+            self.waiting = _SENT
+            return waiting
+        return self.ctx.run(self.coro.send, value)
+
+    def throw(self, typ, val=None, tb=None):
+        self.waiting = _SENT
+        if val is None and tb is None:
+            return self.ctx.run(self.coro.throw, typ)
+        return self.ctx.run(self.coro.throw, typ, val, tb)
+
+    def __await__(self):
+        return self
+
+    def __next__(self):
+        return self.send(None)
 
 
 async def run_server(server: CacheServer) -> None:

@@ -10,7 +10,8 @@ The connection is one ``asyncio.BufferedProtocol``: the socket is read
 straight into the connection's one reused
 :class:`~repro.service.protocol.FrameBuffer`, and each reply frame is
 parsed from it as its bytes arrive and resolves its caller's future
-there, so there is no reader task and no read call per reply.  One
+there with its status id and payload bytes, so there is no reader task,
+no read call and no frame object per reply.  One
 ``call_at`` timer per connection, not one per call, bounds every
 in-flight call by the Transport's ``timeout``.
 
@@ -32,8 +33,9 @@ from .protocol import (
     FrameBuffer,
     FrameEncoder,
     FrameError,
-    PayloadReader,
     Reply,
+    decode_flags,
+    decode_values,
     encode_request,
 )
 
@@ -51,8 +53,9 @@ class _MuxConn(asyncio.BufferedProtocol):
     Requests are tagged with a per-connection sequence id.  The socket
     is read into the connection's :class:`FrameBuffer` (``get_buffer``);
     the replies are parsed from it as they arrive (``buffer_updated``),
-    and each resolves its caller's future there, so any number of tasks
-    can pipeline through one socket without a reader task.
+    and each resolves its caller's future there with ``(status id,
+    payload bytes)``, so any number of tasks can pipeline through one
+    socket without a reader task.
 
     Every call on the connection shares its ``timeout``, so calls fall
     due in the order they were sent.  ``pending`` holds them in that
@@ -77,7 +80,8 @@ class _MuxConn(asyncio.BufferedProtocol):
         self.transport = None
         self.frames = FrameBuffer()
         self.enc = FrameEncoder()
-        self.pending = {}  # seq -> (Future[Frame], due time), in send order
+        #: seq -> (future of (status id, payload), due time), in send order
+        self.pending = {}
         self.next_seq = 1
         self.dead = False
         #: why the connection died (raised to a caller that finds it dead)
@@ -101,18 +105,20 @@ class _MuxConn(asyncio.BufferedProtocol):
         frames, pending = self.frames, self.pending
         frames.buffer_updated(nbytes)
         try:
-            frame = frames.next_frame()
-            while frame is not None:
-                if frame.seq == 0 and frame.verb_id == _ERR:
+            head = frames.next_header()
+            while head is not None:
+                status_id, _, seq, start, stop = head
+                if seq == 0 and status_id == _ERR:
                     # no request has seq 0: the server turned us away
                     self._fail(ConnectionError(
                         "server rejected connection: "
-                        + frame.payload.decode("utf-8", "replace")))
+                        + frames.buf[start:stop].decode("utf-8", "replace")))
                     return
-                entry = pending.pop(frame.seq, None)
+                entry = pending.pop(seq, None)
                 if entry is not None and not entry[0].done():
-                    entry[0].set_result(frame)
-                frame = frames.next_frame()
+                    entry[0].set_result(
+                        (status_id, bytes(frames.view[start:stop])))
+                head = frames.next_header()
         except FrameError as exc:
             self._fail(exc)
 
@@ -167,8 +173,8 @@ class _MuxConn(asyncio.BufferedProtocol):
             if not fut.done():
                 fut.set_exception(asyncio.TimeoutError())
 
-    async def call(self, verb: str, fields, token):
-        """Send one frame and await its matching response frame.
+    async def call(self, verb: str, fields, token) -> tuple:
+        """Send one frame and await its reply's ``(status id, payload)``.
 
         Raises :class:`asyncio.TimeoutError` once ``timeout`` has passed
         since the send without a reply.
@@ -250,8 +256,8 @@ class Transport:
                 conn = self._conn
                 if conn is None or conn.dead:
                     conn = await self._dial()
-                frame = await conn.call(verb, fields, token)
-                return self._reply(frame)
+                status_id, payload = await conn.call(verb, fields, token)
+                return self._reply(status_id, payload)
             except asyncio.CancelledError:
                 raise
             except (ConnectionError, asyncio.IncompleteReadError,
@@ -267,7 +273,11 @@ class Transport:
         """The live connection, dialing it if there is none.
 
         Serialised under a lazy lock, so concurrent first callers share
-        the one connection the first of them dials.
+        the one connection the first of them dials.  The dial is bounded
+        by ``timeout`` with a ``call_later`` that cancels it, not with
+        ``asyncio.wait_for``: a server's coroutine verb may dial in its
+        inline first step, where no task is current, and since 3.12
+        ``wait_for`` refuses to run outside a task.
         """
         if self._dial_lock is None:
             self._dial_lock = asyncio.Lock()
@@ -275,27 +285,38 @@ class Transport:
             conn = self._conn
             if conn is None or conn.dead:
                 loop = asyncio.get_running_loop()
-                _, conn = await asyncio.wait_for(
-                    loop.create_connection(lambda: _MuxConn(self.timeout),
-                                           self.host, self.port),
-                    self.timeout,
-                )
+                dial = asyncio.ensure_future(loop.create_connection(
+                    lambda: _MuxConn(self.timeout), self.host, self.port))
+                expired = []
+
+                def expire():
+                    expired.append(True)
+                    dial.cancel()
+
+                timer = loop.call_later(self.timeout, expire)
+                try:
+                    _, conn = await dial
+                except asyncio.CancelledError:
+                    if not expired:
+                        raise
+                    raise asyncio.TimeoutError(
+                        f"no connection within {self.timeout}s") from None
+                finally:
+                    timer.cancel()
                 self._conn = conn
             return conn
 
-    def _reply(self, frame) -> Reply:
-        status = STATUS_NAMES.get(frame.verb_id)
+    def _reply(self, status_id: int, payload: bytes) -> Reply:
+        status = STATUS_NAMES.get(status_id)
         if status is None:
-            raise ConnectionError(f"unknown status id {frame.verb_id}")
+            raise ConnectionError(f"unknown status id {status_id}")
         if status == "ERR":
-            raise ServerError(frame.payload.decode("utf-8", "replace"))
+            raise ServerError(payload.decode("utf-8", "replace"))
         if status == "VALUES":
-            return Reply(status,
-                         values=PayloadReader(frame.payload).batch_values())
+            return Reply(status, values=decode_values(payload))
         if status == "STATUSES":
-            return Reply(status,
-                         values=PayloadReader(frame.payload).batch_flags())
-        return Reply(status, body=frame.payload if frame.payload else None)
+            return Reply(status, values=decode_flags(payload))
+        return Reply(status, body=payload if payload else None)
 
     async def close(self) -> None:
         """Close the connection; in-flight callers get ConnectionError."""

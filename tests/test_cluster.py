@@ -26,9 +26,11 @@ from repro.coherence.distributed import (
 from repro.coherence.states import Event, State
 from repro.service.client import CacheClient, ServerError
 from repro.service.protocol import (
+    STATUS_NAMES,
     FrameEncoder,
     Reply,
     encode_reply,
+    encode_request,
     read_frame,
 )
 
@@ -414,6 +416,93 @@ class TestReplication:
                 assert b.handle_rget("k") == b"new"
                 assert a is not b
 
+        run(body())
+
+
+class TestInlineServing:
+    """Cluster verbs run their first step inline; only a suspended one
+    gets a task (``_Connection.start_task``)."""
+
+    def test_a_first_write_dials_its_peer_inside_the_inline_step(self):
+        # the owner's first push dials the peer in the SET's inline first
+        # step, where no task is current: asyncio.wait_for raises there
+        # since 3.12, so the dial is bounded without it
+        async def body():
+            async with LocalCluster(2, admission="always", replicas=2,
+                                    data_capacity_per_node=64) as cluster:
+                owner_name, holder_name = cluster.ring.preference("dk", 2)
+                owner = cluster.nodes[owner_name]
+                peer = owner._peers[holder_name]
+                assert peer.transport._conn is None  # never dialed
+                dialed_in = []
+                dial = peer.transport._dial
+
+                async def recording_dial():
+                    dialed_in.append(asyncio.current_task())
+                    return await dial()
+
+                peer.transport._dial = recording_dial
+                client = cluster.client()
+                assert await client.set("dk", b"v1") is True
+                assert dialed_in == [None]
+                holder = cluster.nodes[holder_name]
+                assert holder.replica_store.get("dk") == b"v1"
+                assert await client.set("dk", b"v2") is True
+                assert holder.replica_store.get("dk") == b"v2"
+        run(body())
+
+    def test_a_repl_is_answered_inline_without_a_task(self):
+        async def body():
+            async with LocalCluster(2, admission="always", replicas=2,
+                                    data_capacity_per_node=64) as cluster:
+                node = next(iter(cluster.nodes.values()))
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", node.server.port)
+                enc = FrameEncoder()
+                # one round trip first: the server's side is set up
+                writer.write(encode_request(enc, "PING", [], 1))
+                await writer.drain()
+                await read_frame(reader)
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def counting_factory(loop, coro, **kwargs):
+                    created.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                loop.set_task_factory(counting_factory)
+                try:
+                    writer.write(encode_request(enc, "REPL",
+                                                ["rk", 3, b"v3"], 2)
+                                 + encode_request(enc, "REPL",
+                                                  ["rk", 2, b"v2"], 3))
+                    await writer.drain()
+                    got = [await read_frame(reader) for _ in range(2)]
+                finally:
+                    loop.set_task_factory(None)
+                assert [(f.seq, STATUS_NAMES[f.verb_id]) for f in got] == \
+                    [(2, "REPLICATED"), (3, "STALE")]
+                assert created == []
+                assert node.replica_store.get("rk") == b"v3"
+                writer.close()
+        run(body())
+
+    def test_stop_with_peer_connections_returns_within_drain_timeout(self):
+        async def body():
+            cluster = LocalCluster(2, admission="always", replicas=2,
+                                   data_capacity_per_node=64)
+            await cluster.start()
+            client = cluster.client()
+            for i in range(8):  # every node dials its peer
+                assert await client.set(f"k{i}", b"v") is True
+            assert all(peer.transport._conn is not None
+                       for node in cluster.nodes.values()
+                       for peer in node._peers.values())
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            await asyncio.wait_for(cluster.stop(drain_timeout=1.0), 10.0)
+            # one drain_timeout per node at most, run one after another
+            assert loop.time() - began < 2.0
         run(body())
 
 

@@ -59,6 +59,25 @@ class TestLintCommand:
         for rule_id in RULES:
             assert rule_id in out
 
+    def test_list_rules_and_json_describe_each_rule_alike(
+            self, tmp_path, capsys):
+        # one description per rule: its docstring's first line
+        assert main(["lint", "--list-rules"]) == 0
+        listed = {}
+        for line in capsys.readouterr().out.splitlines():
+            rule_id, _, rest = line.partition(" ")
+            listed[rule_id] = rest.split("] ", 1)[1]
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        assert main(["lint", str(tmp_path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        described = {rule["id"]: rule["description"]
+                     for rule in report["rules"]}
+        assert len(described) == len(RULES) == 16
+        assert listed == described
+        for rule_id, cls in RULES.items():
+            assert described[rule_id] == \
+                cls.__doc__.strip().splitlines()[0].strip() != ""
+
 
 #: an await-spanning read-modify-write of shared state (one FLOW001)
 FLOW001_SOURCE = """\

@@ -3,8 +3,9 @@
 Both ends receive into their connection's one reused ``FrameBuffer``
 (``get_buffer``/``buffer_updated``), so a socket read allocates nothing.
 The server parses every complete frame in ``buffer_updated`` and answers
-plain-``def`` verbs inline; a coroutine verb runs in a task and holds
-the connection's parsing until it answers.  The client's ``_MuxConn``
+plain-``def`` verbs inline; a coroutine verb runs its first step inline
+too, and one that suspends continues in a task and holds the
+connection's parsing until it answers.  The client's ``_MuxConn``
 resolves each caller's future as its reply frame is parsed.  These
 tests pin that the cut of the byte stream never changes what is
 answered, that replies keep request order, and that a peer can hold a
@@ -13,8 +14,10 @@ its replies.
 """
 
 import asyncio
+import contextvars
 import random
 import socket
+import struct
 import tracemalloc
 
 import pytest
@@ -22,11 +25,15 @@ import pytest
 from repro.obs.dist import TraceContext, wire_token
 from repro.service import CacheClient, CacheServer, ShardedStore
 from repro.service.protocol import (
+    FLAG_TRACE,
     HEADER_SIZE,
     MAGIC,
     RECV_BUFFER_BYTES,
+    REQUEST_FIELDS,
     STATUS_IDS,
     STATUS_NAMES,
+    VERB_IDS,
+    VERSION,
     FrameBuffer,
     FrameEncoder,
     FrameError,
@@ -187,7 +194,7 @@ class TestFrameBuffer:
         frames.feed(frame[:RECV_BUFFER_BYTES])
         with pytest.raises(FrameError, match="too large"):
             frames.get_buffer()
-        assert len(frames._buf) == RECV_BUFFER_BYTES
+        assert len(frames.buf) == RECV_BUFFER_BYTES
 
     def test_get_buffer_never_returns_an_empty_view(self):
         big = encode_request(FrameEncoder(), "SET",
@@ -313,9 +320,10 @@ class TestClientParsing:
                                       seq_of[key])
             for chunk in _cuts(rng, burst):
                 _receive(conn, chunk)
-            frames = await asyncio.gather(*calls)
-            assert [bytes(f.payload) for f in frames] == \
-                [key.encode() * 3 for key in keys]
+            replies = await asyncio.gather(*calls)
+            assert replies == [(STATUS_IDS["VALUE"], key.encode() * 3)
+                               for key in keys]
+            assert all(type(payload) is bytes for _, payload in replies)
             assert conn.pending == {} and not conn.dead
         run(body())
 
@@ -376,14 +384,14 @@ class TestReceiveBuffers:
             try:
                 assert await client.set("big", value)
                 (conn,) = server._conns
-                assert len(conn.frames._buf) > len(value)
+                assert len(conn.frames.buf) > len(value)
                 assert await client.get("big") == value
                 mux = client.transport._conn
-                assert len(mux.frames._buf) > len(value)
+                assert len(mux.frames.buf) > len(value)
                 # drained, each end's next read goes back to the small buffer
                 assert await client.ping()
-                assert len(conn.frames._buf) == RECV_BUFFER_BYTES
-                assert len(mux.frames._buf) == RECV_BUFFER_BYTES
+                assert len(conn.frames.buf) == RECV_BUFFER_BYTES
+                assert len(mux.frames.buf) == RECV_BUFFER_BYTES
             finally:
                 await client.close()
                 await server.stop()
@@ -492,4 +500,268 @@ class TestInTaskServing:
                 writer.close()
             finally:
                 await server.stop()
+        run(body())
+
+
+class _NoTask:
+    """Counts the tasks a loop creates while installed as its factory."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.created = []
+
+    def __enter__(self):
+        self.loop.set_task_factory(self._factory)
+        return self.created
+
+    def __exit__(self, *exc):
+        self.loop.set_task_factory(None)
+
+    def _factory(self, loop, coro, **kwargs):
+        self.created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+
+async def _returns_at_once():
+    return None
+
+
+#: set by a first step and never reset: it must not reach the next request
+_STEP_VAR = contextvars.ContextVar("inline_step_var", default="unset")
+
+
+class _InlineServer(CacheServer):
+    """Coroutine verbs: PING never suspends; DEL suspends when its key
+    starts with ``slow``; both set ``_STEP_VAR``, and GET records it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    @wire_verb("PING")
+    async def _verb_ping(self):
+        _STEP_VAR.set("ping")
+        await _returns_at_once()  # an await that does not suspend
+        return super()._verb_ping()
+
+    @wire_verb("DEL")
+    async def _verb_del(self, key: str):
+        token = _STEP_VAR.set(key)
+        if key.startswith("slow"):
+            await asyncio.sleep(float(key[4:] or 0))
+        # every later step runs in the first step's context: a token
+        # reset anywhere else raises ValueError
+        assert _STEP_VAR.get() == key
+        _STEP_VAR.reset(token)
+        _STEP_VAR.set(key)
+        return super()._verb_del(key)
+
+    @wire_verb("GET")
+    def _verb_get(self, key: str):
+        self.seen.append(_STEP_VAR.get())
+        return super()._verb_get(key)
+
+
+def _inline_conn(request_timeout=5.0):
+    server = _InlineServer(ShardedStore(num_shards=2, data_capacity=64),
+                           port=0, request_timeout=request_timeout)
+    conn = _Connection(server)
+    transport = _FakeTransport()
+    conn.connection_made(transport)
+    return server, conn, transport
+
+
+def _requests(*requests):
+    enc = FrameEncoder()
+    return b"".join(encode_request(enc, verb, fields, seq)
+                    for seq, (verb, fields) in enumerate(requests, 1))
+
+
+class TestInlineFirstStep:
+    def test_a_coroutine_verb_that_does_not_suspend_creates_no_task(self):
+        async def body():
+            server, conn, transport = _inline_conn()
+            with _NoTask(asyncio.get_running_loop()) as created:
+                _receive(conn, _requests(("PING", []), ("GET", ["a"]),
+                                         ("DEL", ["a"]), ("PING", [])))
+            # answered before the loop ran anything, in order
+            assert _replies(bytes(transport.out)) == [
+                (1, "PONG"), (2, "MISS"), (3, "NOTFOUND"), (4, "PONG")]
+            assert created == [] and conn.task is None
+            assert server.inflight == 0
+            conn.connection_lost(None)
+        run(body())
+
+    def test_a_verb_that_suspends_keeps_reply_order(self):
+        async def body():
+            server, conn, transport = _inline_conn()
+            with _NoTask(asyncio.get_running_loop()) as created:
+                _receive(conn, _requests(("GET", ["a"]), ("DEL", ["slow0.02"]),
+                                         ("GET", ["b"]), ("PING", [])))
+                assert _replies(bytes(transport.out)) == [(1, "MISS")]
+                assert len(created) == 1 and conn.task is not None
+                await asyncio.sleep(0.2)
+            assert _replies(bytes(transport.out)) == [
+                (1, "MISS"), (2, "NOTFOUND"), (3, "MISS"), (4, "PONG")]
+            assert conn.task is None and server.inflight == 0
+            assert not transport.closing
+            conn.connection_lost(None)
+        run(body())
+
+    def test_a_verb_that_suspends_past_the_timeout_is_answered_err(self):
+        async def body():
+            server, conn, transport = _inline_conn(request_timeout=0.05)
+            _receive(conn, _requests(("DEL", ["slow30"]), ("GET", ["b"])))
+            assert conn.task is not None
+            await asyncio.sleep(0.3)
+            out = FrameBuffer()
+            out.feed(bytes(transport.out))
+            replies = []
+            frame = out.next_frame()
+            while frame is not None:
+                replies.append((frame.seq, STATUS_NAMES[frame.verb_id],
+                                frame.payload))
+                frame = out.next_frame()
+            assert replies == [(1, "ERR", b"timeout"), (2, "MISS", b"")]
+            assert conn.task is None and server.inflight == 0
+            conn.connection_lost(None)
+        run(body())
+
+    def test_a_context_var_set_in_a_first_step_does_not_leak(self):
+        async def body():
+            server, conn, transport = _inline_conn()
+            _receive(conn, _requests(("PING", []), ("GET", ["a"]),
+                                     ("DEL", ["k"]), ("GET", ["b"]),
+                                     ("DEL", ["slow0.01"]), ("GET", ["c"])))
+            await asyncio.sleep(0.1)
+            assert [seq for seq, _ in _replies(bytes(transport.out))] == \
+                [1, 2, 3, 4, 5, 6]
+            assert not transport.closing  # no step failed its reset
+            assert server.seen == ["unset"] * 3
+            assert _STEP_VAR.get() == "unset"
+            conn.connection_lost(None)
+        run(body())
+
+
+# ---------------------------------------------------------------------------
+# the bytes on the wire
+# ---------------------------------------------------------------------------
+
+
+def _struct_fields(kinds, fields) -> bytes:
+    """A request payload built field by field with ``struct``."""
+    out = b""
+    for kind, field in zip(kinds, fields):
+        if kind in ("key", "peer"):
+            raw = field.encode("utf-8")
+            out += struct.pack(">H", len(raw)) + raw
+        elif kind == "value":
+            out += struct.pack(">I", len(field)) + field
+        elif kind == "version":
+            out += struct.pack(">Q", field)
+        elif kind == "keys":
+            out += struct.pack(">I", len(field)) + _struct_fields(
+                ["key"] * len(field), field)
+        else:  # items
+            out += struct.pack(">I", len(field)) + b"".join(
+                _struct_fields(("key", "value"), item) for item in field)
+    return out
+
+
+def _struct_frame(type_id, seq, payload, token=None) -> bytes:
+    """One v2 frame built with ``struct``; ``token`` sets FLAG_TRACE."""
+    flags = 0
+    if token is not None:
+        raw = token.encode("utf-8")
+        payload = struct.pack(">H", len(raw)) + raw + payload
+        flags = FLAG_TRACE
+    return struct.pack(">BBBBII", MAGIC, VERSION, type_id, flags, seq,
+                       len(payload)) + payload
+
+
+_SAMPLE = {
+    "key": "line:é", "peer": "n1", "value": b"\x00v" * 7,
+    "version": 2 ** 40 + 7, "keys": ["a", "", "bc"],
+    "items": [("a", b"1"), ("", b"")],
+}
+#: one request per verb, each with and without a trace token
+_WIRE_REQUESTS = [
+    (verb, [_SAMPLE[kind] for kind in kinds], token)
+    for verb, kinds in REQUEST_FIELDS.items()
+    for token in (None, "T=abc123/0007")
+]
+
+
+class TestWireBytes:
+    """Every frame either end writes equals one built with ``struct``."""
+
+    def test_every_request_is_the_struct_built_frame(self):
+        enc = FrameEncoder()
+        for seq, (verb, fields, token) in enumerate(_WIRE_REQUESTS, 1):
+            payload = _struct_fields(REQUEST_FIELDS[verb], fields)
+            assert encode_request(enc, verb, fields, seq, token) == \
+                _struct_frame(VERB_IDS[verb], seq, payload, token)
+
+    def test_every_reply_is_the_struct_built_frame(self):
+        enc = FrameEncoder()
+        cases = [
+            (Reply("VALUE", b"\x00v" * 9), b"\x00v" * 9),
+            (Reply("MISS"), b""),
+            (Reply("ERR", b"timeout"), b"timeout"),
+            (Reply("VALUES", values=[b"1", None, b""]),
+             struct.pack(">IBIcBBI", 3, 1, 1, b"1", 0, 1, 0)),
+            (Reply("STATUSES", values=[True, False]),
+             struct.pack(">IBB", 2, 1, 0)),
+        ]
+        for reply, payload in cases:
+            assert encode_reply(enc, reply, 9) == \
+                _struct_frame(STATUS_IDS[reply.status], 9, payload)
+        assert enc.simple(STATUS_IDS["ERR"], 0, b"busy") == \
+            _struct_frame(STATUS_IDS["ERR"], 0, b"busy")
+        assert enc.simple(STATUS_IDS["PONG"], 4, b"", "T=a/1") == \
+            _struct_frame(STATUS_IDS["PONG"], 4, b"", "T=a/1")
+
+    def test_what_both_ends_write_is_the_struct_built_frames(self):
+        # the client's connection and the server's, each writing to a
+        # transport that records every write
+        async def body():
+            conn = _MuxConn(timeout=5.0)
+            sent = _FakeTransport()
+            conn.connection_made(sent)
+            calls = [asyncio.ensure_future(conn.call(verb, fields, token))
+                     for verb, fields, token in _WIRE_REQUESTS]
+            await asyncio.sleep(0)
+            assert bytes(sent.out) == b"".join(
+                _struct_frame(VERB_IDS[verb], seq, _struct_fields(
+                    REQUEST_FIELDS[verb], fields), token)
+                for seq, (verb, fields, token) in enumerate(_WIRE_REQUESTS, 1))
+            for call in calls:
+                call.cancel()
+
+            server = CacheServer(ShardedStore(num_shards=2, data_capacity=8,
+                                              admission="always"), port=0)
+            served = _Connection(server)
+            written = _FakeTransport()
+            served.connection_made(written)
+            enc = FrameEncoder()
+            requests = [
+                ("PING", []), ("GET", ["a"]), ("SET", ["a", b"va"]),
+                ("GET", ["a"]), ("MGET", [["a", "b"]]),
+                ("MSET", [[("b", b"")]]), ("DEL", ["zz"]), ("QUIT", []),
+            ]
+            _receive(served, b"".join(
+                encode_request(enc, verb, fields, seq, "T=abc123/0007")
+                for seq, (verb, fields) in enumerate(requests, 1))
+                + _struct_frame(99, 0, b""))
+            replies = [
+                ("PONG", b""), ("MISS", b""), ("STORED", b""),
+                ("VALUE", b"va"),
+                ("VALUES", struct.pack(">IBI2sB", 2, 1, 2, b"va", 0)),
+                ("STATUSES", struct.pack(">IB", 1, 1)),
+                ("NOTFOUND", b""), ("BYE", b""),
+            ]
+            assert bytes(written.out) == b"".join(
+                _struct_frame(STATUS_IDS[status], seq, payload)
+                for seq, (status, payload) in enumerate(replies, 1))
+            served.connection_lost(None)
         run(body())

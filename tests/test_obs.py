@@ -6,6 +6,8 @@ import asyncio
 import io
 import json
 import logging
+import math
+import random
 
 import pytest
 
@@ -131,6 +133,38 @@ class TestHistogram:
         reg = MetricsRegistry()
         with pytest.raises(ValueError, match="strictly increasing"):
             reg.histogram("repro_test_seconds", bounds=(1.0, 1.0, 2.0))
+
+    def test_buckets_match_the_linear_scan_they_replaced(self):
+        # observe() picks buckets with bisect_left; the scan it replaced
+        # took the first bound >= value, and +Inf for anything else
+        def scanned(bounds, value):
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        rng = random.Random(2013)
+        for bounds in (LATENCY_BOUNDS_S, (1.0, 2.0, 4.0), (-1.0, 0.0, 3),
+                       (0.5, math.inf)):
+            values = [rng.uniform(-2.0, 2.0) * rng.choice(bounds[:-1] or (1,))
+                      for _ in range(2000)]
+            values += [rng.lognormvariate(-9.0, 3.0) for _ in range(2000)]
+            values += list(bounds) + [0, 0.0, -0.0, -5, -1e-300,
+                                      math.inf, -math.inf, math.nan]
+            values += [math.nextafter(b, math.inf) for b in bounds]
+            values += [math.nextafter(b, -math.inf) for b in bounds]
+            h = MetricsRegistry().histogram("repro_test_seconds",
+                                            bounds=bounds)
+            expected = [0] * (len(bounds) + 1)
+            for value in values:
+                h.observe(value)
+                expected[scanned(bounds, value)] += 1
+            assert h.bucket_counts == expected
+            assert h.count == len(values)
+        nan_only = MetricsRegistry().histogram("repro_test_seconds",
+                                               bounds=(1.0, 2.0))
+        nan_only.observe(math.nan)
+        assert nan_only.bucket_counts == [0, 0, 1]
 
     def test_cumulative_export_with_inf(self):
         reg = MetricsRegistry()

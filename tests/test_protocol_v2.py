@@ -27,13 +27,14 @@ from repro.service.protocol import (
     VERB_NAMES,
     VERSION,
     FieldError,
-    Frame,
+    FrameBuffer,
     FrameEncoder,
     FrameError,
-    PayloadReader,
     Reply,
+    decode_flags,
     decode_request_fields,
     decode_trace,
+    decode_values,
     encode_reply,
     encode_request,
     read_frame,
@@ -90,9 +91,8 @@ class TestCodecRoundtrip:
                 frame = await read_frame(feed(raw))
                 assert frame.verb_id == VERB_IDS[verb]
                 assert frame.seq == 17
-                token, rd = decode_trace(frame)
-                assert token is None
-                assert decode_request_fields(verb, rd) == fields
+                assert decode_request_fields(
+                    verb, frame.flags, frame.payload) == (None, fields)
         run(body())
 
     def test_trace_token_roundtrips(self):
@@ -103,9 +103,9 @@ class TestCodecRoundtrip:
             )
             frame = await read_frame(feed(raw))
             assert frame.flags & FLAG_TRACE
-            token, rd = decode_trace(frame)
-            assert token == "T=abc123/0007"
-            assert decode_request_fields("GET", rd) == ["k"]
+            assert decode_trace(frame.payload) == ("T=abc123/0007", 15)
+            assert decode_request_fields("GET", frame.flags, frame.payload) \
+                == ("T=abc123/0007", ["k"])
         run(body())
 
     def test_encoder_buffer_reuse_is_clean(self):
@@ -115,9 +115,9 @@ class TestCodecRoundtrip:
             encode_request(enc, "SET", ["k", b"x" * 4096], seq=1)
             raw = encode_request(enc, "GET", ["k"], seq=2)
             frame = await read_frame(feed(raw))
-            _, rd = decode_trace(frame)
-            assert decode_request_fields("GET", rd) == ["k"]
-            assert rd.exhausted
+            assert frame.payload == b"\x00\x01k"
+            assert decode_request_fields("GET", frame.flags, frame.payload) \
+                == (None, ["k"])
         run(body())
 
     def test_clean_eof_returns_none(self):
@@ -186,9 +186,8 @@ class TestFramingErrors:
             # key u16 length claims more bytes than the payload holds
             struct.pack_into(">H", body_bytes, HEADER_SIZE, 0x4000)
             frame = await read_frame(feed(bytes(body_bytes)))
-            _, rd = decode_trace(frame)
             with pytest.raises(FieldError):
-                decode_request_fields("SET", rd)
+                decode_request_fields("SET", frame.flags, frame.payload)
         run(body())
 
     def test_batch_over_cap_is_field_error(self):
@@ -205,10 +204,10 @@ class TestFramingErrors:
     def test_every_truncation_of_a_batch_request_is_field_error(
             self, verb, field):
         payload = encode_request(FrameEncoder(), verb, [field], 1)[HEADER_SIZE:]
-        assert decode_request_fields(verb, PayloadReader(payload)) == [field]
+        assert decode_request_fields(verb, 0, payload) == (None, [field])
         for cut in range(len(payload)):
             with pytest.raises(FieldError):
-                decode_request_fields(verb, PayloadReader(payload[:cut]))
+                decode_request_fields(verb, 0, payload[:cut])
 
     @pytest.mark.parametrize("reply", [
         Reply("VALUES", values=[b"1", None, b"", b"xyz"]),
@@ -218,27 +217,26 @@ class TestFramingErrors:
         raw = encode_reply(FrameEncoder(), reply, 1)
         status_id, payload = raw[2], raw[HEADER_SIZE:]
         transport = Transport()
-        got = transport._reply(Frame(status_id, 0, 1, payload))
+        got = transport._reply(status_id, payload)
         assert got.values == reply.values
         for cut in range(len(payload)):
             with pytest.raises(FieldError):
-                transport._reply(Frame(status_id, 0, 1, payload[:cut]))
+                transport._reply(status_id, payload[:cut])
 
     def test_non_utf8_key_in_a_batch_is_field_error(self):
         bad = struct.pack(">H", 2) + b"\xff\xfe"
         mget = struct.pack(">I", 2) + struct.pack(">H", 1) + b"a" + bad
         with pytest.raises(FieldError, match="utf-8"):
-            decode_request_fields("MGET", PayloadReader(mget))
+            decode_request_fields("MGET", 0, mget)
         mset = struct.pack(">I", 1) + bad + struct.pack(">I", 1) + b"v"
         with pytest.raises(FieldError, match="utf-8"):
-            decode_request_fields("MSET", PayloadReader(mset))
+            decode_request_fields("MSET", 0, mset)
 
     def test_over_cap_reply_value_is_rejected_before_reading_it(self):
         # the length alone decides: no value bytes follow it
         payload = struct.pack(">IBI", 1, 1, MAX_VALUE_BYTES + 1)
-        frame = Frame(STATUS_IDS["VALUES"], 0, 1, payload)
         with pytest.raises(FieldError, match="value too large"):
-            Transport()._reply(frame)
+            Transport()._reply(STATUS_IDS["VALUES"], payload)
 
     def test_pipelined_frames_split_across_reads(self):
         async def body():
@@ -259,45 +257,96 @@ class TestFramingErrors:
             for i in range(4):
                 frame = await read_frame(reader)
                 assert frame.seq == i
-                _, rd = decode_trace(frame)
-                assert decode_request_fields("GET", rd) == [f"k{i}"]
+                assert decode_request_fields(
+                    "GET", frame.flags, frame.payload) == (None, [f"k{i}"])
             assert await read_frame(reader) is None
         run(body())
 
 
-class TestPayloadReader:
-    def test_reads_are_sequential_and_bounded(self):
-        rd = PayloadReader(struct.pack(">HIQ", 7, 8, 9))
-        assert rd.u16() == 7
-        assert rd.u32() == 8
-        assert rd.u64() == 9
-        assert rd.exhausted
-        with pytest.raises(FieldError):
-            rd.u8()
+#: one request per verb: (verb, fields), SAMPLE_FIELDS per REQUEST_FIELDS
+SAMPLE_REQUESTS = [
+    (verb, [SAMPLE_FIELDS[kind] for kind in kinds])
+    for verb, kinds in REQUEST_FIELDS.items()
+]
+TOKEN = "T=abc123/0007"
 
-    def test_non_utf8_string_is_field_error(self):
-        rd = PayloadReader(struct.pack(">H", 2) + b"\xff\xfe")
-        with pytest.raises(FieldError, match="utf-8"):
-            rd.string()
 
-    def test_batch_reads_continue_where_they_stop(self):
+class TestFieldDecoding:
+    """Requests decode in place, within their bounds, from any buffer."""
+
+    def test_fields_decode_in_order_within_their_bounds(self):
+        # every verb, with and without a trace token, decoded where the
+        # frame buffer holds it, between other frames and their bytes
         enc = FrameEncoder()
-        enc.begin(0, 0)
-        enc.put_keys(["a", "bc"])
-        enc.put_items([("d", b"e")])
-        enc.put_u64(9)
-        rd = PayloadReader(enc.finish()[HEADER_SIZE:])
-        assert rd.batch_keys() == ["a", "bc"]
-        assert rd.batch_items() == [("d", b"e")]
-        assert rd.u64() == 9
-        assert rd.exhausted
+        frames = FrameBuffer()
+        expected = []
+        for seq, (verb, fields) in enumerate(SAMPLE_REQUESTS * 2, 1):
+            token = TOKEN if seq % 2 else None
+            frames.feed(encode_request(enc, verb, fields, seq, token))
+            expected.append((verb, token, fields))
+        for verb, token, fields in expected:
+            verb_id, flags, _, start, stop = frames.next_header()
+            assert verb_id == VERB_IDS[verb]
+            assert bool(flags & FLAG_TRACE) == (token is not None)
+            assert decode_request_fields(
+                verb, flags, frames.buf, start, stop) == (token, fields)
+            # the same payload, copied out or left in a bytearray
+            payload = bytes(frames.buf[start:stop])
+            for buf in (payload, bytearray(payload)):
+                got_token, got = decode_request_fields(verb, flags, buf)
+                assert (got_token, got) == (token, fields)
+                assert all(type(v) is bytes for v in got
+                           if not isinstance(v, (str, int, list)))
+        assert frames.next_header() is None and frames.pending == 0
+
+    def test_every_truncation_of_every_request_is_field_error(self):
+        # cut anywhere inside its payload, with the next frame's bytes
+        # right behind the cut: never IndexError or struct.error
+        enc = FrameEncoder()
+        for verb, fields in SAMPLE_REQUESTS:
+            for token in (None, TOKEN):
+                raw = encode_request(enc, verb, fields, 1, token)
+                flags, payload = raw[3], raw[HEADER_SIZE:]
+                trailer = encode_request(enc, "SET", ["k", b"\xff" * 40], 2)
+                for cut in range(len(payload)):
+                    buf = bytearray(b"\x07" * 5 + payload[:cut] + trailer)
+                    with pytest.raises(FieldError):
+                        decode_request_fields(verb, flags, buf, 5, 5 + cut)
+
+    def test_non_utf8_strings_are_field_errors(self):
+        bad = struct.pack(">H", 2) + b"\xff\xfe"
+        for verb, payload in (
+                ("GET", bad),
+                ("PUTS", struct.pack(">H", 1) + b"k" + bad),
+                ("MGET", struct.pack(">I", 1) + bad),
+                ("MSET", struct.pack(">I", 1) + bad + struct.pack(">I", 0))):
+            with pytest.raises(FieldError, match="string field not utf-8"):
+                decode_request_fields(verb, 0, payload)
+        with pytest.raises(FieldError, match="trace token not utf-8"):
+            decode_request_fields("GET", FLAG_TRACE, bad + bad)
+        with pytest.raises(FieldError, match="trace token not utf-8"):
+            decode_trace(bad)
+
+    def test_over_cap_values_are_rejected_before_they_are_read(self):
+        over = struct.pack(">I", MAX_VALUE_BYTES + 1)
+        key = struct.pack(">H", 1) + b"k"
+        for verb, payload in (
+                ("SET", key + over),
+                ("REPL", key + struct.pack(">Q", 3) + over),
+                ("MSET", struct.pack(">I", 1) + key + over)):
+            with pytest.raises(FieldError, match="value too large"):
+                decode_request_fields(verb, 0, payload)
+        with pytest.raises(FieldError, match="value too large"):
+            decode_values(struct.pack(">IB", 1, 1) + over)
 
     def test_batch_count_over_cap_is_field_error(self):
         over = struct.pack(">I", MAX_BATCH_ITEMS + 1)
-        for read in ("batch_keys", "batch_items", "batch_values",
-                     "batch_flags"):
+        for verb in ("MGET", "MSET", "MDEL"):
             with pytest.raises(FieldError, match="batch too large"):
-                getattr(PayloadReader(over), read)()
+                decode_request_fields(verb, 0, over)
+        for decode in (decode_values, decode_flags):
+            with pytest.raises(FieldError, match="batch too large"):
+                decode(over)
 
 
 # ---------------------------------------------------------------------------

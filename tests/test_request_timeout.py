@@ -57,9 +57,9 @@ class _SlowServer(CacheServer):
         #: the trace context active as each frame is dispatched
         self.ambient = []
 
-    def _serve_frame(self, conn, frame):
+    def _serve_frame(self, conn, *frame):
         self.ambient.append(current_context())
-        return super()._serve_frame(conn, frame)
+        return super()._serve_frame(conn, *frame)
 
     @wire_verb("GET")
     async def _verb_get(self, key: str):

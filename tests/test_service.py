@@ -645,6 +645,32 @@ class TestGracefulShutdown:
             await writer.wait_closed()
         run(body())
 
+    def test_stop_with_idle_clients_returns_within_drain_timeout(self):
+        # since Python 3.12 Server.wait_closed waits for every connection:
+        # awaited before the idle ones are closed, stop never returned
+        async def body():
+            server = await _started_server()
+            client = CacheClient("127.0.0.1", server.port, max_retries=0)
+            assert await client.ping()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            assert await _exchange(reader, writer, FrameEncoder().simple(
+                VERB_IDS["PING"], 1)) == [(1, "PONG", b"")]
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            await asyncio.wait_for(server.stop(drain_timeout=1.0), 10.0)
+            assert loop.time() - began < 1.0
+            assert server.connections == 0
+            # both clients see the close
+            assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            mux = client.transport._conn
+            await asyncio.wait_for(mux.lost, 1.0)
+            assert mux.dead
+            await client.close()
+            writer.close()
+            await writer.wait_closed()
+        run(body())
+
     def test_quit_closes_only_its_own_connection(self):
         async def body():
             server = await _started_server()
@@ -706,9 +732,9 @@ class TestClient:
             served = []
             serve = server._serve_frame
 
-            def counting(conn, frame):
-                served.append(VERB_NAMES[frame.verb_id])
-                return serve(conn, frame)
+            def counting(conn, verb_id, *frame):
+                served.append(VERB_NAMES[verb_id])
+                return serve(conn, verb_id, *frame)
 
             server._serve_frame = counting
             try:
