@@ -349,6 +349,49 @@ class TestFieldDecoding:
                 decode(over)
 
 
+class TestPayloadReader:
+    """A payload is read field by field, each field starting where the
+    last one stopped, and never past the payload's end."""
+
+    def test_reads_are_sequential_and_bounded(self):
+        payload = (struct.pack(">H", 1) + b"k" + struct.pack(">Q", 9)
+                   + struct.pack(">I", 2) + b"vv")
+        buf = b"\x07" * 3 + payload + b"\x07" * 3
+        start, stop = 3, 3 + len(payload)
+        assert decode_request_fields("REPL", 0, buf, start, stop) == (
+            None, ["k", 9, b"vv"])
+        # INVAL's key and version end where REPL's value starts
+        assert decode_request_fields("INVAL", 0, buf, start, stop - 6) == (
+            None, ["k", 9])
+        # the bytes past ``stop`` are never read into a field
+        for verb, cut in (("REPL", stop - 1), ("REPL", stop - 6),
+                          ("INVAL", stop - 7)):
+            with pytest.raises(FieldError):
+                decode_request_fields(verb, 0, buf, start, cut)
+
+    def test_batch_reads_continue_where_they_stop(self):
+        enc = FrameEncoder()
+        enc.begin(0, 0)
+        enc.set_trace(TOKEN)
+        enc.put_keys(["a", "bc"])
+        enc.put_items([("d", b"e")])
+        raw = enc.finish()
+        flags = raw[3]
+        payload = raw[HEADER_SIZE:] + struct.pack(">H", 1) + b"k" + \
+            struct.pack(">Q", 9)
+        token, pos = decode_trace(payload)
+        assert token == TOKEN
+        keys_end = pos + 4 + (2 + 1) + (2 + 2)
+        items_end = keys_end + 4 + (2 + 1) + (4 + 1)
+        assert decode_request_fields("MGET", flags, payload, 0, keys_end) == (
+            TOKEN, [["a", "bc"]])
+        assert decode_request_fields("MSET", 0, payload, keys_end,
+                                     items_end) == (None, [[("d", b"e")]])
+        assert decode_request_fields("INVAL", 0, payload, items_end) == (
+            None, ["k", 9])
+        assert items_end + 3 + 8 == len(payload)
+
+
 # ---------------------------------------------------------------------------
 # the transport's one connection
 # ---------------------------------------------------------------------------
